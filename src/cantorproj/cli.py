@@ -11,6 +11,7 @@ Subcommands::
 Exit codes: 0 success, 1 a verification or suite failed, 2 usage error,
 3 search budget exhausted.  Defaults may be set via ``CANTORPROJ_*``
 environment variables (``CANTORPROJ_DEPTH`` and so on); explicit flags win.
+A negative size knob (every knob but the seed) is a usage error.
 All JSON output is byte-deterministic for a fixed config.
 """
 
@@ -65,8 +66,11 @@ def _config(args: argparse.Namespace) -> RunConfig:
     for knob in INT_KNOBS:
         flag = getattr(args, knob, None)
         value = flag if flag is not None else _env_default(knob)
-        if value is not None:
-            picked[knob] = value
+        if value is None:
+            continue
+        if knob != "seed" and value < 0:
+            raise UsageError(f"{knob} must be a natural number, got {value}")
+        picked[knob] = value
     return RunConfig(**{**cfg.as_dict(), **picked})
 
 

@@ -53,14 +53,6 @@ def lenlex_nonempty(rank: int) -> str:
     return format(r, f"0{length}b").replace("1", "2")
 
 
-def lenlex_rank(word: str) -> int:
-    """Rank of a nonempty word in the length-lexicographic order."""
-    if not word:
-        raise FamilyError("the empty word has no nonempty rank")
-    base = 2 ** len(word) - 2
-    return base + int(word.replace("2", "1"), 2)
-
-
 def ceil_log3(m: int) -> int:
     """Least c with 3**c >= m, for m >= 1."""
     c, p = 0, 1
@@ -115,6 +107,13 @@ class Fiber:
 class Family:
     """Append-only memo of the generated family.
 
+    The base assignment is a greedy back and forth whose forward half is
+    first fit: each word, in length-lexicographic order, goes to the least
+    unassigned index whose y point starts with it.  These first-fit lookups
+    go through a y-prefix index (prefix of the current word length to pair
+    indices, in increasing order), built lazily and extended pair by pair
+    only as far as a lookup needs, so no lookup rescans from index 0.
+
     Deterministic: two instances always produce identical output.  The memo
     is not thread safe; give each thread its own instance.
     """
@@ -130,6 +129,9 @@ class Family:
         self._idx2word: dict[int, str] = {}
         self._word2idx: dict[str, int] = {}
         self._enum_step = 0
+        self._prefix_len = 0
+        self._prefix_scanned = 0
+        self._by_prefix: dict[str, list[int]] = {}
         self._fibers: list[Fiber] = []
 
     # -- dense pairs ------------------------------------------------------
@@ -249,19 +251,40 @@ class Family:
         t = self._enum_step
         w = lenlex_nonempty(t)
         if w not in self._word2idx:
-            n = 0
-            while n in self._idx2word or not self.dense_pair(n).y.starts_with(w):
-                n += 1
-            self._assign(n, w)
+            self._assign(self._first_fit(w), w)
         if t not in self._idx2word:
+            y = self.dense_pair(t).y
             length = 1
-            while True:
-                pref = self.dense_pair(t).y.digits(length)
-                if pref not in self._word2idx:
-                    self._assign(t, pref)
-                    break
+            while y.digits(length) in self._word2idx:
                 length += 1
+            self._assign(t, y.digits(length))
         self._enum_step += 1
+
+    def _first_fit(self, w: str) -> int:
+        # Least unassigned index whose y point starts with w.  Unassigned
+        # pairs below _prefix_scanned sit in buckets keyed by their y-prefix
+        # of length len(w), in increasing order.  Words come up in
+        # length-lexicographic order and each bucket is read once, when its
+        # word comes up, so the index is rebuilt once per length and never
+        # buckets a word already assigned.  An index assigned after it was
+        # bucketed is skipped on reading.
+        if len(w) != self._prefix_len:
+            self._prefix_len, self._prefix_scanned, self._by_prefix = len(w), 0, {}
+        for n in self._by_prefix.pop(w, ()):
+            if n not in self._idx2word:
+                return n
+        while True:
+            n = self._prefix_scanned
+            self._prefix_scanned += 1
+            if n in self._idx2word:
+                continue
+            if n == len(self._pairs):
+                self.dense_pair(n)
+            pref = self._pairs[n].y.digits(len(w))
+            if pref == w:
+                return n
+            if pref not in self._word2idx:
+                self._by_prefix.setdefault(pref, []).append(n)
 
     def enumeration_steps(self) -> int:
         return self._enum_step

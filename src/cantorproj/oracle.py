@@ -8,7 +8,7 @@ code on finite windows.
 
 from __future__ import annotations
 
-from .family import Family
+from .family import Family, lenlex_nonempty
 from .images import ImagePiece
 from .words import CantorPoint, ClopenSet, all_words, repr_point
 
@@ -19,6 +19,31 @@ def in_x_truncated(fam: Family, x: CantorPoint, y: CantorPoint, n_fibers: int) -
         if fb.point == x and y.starts_with(fb.base):
             return False
     return True
+
+
+def first_fit_bases(fam: Family, steps: int) -> dict[int, str]:
+    """Base table after ``steps`` steps of the back and forth, by plain scans.
+
+    Step t gives the t-th nonempty word to the least unassigned index whose
+    y point starts with it, rescanning from index 0, then gives index t the
+    shortest prefix of its own y point that no index holds yet.  Reads only
+    ``fam.dense_pair``; every index below ``steps`` is in the table.
+    """
+    table: dict[int, str] = {}
+    for t in range(steps):
+        w = lenlex_nonempty(t)
+        if w not in table.values():
+            n = 0
+            while n in table or not fam.dense_pair(n).y.starts_with(w):
+                n += 1
+            table[n] = w
+        length = 1
+        while t not in table:
+            pref = fam.dense_pair(t).y.digits(length)
+            if pref not in table.values():
+                table[t] = pref
+            length += 1
+    return table
 
 
 def brute_rect_trace(

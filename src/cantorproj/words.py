@@ -22,7 +22,7 @@ class WordError(ValueError):
 
 
 def _check_digits(word: str) -> None:
-    if any(ch not in ALPHABET for ch in word):
+    if word.strip(ALPHABET):
         raise WordError(f"digits must come from {{0, 2}}: {word!r}")
 
 

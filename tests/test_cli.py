@@ -140,6 +140,23 @@ class TestUsage:
         code, out, _ = run(capsys, "image", "ε x ε", "--depth", "2")
         assert json.loads(out)["trace"]["depth"] == 2
 
+    @pytest.mark.parametrize("flag", ["--depth", "--n-max", "--i-max", "--truncation", "--budget"])
+    def test_negative_size_flag(self, capsys, flag):
+        code, out, err = run(capsys, "construct", flag, "-3")
+        assert code == 2 and out == ""
+        assert "natural number" in err
+
+    @pytest.mark.parametrize("knob", ["DEPTH", "N_MAX", "I_MAX", "TRUNCATION", "BUDGET"])
+    def test_negative_size_env(self, capsys, monkeypatch, knob):
+        monkeypatch.setenv("CANTORPROJ_" + knob, "-1")
+        code, out, err = run(capsys, "construct")
+        assert code == 2 and out == ""
+        assert "natural number" in err
+
+    def test_negative_seed_allowed(self, capsys):
+        code, _, _ = run(capsys, "construct", "--n-max", "1", "--seed", "-3")
+        assert code == 0
+
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("CANTORPROJ_DEPTH", "three")
         code, _, err = run(capsys, "image", "ε x ε")

@@ -1,5 +1,6 @@
 """Dense pairs, tagged approximants, recognition, base enumeration."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from cantorproj import (
     lenlex_word,
     repr_point,
 )
+from cantorproj.cli import main as cli_main
+from cantorproj.oracle import first_fit_bases
 
 COMMON = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -182,6 +185,15 @@ class TestBaseEnumeration:
         words = [fam.base_word(n).word for n in range(200)]
         assert len(set(words)) == 200
 
+    def test_matches_first_fit_oracle(self, fam):
+        # The table after 201 steps holds every index n <= 200 (the range
+        # ``check`` uses) and every word assigned on the way, both ways.
+        table = first_fit_bases(fam, 201)
+        assert set(range(201)) <= set(table)
+        for n, w in table.items():
+            assert fam.base_word(n).word == w
+            assert fam.base_index(w) == n
+
     def test_empty_word_rejected(self, fam):
         with pytest.raises(FamilyError):
             fam.base_index("")
@@ -190,6 +202,39 @@ class TestBaseEnumeration:
     @given(st.text(alphabet="02", min_size=1, max_size=5))
     def test_totality_random(self, fam, w):
         assert fam.base_word(fam.base_index(w)).word == w
+
+
+def _sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """SHA-256 digests pinning the generated family byte for byte.
+
+    They cover the base table, the dense pairs and the ``construct`` output,
+    so any change to pairs, zero pads or the base assignment shows up here.
+    """
+
+    BASE_WORDS_400 = "5bee6bd865ac687250efe9b6a89002a0a9e76d5f1fc00b2d1db399483f3f8d70"
+    DENSE_PAIRS_3000 = "c74bc22acea0d993540175557a77673db9e16f314957c131fc0ba925cc11bf9c"
+    CONSTRUCT_300_5 = "b21dda9c15b2948bc3aa295dd44f400f093edd3dfd3554fa7397349c56e4bc93"
+
+    def test_base_words(self, fam):
+        text = "\n".join(fam.base_word(n).word for n in range(400))
+        assert _sha256(text) == self.BASE_WORDS_400
+
+    def test_dense_pairs(self, fam):
+        pairs = (fam.dense_pair(n) for n in range(3000))
+        text = "\n".join(f"{p.x} {p.y}" for p in pairs)
+        assert _sha256(text) == self.DENSE_PAIRS_3000
+
+    def test_construct_bytes(self, tmp_path):
+        target = tmp_path / "fam.json"
+        argv = ["construct", "--n-max", "300", "--i-max", "5", "--out", str(target)]
+        assert cli_main(argv) == 0
+        assert _sha256(target.read_bytes()) == self.CONSTRUCT_300_5
 
 
 class TestPuncturedSpace:
