@@ -19,6 +19,7 @@ from .images import (
     adjust_open,
     image_member,
     piece_member,
+    removal_sequences,
 )
 from .schema import wrap
 from .words import (
@@ -236,15 +237,15 @@ class ClosureSplit:
 
 def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
     covered = img.hull()
-    inter_hull = ClopenSet()
-    for piece in img.pieces:
-        inter_hull = inter_hull.union(piece.hull.intersect(f))
+    # Each piece is dense in its hull, which it misses by a countable set,
+    # so the closure of F & E is the union of the piece.hull & F.
+    inter_hull = covered.intersect(f)
     diff_clopen = f.minus(covered)
 
     depth = max([f.depth()] + [p.hull.depth() for p in img.pieces])
     tails: list[TailSet] = []
     points: list[CantorPoint] = []
-    for n in removal_sequences_of(img):
+    for n in removal_sequences(img):
         x = fam.dense_pair(n).x
         stab = max(
             [max(0, depth - ceil_log3(n + 1) - DEPTH_OFFSET)]
@@ -274,19 +275,23 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
     return ClosureSplit(inter_hull, diff_clopen, tuple(tails), tuple(points))
 
 
-def removal_sequences_of(img: ImageSet) -> tuple[int, ...]:
-    return tuple(sorted({ts.seq for p in img.pieces for ts in p.removals}))
-
-
 def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
     """True iff cl(F and E) intersect cl(F minus E) is not all of F.
 
     The intersection is a clopen core plus countably many points; a nonempty
     clopen set is uncountable, so the intersection exhausts F exactly when F
     already sits inside the clopen core.
+
+    The core is ``inter_hull & (F - hull)``, the two clopen parts of
+    :func:`closure_split`, computed here from those two clopen sets alone
+    (no tails, points or membership tests).  It is empty: ``inter_hull``,
+    the union of ``piece.hull & F``, lies inside the image hull, and
+    ``F - hull`` lies outside it.  The intersection of the closures is
+    therefore countable, never all of a nonempty F, and every image is
+    resolvable.
     """
     if f.is_empty():
         raise PieceError("resolvability probe needs a nonempty closed set")
-    split = closure_split(fam, img, f)
-    core = split.inter_hull.intersect(split.diff_clopen)
+    hull = img.hull()
+    core = hull.intersect(f).intersect(f.minus(hull))
     return not f.subset(core)

@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 1 a verification or suite failed, 2 usage error,
 3 search budget exhausted.  Defaults may be set via ``CANTORPROJ_*``
 environment variables (``CANTORPROJ_DEPTH`` and so on); explicit flags win.
-A negative size knob (every knob but the seed) is a usage error.
+A negative size knob (every knob but the seed) and a ``--samples`` below 1
+are usage errors.
 All JSON output is byte-deterministic for a fixed config.
 """
 
@@ -72,6 +73,12 @@ def _config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"{knob} must be a natural number, got {value}")
         picked[knob] = value
     return RunConfig(**{**cfg.as_dict(), **picked})
+
+
+def _samples(args: argparse.Namespace) -> int | None:
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"samples must be at least 1, got {args.samples}")
+    return args.samples
 
 
 def _add_knobs(sub: argparse.ArgumentParser) -> None:
@@ -140,15 +147,16 @@ def cmd_image(args: argparse.Namespace) -> int:
 
 def cmd_falsify(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    samples = _samples(args)
     fam = Family()
     union = parse_rect_union(args.rect)
     if len(union.rects) != 1:
         raise UsageError("falsify expects a single rectangle")
     complement = parse_rect_union(args.piece) if args.piece else RectUnion(())
     cert = falsify_restriction(
-        fam, complement, union.rects[0], budget=cfg.budget, samples=args.samples
+        fam, complement, union.rects[0], budget=cfg.budget, samples=samples
     )
-    ok, clause = verify_witness(fam, cert, samples=args.samples)
+    ok, clause = verify_witness(fam, cert, samples=samples)
     if not ok:
         _emit(args, f"self-verification failed at {clause}\n")
         return 1
@@ -168,6 +176,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    samples = _samples(args)
     fam = Family()
     if args.file == "-":
         raw = sys.stdin.read()
@@ -175,7 +184,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             raw = fh.read()
     cert = witness_from_dict(json.loads(raw))
-    samples = args.samples if args.samples is not None else len(cert.missing)
+    if samples is None:
+        samples = len(cert.missing)
     ok, clause = verify_witness(fam, cert, samples=samples)
     doc = {"ok": ok, "clause": clause, "samples": samples}
     if args.format == "text":

@@ -10,7 +10,7 @@ removed in one piece but present in another belongs to the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .family import DEPTH_OFFSET, Family, ceil_log3
 from .words import CantorPoint, ClopenSet, parse_clopen
@@ -140,6 +140,7 @@ class ImageSet:
     """Union of image pieces, in a canonical order."""
 
     pieces: tuple[ImagePiece, ...] = ()
+    _hull: ClopenSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -147,10 +148,11 @@ class ImageSet:
         )
 
     def hull(self) -> ClopenSet:
-        out = ClopenSet()
-        for p in self.pieces:
-            out = out.union(p.hull)
-        return out
+        """Union of the piece hulls, computed on first use and kept."""
+        if self._hull is None:
+            words = tuple(w for p in self.pieces for w in p.hull.words)
+            object.__setattr__(self, "_hull", ClopenSet(words))
+        return self._hull
 
     def as_dict(self) -> dict:
         return {"pieces": [p.as_dict() for p in self.pieces]}
@@ -225,6 +227,7 @@ def image_trace(fam: Family, img: ImageSet, depth: int) -> tuple[str, ...]:
 
 
 def removal_sequences(img: ImageSet) -> tuple[int, ...]:
+    """Sequences with a removal record in some piece, in increasing order."""
     return tuple(sorted({ts.seq for p in img.pieces for ts in p.removals}))
 
 

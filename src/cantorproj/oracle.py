@@ -8,8 +8,10 @@ code on finite windows.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .family import Family, lenlex_nonempty
-from .images import ImagePiece
+from .images import ImagePiece, RectUnion
 from .words import CantorPoint, ClopenSet, all_words, repr_point
 
 
@@ -46,6 +48,12 @@ def first_fit_bases(fam: Family, steps: int) -> dict[int, str]:
     return table
 
 
+@lru_cache(maxsize=None)
+def representatives(depth: int) -> tuple[tuple[str, CantorPoint], ...]:
+    """Each depth-d word with its canonical representative point."""
+    return tuple((w, repr_point(w)) for w in all_words(depth))
+
+
 def brute_rect_trace(
     fam: Family,
     x_set: ClopenSet,
@@ -55,15 +63,41 @@ def brute_rect_trace(
     sample_depth: int = 6,
 ) -> tuple[str, ...]:
     """Trace of the truncated image, computed point by point."""
-    ys = [repr_point(w) for w in all_words(sample_depth) if y_set.member(repr_point(w))]
+    ys = [y for _, y in representatives(sample_depth) if y_set.member(y)]
     out = []
-    for w in all_words(trace_depth):
-        x = repr_point(w)
+    for w, x in representatives(trace_depth):
         if not x_set.member(x):
             continue
         if any(in_x_truncated(fam, x, y, n_fibers) for y in ys):
             out.append(w)
     return tuple(out)
+
+
+def brute_union_trace(
+    fam: Family, union: RectUnion, n_fibers: int, trace_depth: int = 6
+) -> frozenset[str]:
+    """Trace of a truncated union image: its rectangles' brute traces joined."""
+    return frozenset(
+        w
+        for r in union.rects
+        for w in brute_rect_trace(fam, r.x_set, r.y_set, n_fibers, trace_depth, trace_depth)
+    )
+
+
+def brute_split_traces(
+    trace: frozenset[str], f: ClopenSet, trace_depth: int = 6
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Traces of F intersect image and F minus image, given the image trace.
+
+    Every approximant word has at least 8 digits, so at a smaller depth no
+    representative point is removed from its piece, and these traces equal
+    those of the two clopen parts of the closure split.
+    """
+    in_f = [w for w, p in representatives(trace_depth) if f.member(p)]
+    return (
+        tuple(w for w in in_f if w in trace),
+        tuple(w for w in in_f if w not in trace),
+    )
 
 
 def exact_rect_trace(fam: Family, piece: ImagePiece, trace_depth: int = 6) -> tuple[str, ...]:

@@ -192,9 +192,21 @@ def _common_prefix(words: tuple[str, ...]) -> str:
     return lo[:k]
 
 
+def _is_normal(words: tuple[str, ...]) -> bool:
+    # In sorted order a word's extensions, and its sibling when no extension
+    # is present, sit right after it, so adjacent pairs decide the form.
+    for a, b in zip(words, words[1:]):
+        if b <= a or b.startswith(a) or (len(a) == len(b) and a[:-1] == b[:-1]):
+            return False
+    return True
+
+
 def _normalize_words(words) -> tuple[str, ...]:
     # Antichain: drop words with a proper prefix present, then merge sibling
     # pairs (w0, w2) -> w to a fixpoint.  The result is a canonical form.
+    words = tuple(words)
+    if _is_normal(words):
+        return words
     ordered = sorted(set(words), key=len)
     kept: set[str] = set()
     for w in ordered:
@@ -220,7 +232,10 @@ class ClopenSet:
 
     The normal form is canonical: two instances denote the same set of points
     iff they are equal as values.  The empty tuple denotes the empty set and
-    ``("",)`` the whole space.
+    ``("",)`` the whole space.  Construction first makes one linear pass over
+    adjacent words; a tuple that is already sorted, prefix-free and free of
+    sibling pairs (as every ``intersect`` and ``complement`` result is) is
+    kept as given, and only other inputs pay for the full normalisation.
     """
 
     words: tuple[str, ...] = ()

@@ -1,7 +1,8 @@
 """Acceptance gate: one printed verdict line per criterion.
 
-Each test prints ``ACCEPTANCE NN <name>: PASS|FAIL`` before asserting, so a
-plain ``pytest -v -s tests/test_acceptance.py`` reads as a checklist.  All
+Each criterion test prints ``ACCEPTANCE NN <name>: PASS|FAIL`` before
+asserting, so a plain ``pytest -v -s tests/test_acceptance.py`` reads as a
+checklist; the unnumbered oracle cross-check runs on the same rect suite.  All
 randomness is drawn from generators seeded with fixed constants; tolerances
 are exact rational bounds, never floating point.
 """
@@ -34,9 +35,19 @@ from cantorproj import (
     resolvable_probe,
     verify_witness,
 )
-from cantorproj.certify import certificate_points, decompose, decomposition_member
+from cantorproj.certify import (
+    certificate_points,
+    closure_split,
+    decompose,
+    decomposition_member,
+)
 from cantorproj.cli import main as cli_main
-from cantorproj.oracle import brute_rect_trace
+from cantorproj.oracle import (
+    brute_rect_trace,
+    brute_split_traces,
+    brute_union_trace,
+    representatives,
+)
 from cantorproj.suites import WITNESS_MUTATIONS, mutate_witness, small_clopens
 
 SEED = 20250823
@@ -200,6 +211,24 @@ def test_06_resolvability_bulk_law(fam, rect_suite):
         if not ok:
             break
     verdict(6, "closure-resolvability", ok, str(len(windows)))
+
+
+def test_closure_split_clopen_parts_match_brute_traces(fam, rect_suite):
+    """Not a numbered criterion: the oracle cross-check behind criterion 06.
+
+    At depth 6 the traces of ``inter_hull`` and ``diff_clopen`` must equal
+    the brute-force traces of F intersect image and F minus image.
+    """
+    windows = [ClopenSet(("",))] + [ClopenSet((w,)) for w in all_words(3)]
+    for union, img in rect_suite:
+        trace = brute_union_trace(fam, union, n_fibers=20)
+        for f in windows:
+            split = closure_split(fam, img, f)
+            got = tuple(
+                tuple(w for w, p in representatives(6) if part.member(p))
+                for part in (split.inter_hull, split.diff_clopen)
+            )
+            assert got == brute_split_traces(trace, f), (str(union), str(f))
 
 
 def test_07_witnesses_on_basic_rectangles(fam):

@@ -7,6 +7,7 @@ import pytest
 from cantorproj import (
     ClopenSet,
     PieceError,
+    all_words,
     closure_split,
     decompose,
     decomposition_member,
@@ -148,9 +149,12 @@ class TestClosureSplit:
         assert split.diff_clopen == ClopenSet(("2",))
 
 
+PROBE_IMAGES = ("0 x 00", "002 x 00", "ε x ε", "2 x 0; 0 x 2")
+
+
 class TestResolvableProbe:
     def test_bulk_law_small(self, fam):
-        images = [img_of(fam, s) for s in ("0 x 00", "002 x 00", "ε x ε", "2 x 0; 0 x 2")]
+        images = [img_of(fam, s) for s in PROBE_IMAGES]
         cells = ("00", "02", "20", "22")
         windows = [WHOLE] + [ClopenSet((w,)) for w in cells]
         windows += [ClopenSet((a, b)) for a in cells for b in cells if a < b]
@@ -161,3 +165,18 @@ class TestResolvableProbe:
     def test_empty_window_rejected(self, fam):
         with pytest.raises(PieceError):
             resolvable_probe(fam, img_of(fam, "0 x 00"), ClopenSet(()))
+
+    def test_matches_closure_split_core(self, fam):
+        # The probe reads only the clopen parts of the split; on every
+        # depth-3 window it must agree with the core of the full split.
+        cells = all_words(3)
+        windows = [
+            ClopenSet(tuple(c for j, c in enumerate(cells) if mask >> j & 1))
+            for mask in range(1, 256)
+        ]
+        for literal in PROBE_IMAGES:
+            img = img_of(fam, literal)
+            for f in windows:
+                s = closure_split(fam, img, f)
+                expected = not f.subset(s.inter_hull.intersect(s.diff_clopen))
+                assert resolvable_probe(fam, img, f) == expected

@@ -1,6 +1,10 @@
 """End-to-end command line behavior, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,20 @@ class TestFalsifyVerify:
         code, _, err = run(capsys, "verify", "/no/such/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_falsify_samples_below_one(self, capsys, value):
+        code, out, err = run(capsys, "falsify", "2 x 0", "--samples", value)
+        assert code == 2 and out == ""
+        assert "samples must be at least 1" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_verify_samples_below_one(self, tmp_path, capsys, value):
+        cert_file = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "4", "--out", str(cert_file))
+        code, out, err = run(capsys, "verify", str(cert_file), "--samples", value)
+        assert code == 2 and out == ""
+        assert "samples must be at least 1" in err
+
     def test_garbage_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -162,3 +180,14 @@ class TestUsage:
         code, _, err = run(capsys, "image", "ε x ε")
         assert code == 2
         assert "CANTORPROJ_DEPTH" in err
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "cantorproj", "construct", "--n-max", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["dense_pairs"]) == 2

@@ -141,6 +141,16 @@ class TestProjectUnion:
         )
         assert tuple(trace) == manual
 
+    def test_hull_memo_outside_value(self, fam):
+        literal = "002 x 00; 02 x 2; 2 x 0"
+        img = project_union(fam, parse_rect_union(literal))
+        fresh = project_union(fam, parse_rect_union(literal))
+        before = repr(img)
+        assert img.hull() == ClopenSet(("002", "02", "2"))
+        assert img.hull() is img.hull()
+        assert img == fresh and hash(img) == hash(fresh)
+        assert repr(img) == before == repr(fresh)
+
 
 class TestTailSets:
     def test_validation(self):

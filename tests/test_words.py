@@ -21,6 +21,7 @@ from cantorproj import (
     repr_point,
     separation_depth,
 )
+from cantorproj.words import flip
 
 words_st = st.text(alphabet="02", max_size=8)
 cycles_st = st.text(alphabet="02", min_size=1, max_size=4)
@@ -210,6 +211,36 @@ class TestClopenAlgebra:
     @given(clopen_st, clopen_st)
     def test_subset_is_minus_empty(self, a, b):
         assert a.subset(b) == a.minus(b).is_empty()
+
+    @COMMON
+    @given(
+        st.one_of(
+            st.lists(st.text(alphabet="02", max_size=5), max_size=10),
+            clopen_st.map(lambda c: list(c.words)),
+            clopen_st.map(lambda c: list(c.words) + [w + "0" for w in c.words]),
+            clopen_st.map(lambda c: [w + d for w in c.words for d in "02"]),
+            clopen_st.map(lambda c: [w for w in c.words for _ in "02"]),
+        )
+    )
+    def test_normal_form_property(self, ws):
+        # Inputs: arbitrary lists, normal forms, normal forms plus
+        # extensions, and sorted lists made of sibling pairs or duplicates.
+        out = ClopenSet(tuple(ws)).words
+        assert list(out) == sorted(set(out))
+        assert not any(b.startswith(a) for a in out for b in out if a != b)
+        assert not any(w and w[:-1] + flip(w[-1]) in out for w in out)
+        assert ClopenSet(out).words == out
+        depth = max(map(len, ws), default=0)
+
+        def cover(words):
+            return {c for c in all_words(depth) if any(c.startswith(w) for w in words)}
+
+        assert cover(out) == cover(ws)
+
+    def test_normal_tuple_kept_as_given(self):
+        words = ("00", "020", "2")
+        assert ClopenSet(words).words is words
+        assert ClopenSet(("2", "00", "020")).words == words
 
     def test_parse_clopen(self):
         assert parse_clopen("ε").words == ("",)
