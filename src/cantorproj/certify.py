@@ -284,7 +284,8 @@ def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
 
     The core is ``inter_hull & (F - hull)``, the two clopen parts of
     :func:`closure_split`, computed here from those two clopen sets alone
-    (no tails, points or membership tests).  It is empty: ``inter_hull``,
+    (no tails, points or membership tests), with ``F - hull`` taken as F
+    intersect the complement the image keeps.  It is empty: ``inter_hull``,
     the union of ``piece.hull & F``, lies inside the image hull, and
     ``F - hull`` lies outside it.  The intersection of the closures is
     therefore countable, never all of a nonempty F, and every image is
@@ -292,6 +293,5 @@ def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
     """
     if f.is_empty():
         raise PieceError("resolvability probe needs a nonempty closed set")
-    hull = img.hull()
-    core = hull.intersect(f).intersect(f.minus(hull))
+    core = img.hull().intersect(f).intersect(f.intersect(img.outside()))
     return not f.subset(core)

@@ -71,6 +71,24 @@ def approximant_depth(n: int, i: int) -> int:
     return i + ceil_log3(n + 1) + DEPTH_OFFSET
 
 
+def dense_key(word: str, k: int) -> tuple[str, int]:
+    """Canonical name of the dense stream ``word 0^k (20)^w``, for k >= 1.
+
+    The head ``word 0^k`` with every trailing ``20`` stripped (the cycle
+    absorbs them) is canonical: two heads that do not end in ``20`` and
+    give the same stream are equal.  The key is that head as its root
+    without trailing zeros and its count of trailing zeros.  For k >= 2
+    the head ends in ``00`` and nothing is stripped; for k = 1 the pad
+    zero closes a ``20`` exactly when the word ends in ``2``.
+    """
+    if k == 1 and word.endswith("2"):
+        word, k = word[:-1], 0
+        while word.endswith("20"):
+            word = word[:-2]
+    root = word.rstrip("0")
+    return root, len(word) - len(root) + k
+
+
 def approximant_tag(n: int, i: int) -> str:
     return "2" + "02" * n + "22" + "02" * i + "22"
 
@@ -107,6 +125,14 @@ class Fiber:
 class Family:
     """Append-only memo of the generated family.
 
+    Pair t pads the words of its diagonal ranks with the fewest zeros k >= 1
+    giving a point ``word 0^k (20)^w`` new to its coordinate.  Freshness is
+    tested on :func:`dense_key`, not on built points: the head ``word 0^k``
+    with its trailing ``20`` blocks stripped names the stream exactly, since
+    every dense point shares the cycle ``20``, and is kept as a root word
+    and a count of trailing zeros, one set of counts per root.  Only the
+    kept point of each coordinate is built.
+
     The base assignment is a greedy back and forth whose forward half is
     first fit: each word, in length-lexicographic order, goes to the least
     unassigned index whose y point starts with it.  These first-fit lookups
@@ -120,8 +146,8 @@ class Family:
 
     def __init__(self) -> None:
         self._pairs: list[DensePair] = []
-        self._x_taken: set[CantorPoint] = set()
-        self._y_taken: set[CantorPoint] = set()
+        self._x_taken: dict[str, set[int]] = {}
+        self._y_taken: dict[str, set[int]] = {}
         self._x_pad: dict[str, int] = {}
         self._y_pad: dict[str, int] = {}
         self._approx: dict[tuple[int, int], Approximant] = {}
@@ -144,26 +170,23 @@ class Family:
             xr, yr = diag_pair(t)
             x = self._fresh(lenlex_word(xr), self._x_taken, self._x_pad)
             y = self._fresh(lenlex_word(yr), self._y_taken, self._y_pad)
-            self._x_taken.add(x)
-            self._y_taken.add(y)
             self._pairs.append(DensePair(t, x, y))
         return self._pairs[n]
 
-    @staticmethod
-    def _pad_point(word: str, k: int) -> CantorPoint:
-        return CantorPoint(word + "0" * k, DENSE_CYCLE)
-
     def _fresh(
-        self, word: str, taken: set[CantorPoint], pads: dict[str, int]
+        self, word: str, taken: dict[str, set[int]], pads: dict[str, int]
     ) -> CantorPoint:
         # Minimal zero padding >= 1 keeping the new point distinct within
         # its own family; the point stays inside the requested cylinder.
         # Taken sets only grow, so the scan may resume at the last success.
         k = pads.get(word, 1)
-        while self._pad_point(word, k) in taken:
+        root, zeros = dense_key(word, k)
+        while zeros in taken.get(root, ()):
             k += 1
+            root, zeros = dense_key(word, k)
+        taken.setdefault(root, set()).add(zeros)
         pads[word] = k
-        return self._pad_point(word, k)
+        return CantorPoint(word + "0" * k, DENSE_CYCLE)
 
     # -- approximants -----------------------------------------------------
 

@@ -141,6 +141,7 @@ class ImageSet:
 
     pieces: tuple[ImagePiece, ...] = ()
     _hull: ClopenSet | None = field(default=None, init=False, repr=False, compare=False)
+    _outside: ClopenSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -153,6 +154,12 @@ class ImageSet:
             words = tuple(w for p in self.pieces for w in p.hull.words)
             object.__setattr__(self, "_hull", ClopenSet(words))
         return self._hull
+
+    def outside(self) -> ClopenSet:
+        """Complement of the hull, computed on first use and kept."""
+        if self._outside is None:
+            object.__setattr__(self, "_outside", self.hull().complement())
+        return self._outside
 
     def as_dict(self) -> dict:
         return {"pieces": [p.as_dict() for p in self.pieces]}

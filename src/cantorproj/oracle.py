@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .family import Family, lenlex_nonempty
+from .family import DENSE_CYCLE, Family, diag_pair, lenlex_nonempty, lenlex_word
 from .images import ImagePiece, RectUnion
 from .words import CantorPoint, ClopenSet, all_words, repr_point
 
@@ -46,6 +46,27 @@ def first_fit_bases(fam: Family, steps: int) -> dict[int, str]:
                 table[t] = pref
             length += 1
     return table
+
+
+def scanned_dense_pairs(count: int) -> list[tuple[CantorPoint, CantorPoint]]:
+    """First ``count`` dense pairs, freshness tested on built points.
+
+    Pair t pads the words of its diagonal ranks with the least k >= 1 whose
+    point ``word 0^k (20)^w`` its coordinate does not hold yet, building
+    every candidate and scanning from k = 1 each time.
+    """
+    taken: tuple[set[CantorPoint], set[CantorPoint]] = (set(), set())
+    pairs = []
+    for t in range(count):
+        pair = []
+        for rank, seen in zip(diag_pair(t), taken):
+            word, k = lenlex_word(rank), 1
+            while (p := CantorPoint(word + "0" * k, DENSE_CYCLE)) in seen:
+                k += 1
+            seen.add(p)
+            pair.append(p)
+        pairs.append((pair[0], pair[1]))
+    return pairs
 
 
 @lru_cache(maxsize=None)

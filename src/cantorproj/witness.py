@@ -175,8 +175,16 @@ def verify_witness(
         yield "witness_in_x", fam.in_x(cert.witness_x, cert.witness_y)
         pair = fam.dense_pair(cert.n_fine)
         yield "witness_is_dense_pair", cert.witness_x == pair.x and cert.witness_y == pair.y
-        yield "missing_count", len(cert.missing) >= samples
-        for entry in cert.missing[:samples]:
+        # At least one sample, and each a different approximant: repeated
+        # or absent entries would count evidence that is not there.  Indices
+        # read from a file may be of any JSON type; only integers compare.
+        yield "missing_count", 0 < samples <= len(cert.missing)
+        checked = cert.missing[:samples]
+        indices = [entry.index for entry in checked]
+        yield "missing_indices_increasing", all(
+            type(i) is int for i in indices
+        ) and all(a < b for a, b in zip(indices, indices[1:]))
+        for entry in checked:
             tag = f"[i={entry.index}] "
             # Identity with the fine sequence is the exclusion certificate:
             # the removed column of that approximant is the fine base itself,

@@ -92,6 +92,25 @@ class TestFalsifyVerify:
         assert code == 1
         assert json.loads(out)["clause"] == "n_fine_gt_n_coarse"
 
+    @pytest.mark.parametrize(
+        "edit, clause",
+        [
+            (lambda m: [], "missing_count"),
+            (lambda m: m[:1] * 3, "missing_indices_increasing"),
+            (lambda m: [{**m[0], "i": "0"}] + m[1:], "missing_indices_increasing"),
+        ],
+        ids=["empty", "repeated", "string-index"],
+    )
+    def test_evidence_shape_rejected(self, tmp_path, capsys, edit, clause):
+        cert_file = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "2", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc["payload"]["missing"] = edit(doc["payload"]["missing"])
+        cert_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert_file))
+        assert code == 1
+        assert json.loads(out)["clause"] == clause
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "falsify", "0 x 0", "--budget", "1")
         assert code == 3

@@ -21,7 +21,8 @@ from cantorproj import (
     repr_point,
 )
 from cantorproj.cli import main as cli_main
-from cantorproj.oracle import first_fit_bases
+from cantorproj.family import dense_key
+from cantorproj.oracle import first_fit_bases, scanned_dense_pairs
 
 COMMON = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -92,6 +93,51 @@ class TestDensePairs:
     def test_negative_index(self, fam):
         with pytest.raises(FamilyError):
             fam.dense_pair(-1)
+
+
+class TestFreshnessKey:
+    @staticmethod
+    def point(word, k):
+        return CantorPoint(word + "0" * k, "20")
+
+    def test_names_the_stream_exactly(self):
+        # Exhaustive over words of length <= 6 and pads 1..8: equal keys
+        # exactly when the two dense points are equal.
+        heads = [(w, k) for d in range(7) for w in all_words(d) for k in range(1, 9)]
+        by_key, by_point = {}, {}
+        for w, k in heads:
+            by_key.setdefault(dense_key(w, k), set()).add((w, k))
+            by_point.setdefault(self.point(w, k), set()).add((w, k))
+        assert sorted(map(sorted, by_key.values())) == sorted(
+            map(sorted, by_point.values())
+        )
+
+    @pytest.mark.parametrize(
+        "a, b", [(("2", 1), ("202", 1)), (("0020202", 1), ("", 2))]
+    )
+    def test_cycle_absorbed_heads(self, a, b):
+        # Keying before the "20" strip would tell these apart.
+        assert self.point(*a) == self.point(*b)
+        assert dense_key(*a) == dense_key(*b)
+
+    def test_matches_point_keyed_scan(self, fam):
+        scanned = scanned_dense_pairs(2000)
+        for n, (x, y) in enumerate(scanned):
+            assert (fam.dense_pair(n).x, fam.dense_pair(n).y) == (x, y)
+
+    def test_builds_only_kept_points(self, monkeypatch):
+        # Work count, not wall clock: one point per coordinate per pair.
+        built = [0]
+        post_init = CantorPoint.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(CantorPoint, "__post_init__", counting)
+        fresh = Family()
+        fresh.dense_pair(2999)
+        assert built[0] == 6000
 
 
 class TestApproximants:

@@ -1,6 +1,7 @@
 """Non-openness witnesses, their verifier, and the auxiliary checks."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -114,6 +115,32 @@ class TestMutations:
             back = witness_from_dict(json.loads(json.dumps(witness_to_dict(mutated))))
             ok, clause = verify_witness(fam, back, samples=len(cert.missing))
             assert (ok, clause) == (False, expected)
+
+
+class TestEvidenceShape:
+    """Empty or repeated evidence is rejected, outside ``WITNESS_MUTATIONS``."""
+
+    def test_empty_missing(self, fam):
+        cert = replace(cert_for(fam, "2 x 0"), missing=())
+        assert verify_witness(fam, cert, samples=0) == (False, "missing_count")
+
+    def test_repeated_entry(self, fam):
+        cert = cert_for(fam, "2 x 0")
+        cert = replace(cert, missing=(cert.missing[0],) * 3)
+        got = verify_witness(fam, cert, samples=3)
+        assert got == (False, "missing_indices_increasing")
+
+    def test_decreasing_indices(self, fam):
+        cert = cert_for(fam, "2 x 0")
+        cert = replace(cert, missing=cert.missing[::-1])
+        got = verify_witness(fam, cert, samples=len(cert.missing))
+        assert got == (False, "missing_indices_increasing")
+
+    def test_only_checked_entries_count(self, fam):
+        # Entries past ``samples`` are not evidence and are not inspected.
+        cert = cert_for(fam, "2 x 0")
+        cert = replace(cert, missing=cert.missing[:2] + cert.missing[:1])
+        assert verify_witness(fam, cert, samples=2) == (True, None)
 
 
 class TestSerialization:
