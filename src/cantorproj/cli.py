@@ -28,8 +28,8 @@ from .family import Family, FamilyError
 from .images import (
     PieceError,
     RectUnion,
+    image_trace,
     parse_rect_union,
-    piece_member,
     project_union,
 )
 from .schema import CertificateFormatError
@@ -41,7 +41,7 @@ from .witness import (
     witness_from_dict,
     witness_to_dict,
 )
-from .words import WordError, all_words, repr_point
+from .words import WordError
 
 ENV_PREFIX = "CANTORPROJ_"
 INT_KNOBS = ("depth", "n_max", "i_max", "truncation", "budget", "seed")
@@ -124,11 +124,7 @@ def cmd_image(args: argparse.Namespace) -> int:
     union = parse_rect_union(args.rect)
     img = project_union(fam, union)
     dec = decompose(fam, img)
-    trace = sorted(
-        w
-        for w in all_words(cfg.depth)
-        if any(piece_member(fam, piece, repr_point(w)) for piece in img.pieces)
-    )
+    trace = image_trace(fam, img, cfg.depth)
     doc = {
         "rect": union.as_dict(),
         "image": img.as_dict(),

@@ -25,6 +25,9 @@ DENSE_CYCLE = "20"
 # the distance bound strictly below 1/(n+1) even when n+1 is a power of 3.
 DEPTH_OFFSET = 2
 
+# Memo lookup default telling "never decoded" apart from a cached None.
+_UNSEEN = object()
+
 
 class FamilyError(ValueError):
     """Invalid index or word for the generated family."""
@@ -207,18 +210,23 @@ class Family:
         """Decode which approximant a point is, if any.
 
         Returns ``(n, i)`` exactly when ``p`` equals the i-th approximant of
-        sequence n; any corruption of the tag yields ``None``.
+        sequence n; any corruption of the tag yields ``None``.  The tag shape
+        is tested before the memo: approximants end in zeros, which in
+        normal form means cycle ``"0"``, and their tag ends in ``"22"``, so
+        any other point is answered at once.  The memo holds only points of
+        that shape, about half of the representative points of a trace.
         """
-        if p not in self._recog:
-            self._recog[p] = self._decode(p)
-        return self._recog[p]
-
-    def _decode(self, p: CantorPoint) -> tuple[int, int] | None:
-        # Approximants end in zeros; in normal form that means cycle "0" and
-        # a prefix ending in "2", so the tag sits at the very end of the
-        # prefix and the backward scan is aligned.
         if p.cycle != "0" or not p.prefix.endswith("22"):
             return None
+        hit = self._recog.get(p, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = self._recog[p] = self._decode(p)
+        return hit
+
+    def _decode(self, p: CantorPoint) -> tuple[int, int] | None:
+        # Called on tag-shaped points only: cycle "0" and a prefix ending in
+        # "22", so the tag sits at the very end of the prefix and the
+        # backward scan is aligned.
         rest = p.prefix[:-2]
         i = 0
         while rest.endswith("02"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .family import DEPTH_OFFSET, Family, ceil_log3
-from .words import CantorPoint, ClopenSet, parse_clopen
+from .words import CantorPoint, ClopenSet, all_words, parse_clopen, repr_point
 
 
 class PieceError(ValueError):
@@ -226,8 +226,6 @@ def image_member(fam: Family, img: ImageSet, p: CantorPoint) -> bool:
 
 def image_trace(fam: Family, img: ImageSet, depth: int) -> tuple[str, ...]:
     """Depth-d cylinders whose canonical representative lies in the image."""
-    from .words import all_words, repr_point
-
     return tuple(
         w for w in all_words(depth) if image_member(fam, img, repr_point(w))
     )

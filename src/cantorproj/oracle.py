@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .family import DENSE_CYCLE, Family, diag_pair, lenlex_nonempty, lenlex_word
-from .images import ImagePiece, RectUnion
+from .images import RectUnion
 from .words import CantorPoint, ClopenSet, all_words, repr_point
 
 
@@ -69,6 +69,30 @@ def scanned_dense_pairs(count: int) -> list[tuple[CantorPoint, CantorPoint]]:
     return pairs
 
 
+def normal_point(prefix: str, cycle: str) -> tuple[str, str]:
+    """Normal form (prefix, cycle) of ``prefix cycle^w``, digit by digit.
+
+    The cycle is cut to its least period by trying each divisor of its
+    length; the prefix then gives up its last digit, and the cycle rotates
+    right, one digit at a time while the two agree.
+    """
+    period = next(
+        d for d in range(1, len(cycle) + 1)
+        if len(cycle) % d == 0 and cycle[:d] * (len(cycle) // d) == cycle
+    )
+    pre, cyc = prefix, cycle[:period]
+    while pre and pre[-1] == cyc[-1]:
+        pre = pre[:-1]
+        cyc = cyc[-1] + cyc[:-1]
+    return pre, cyc
+
+
+def scan_member(s: ClopenSet, p: CantorPoint) -> bool:
+    """Membership by scanning every word of the set against the point."""
+    lead = p.digits(max(map(len, s.words), default=0))
+    return any(lead.startswith(w) for w in s.words)
+
+
 @lru_cache(maxsize=None)
 def representatives(depth: int) -> tuple[tuple[str, CantorPoint], ...]:
     """Each depth-d word with its canonical representative point."""
@@ -118,16 +142,6 @@ def brute_split_traces(
     return (
         tuple(w for w in in_f if w in trace),
         tuple(w for w in in_f if w not in trace),
-    )
-
-
-def exact_rect_trace(fam: Family, piece: ImagePiece, trace_depth: int = 6) -> tuple[str, ...]:
-    from .images import piece_member
-
-    return tuple(
-        w
-        for w in all_words(trace_depth)
-        if piece_member(fam, piece, repr_point(w))
     )
 
 

@@ -25,7 +25,7 @@ from .images import (
     project_rect,
     project_union,
 )
-from .schema import unwrap, wrap
+from .schema import CertificateFormatError, unwrap, wrap
 from .words import CantorPoint, ClopenSet, all_words, diam, parse_point, repr_point
 
 
@@ -226,29 +226,54 @@ def witness_to_dict(cert: WitnessCertificate) -> dict:
     return wrap("witness", payload)
 
 
+def _typed(value, kind: type):
+    # JSON booleans are ints to isinstance; only the exact type passes.
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _rect_from_dict(r: dict) -> Rect:
+    return Rect(
+        ClopenSet(tuple(_typed(r["x"], list))), ClopenSet(tuple(_typed(r["y"], list)))
+    )
+
+
+def _missing_from_dict(m: dict) -> MissingApproximant:
+    # The index keeps its JSON type: the verifier's clause rejects non-ints.
+    return MissingApproximant(m["i"], parse_point(m["point"]), parse_point(m["evidence"]))
+
+
+def _field(payload: dict, name: str, parse):
+    try:
+        return parse(payload[name])
+    except (KeyError, TypeError, AttributeError) as err:
+        raise CertificateFormatError(f"malformed payload field {name!r}: {err!r}") from None
+
+
 def witness_from_dict(doc: dict) -> WitnessCertificate:
+    """Read a certificate written by :func:`witness_to_dict`.
+
+    A missing field, or one of a type the verifier cannot compare, raises
+    :class:`CertificateFormatError` naming the payload field, so a malformed
+    file is a format error and never a rejection or a traceback.
+    """
     payload = unwrap(doc, "witness")
-    rect = Rect(
-        ClopenSet(tuple(payload["rect"]["x"])), ClopenSet(tuple(payload["rect"]["y"]))
-    )
-    complement = RectUnion(
-        tuple(
-            Rect(ClopenSet(tuple(r["x"])), ClopenSet(tuple(r["y"])))
-            for r in payload["piece_complement"]
-        )
-    )
     return WitnessCertificate(
-        n_coarse=payload["n_coarse"],
-        n_fine=payload["n_fine"],
-        rect=rect,
-        piece_complement=complement,
-        witness_x=parse_point(payload["witness"]["x"]),
-        witness_y=parse_point(payload["witness"]["y"]),
-        base_coarse=payload["bases"]["coarse"],
-        base_fine=payload["bases"]["fine"],
-        missing=tuple(
-            MissingApproximant(m["i"], parse_point(m["point"]), parse_point(m["evidence"]))
-            for m in payload["missing"]
+        n_coarse=_field(payload, "n_coarse", lambda n: _typed(n, int)),
+        n_fine=_field(payload, "n_fine", lambda n: _typed(n, int)),
+        rect=_field(payload, "rect", _rect_from_dict),
+        piece_complement=_field(
+            payload,
+            "piece_complement",
+            lambda rs: RectUnion(tuple(map(_rect_from_dict, _typed(rs, list)))),
+        ),
+        witness_x=_field(payload, "witness", lambda w: parse_point(w["x"])),
+        witness_y=_field(payload, "witness", lambda w: parse_point(w["y"])),
+        base_coarse=_field(payload, "bases", lambda b: _typed(b["coarse"], str)),
+        base_fine=_field(payload, "bases", lambda b: _typed(b["fine"], str)),
+        missing=_field(
+            payload, "missing", lambda ms: tuple(map(_missing_from_dict, _typed(ms, list)))
         ),
     )
 
@@ -294,16 +319,6 @@ def scattered_check(members: list[ClopenSet], depth: int) -> tuple[bool, dict]:
             return False, {"members": sub}
         assignments.append(found)
     return True, {"assignments": assignments}
-
-
-def scattered_certificate(members: list[ClopenSet], depth: int) -> dict:
-    ok, detail = scattered_check(members, depth)
-    if not ok:
-        raise PieceError(f"family is not scattered at depth {depth}: {detail}")
-    return wrap(
-        "scattered",
-        {"depth": depth, "members": [list(m.words) for m in members], **detail},
-    )
 
 
 # -- piecewise openness ---------------------------------------------------

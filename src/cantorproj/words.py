@@ -10,7 +10,9 @@ over `fractions.Fraction`.  No floating point is used anywhere in the package.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -40,14 +42,19 @@ def _primitive(cycle: str) -> str:
     return cycle[: (cycle + cycle).index(cycle, 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CantorPoint:
     """An eventually periodic point: prefix followed by cycle repeated forever.
 
     Instances normalize on construction so that equal digit streams compare
     equal as values: the cycle is primitive, and the prefix is minimal (its
     last digit never equals the digit the cycle would produce there, so no
-    further digit can be absorbed into a rotation of the cycle).
+    further digit can be absorbed into a rotation of the cycle).  A one-digit
+    cycle absorbs every trailing copy of its digit, and rotating it changes
+    nothing, so that strip is a single ``rstrip``; the zero padding of
+    :func:`repr_point` costs one pass, not one slice per digit.  Points are
+    slotted: they carry no instance ``__dict__``, which keeps the many
+    representative points of a deep trace small.
     """
 
     prefix: str = ""
@@ -60,6 +67,8 @@ class CantorPoint:
             raise WordError("cycle must be nonempty")
         cyc = _primitive(self.cycle)
         pre = self.prefix
+        if len(cyc) == 1:
+            pre = pre.rstrip(cyc)
         while pre and pre[-1] == cyc[-1]:
             pre = pre[:-1]
             cyc = cyc[-1] + cyc[:-1]
@@ -253,13 +262,25 @@ class ClopenSet:
         return not self.words
 
     def depth(self) -> int:
+        return self._depth
+
+    # Computed on first use, not at construction: most sets are built as
+    # intermediate results and never asked, and a field set in
+    # __post_init__ would cost every construction.  cached_property stores
+    # into the instance __dict__, so the class must stay unslotted.
+    @cached_property
+    def _depth(self) -> int:
         return max(map(len, self.words), default=0)
 
     def member(self, p: CantorPoint) -> bool:
+        # Only the last word sorting at or before ``lead`` can be a prefix of
+        # it: every string between a prefix w of ``lead`` and ``lead`` itself
+        # starts with w, and a prefix antichain holds no extension of w.
         if not self.words:
             return False
-        lead = p.digits(self.depth())
-        return any(lead.startswith(w) for w in self.words)
+        lead = p.digits(self._depth)
+        i = bisect_right(self.words, lead)
+        return i > 0 and lead.startswith(self.words[i - 1])
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet(self.words + other.words)

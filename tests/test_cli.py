@@ -111,6 +111,25 @@ class TestFalsifyVerify:
         assert code == 1
         assert json.loads(out)["clause"] == clause
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda p: p.pop("rect"), "rect"),
+            (lambda p: p.update(missing=5), "missing"),
+            (lambda p: p["missing"][1].pop("point"), "missing"),
+        ],
+        ids=["no-rect", "missing-not-a-list", "entry-without-point"],
+    )
+    def test_malformed_payload_is_format_error(self, tmp_path, capsys, edit, field):
+        cert_file = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "2", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        edit(doc["payload"])
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert code == 2 and out == ""
+        assert f"malformed payload field {field!r}" in err
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "falsify", "0 x 0", "--budget", "1")
         assert code == 3

@@ -17,7 +17,10 @@ from cantorproj import (
     diag_pair,
     distance,
     flip,
+    image_trace,
     lenlex_word,
+    parse_rect_union,
+    project_union,
     repr_point,
 )
 from cantorproj.cli import main as cli_main
@@ -210,6 +213,17 @@ class TestRecognition:
     def test_periodic_tails_unrecognized(self, fam):
         assert fam.recognize(CantorPoint("", "02")) is None
         assert fam.recognize(CantorPoint("0022", "20")) is None
+
+    def test_memo_holds_only_tag_shaped_points(self):
+        # The tag check runs ahead of the memo, so a depth-12 trace leaves
+        # only points with cycle "0" and a prefix ending in "22" in it.
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union("0,2 x 00; 22 x ε"))
+        image_trace(fresh, img, 12)
+        assert fresh._recog
+        assert all(
+            p.cycle == "0" and p.prefix.endswith("22") for p in fresh._recog
+        )
 
 
 class TestBaseEnumeration:

@@ -3,7 +3,9 @@
 import pytest
 
 from cantorproj import (
+    CantorPoint,
     ClopenSet,
+    Family,
     ImageSet,
     PieceError,
     Rect,
@@ -140,6 +142,31 @@ class TestProjectUnion:
             if image_member(fam, img, repr_point(w))
         )
         assert tuple(trace) == manual
+
+    def test_trace_work_guard(self, monkeypatch):
+        # Work counts, not wall clock: a depth-12 trace of 4,096 cylinders
+        # builds one point per cylinder, and since recognition tests the tag
+        # shape before the memo, it decodes and memoises only the 2,047
+        # tag-shaped ones.
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union("ε x 2"))
+        counts = {"decode": 0, "point": 0}
+        decode, init = Family._decode, CantorPoint.__init__
+
+        def counting_decode(self, p):
+            counts["decode"] += 1
+            return decode(self, p)
+
+        def counting_init(self, *args, **kwargs):
+            counts["point"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Family, "_decode", counting_decode)
+        monkeypatch.setattr(CantorPoint, "__init__", counting_init)
+        assert len(image_trace(fresh, img, 12)) == 4096
+        assert counts["point"] == 4096
+        assert counts["decode"] <= 2048
+        assert len(fresh._recog) <= 2048
 
     def test_hull_memo_outside_value(self, fam):
         literal = "002 x 00; 02 x 2; 2 x 0"

@@ -1,9 +1,13 @@
 """Non-openness witnesses, their verifier, and the auxiliary checks."""
 
+import contextlib
+import io
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorproj import (
     ClopenSet,
@@ -21,6 +25,7 @@ from cantorproj import (
     witness_from_dict,
     witness_to_dict,
 )
+from cantorproj.cli import main as cli_main
 from cantorproj.schema import CertificateFormatError
 from cantorproj.suites import WITNESS_MUTATIONS, mutate_witness
 from cantorproj.witness import NonMonotoneTraceError
@@ -159,6 +164,59 @@ class TestSerialization:
         doc["scheme_params"]["dense_tail_cycle"] = "02"
         with pytest.raises(CertificateFormatError):
             witness_from_dict(doc)
+
+
+def _paths(node, path=()):
+    # Every dict key and list slot under the payload, outermost first.
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=40)
+    | st.floats(min_value=-3, max_value=40)
+    | st.text(alphabet="02^()x", max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["x", "y", "i", "point", "evidence", "coarse", "fine"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+class TestMalformedPayloads:
+    """A damaged certificate is accepted, rejected or a format error, never a crash."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_verify_exit_code_total(self, fam, data):
+        doc = witness_to_dict(cert_for(fam, "2 x 0", samples=2))
+        path = data.draw(st.sampled_from(list(_paths(doc["payload"]))))
+        *head, last = path
+        parent = doc["payload"]
+        for key in head:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = data.draw(_json_values)
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            mock.patch("sys.stdin", io.StringIO(json.dumps(doc))),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            code = cli_main(["verify", "-"])
+        assert code in (0, 1, 2), (path, code)
+        if code == 2:
+            assert err.getvalue().startswith("error:")
 
 
 class TestScattered:

@@ -21,6 +21,7 @@ from cantorproj import (
     repr_point,
     separation_depth,
 )
+from cantorproj.oracle import normal_point, scan_member
 from cantorproj.words import flip
 
 words_st = st.text(alphabet="02", max_size=8)
@@ -93,6 +94,30 @@ class TestNormalForm:
     @given(points_st)
     def test_parse_roundtrip(self, p):
         assert parse_point(str(p)) == p
+
+    @COMMON
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("02"), st.integers(min_value=0, max_value=40)),
+            max_size=5,
+        ).map(lambda runs: "".join(d * k for d, k in runs)),
+        cycles_st,
+    )
+    def test_matches_digit_by_digit_strip(self, prefix, cycle):
+        # Long runs of one digit exercise the one-digit-cycle strip.
+        p = CantorPoint(prefix, cycle)
+        assert (p.prefix, p.cycle) == normal_point(prefix, cycle)
+
+    @pytest.mark.parametrize(
+        "prefix, cycle",
+        [("2" + "0" * 1000, "0"), ("00000", "00"), ("0202", "02")],
+    )
+    def test_strip_named_cases(self, prefix, cycle):
+        p = CantorPoint(prefix, cycle)
+        assert (p.prefix, p.cycle) == normal_point(prefix, cycle)
+
+    def test_slotted(self):
+        assert not hasattr(CantorPoint("02", "20"), "__dict__")
 
 
 class TestDistance:
@@ -206,6 +231,29 @@ class TestClopenAlgebra:
         assert a.minus(b).member(p) == (a.member(p) and not b.member(p))
         assert a.subset(a.union(b))
         assert a.intersect(b).subset(a)
+
+    @COMMON
+    @given(clopen_st, points_st)
+    def test_member_matches_scan(self, s, p):
+        # Probes whose lead equals a word, extends it, or sits beside it.
+        probes = [p, ZERO_POINT, CantorPoint("", "2")]
+        for w in s.words:
+            probes += [repr_point(w), CantorPoint(w, "2"), repr_point(w[:-1])]
+            if w:
+                probes.append(CantorPoint(w[:-1] + flip(w[-1]), "2"))
+        for q in probes:
+            assert s.member(q) == scan_member(s, q), (s, q)
+
+    def test_member_empty_set(self):
+        for q in (ZERO_POINT, CantorPoint("", "2"), CantorPoint("02", "20")):
+            assert not ClopenSet(()).member(q)
+            assert not scan_member(ClopenSet(()), q)
+
+    def test_depth_is_lazy_and_kept(self):
+        s = ClopenSet(("00", "020", "2"))
+        assert "_depth" not in vars(s)
+        assert s.depth() == 3 and vars(s)["_depth"] == 3
+        assert s == ClopenSet(("2", "00", "020")) and "_depth" not in repr(s)
 
     @COMMON
     @given(clopen_st, clopen_st)
