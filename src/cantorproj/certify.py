@@ -114,12 +114,16 @@ def _isolated_seqs(fam: Family, img: ImageSet) -> list[int]:
 
 
 def _missing_in(fam: Family, img: ImageSet, n: int, separator: str) -> int:
+    # Approximant i agrees with its limit to depth i + ceil_log3(n+1) +
+    # DEPTH_OFFSET and differs at that digit, so none below ``start``
+    # starts with the separator, a prefix of the limit; the scan skips them.
+    start = max(0, len(separator) - ceil_log3(n + 1) - DEPTH_OFFSET)
     cap = 8 + max(
         [len(separator)]
         + [p.hull.depth() for p in img.pieces]
         + [ts.start or 0 for p in img.pieces for ts in p.removals]
     )
-    for i in range(cap):
+    for i in range(start, cap):
         q = fam.approximant(n, i).point
         if q.starts_with(separator) and not image_member(fam, img, q):
             return i

@@ -15,6 +15,7 @@ a given point belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .words import CantorPoint, Cylinder, WordError, _check_digits, flip
@@ -92,17 +93,42 @@ def dense_key(word: str, k: int) -> tuple[str, int]:
     return root, len(word) - len(root) + k
 
 
+def dense_digits(word: str, k: int, length: int) -> str:
+    """First ``length`` digits of the dense stream ``word 0^k (20)^w``."""
+    if length <= len(word):
+        return word[:length]
+    if length <= len(word) + k:
+        return word + "0" * (length - len(word))
+    tail = length - len(word) - k
+    return word + "0" * k + (DENSE_CYCLE * (tail // 2 + 1))[:tail]
+
+
 def approximant_tag(n: int, i: int) -> str:
     return "2" + "02" * n + "22" + "02" * i + "22"
 
 
 @dataclass(frozen=True)
 class DensePair:
-    """The n-th point of the dense family in the square."""
+    """The n-th point of the dense family in the square.
+
+    Each coordinate is kept as its (word, zero pad) head and its point
+    ``word 0^pad (20)^w`` built on first read, so the pairs a base lookup
+    walks past, reading prefixes with :func:`dense_digits`, build none.
+    """
 
     n: int
-    x: CantorPoint
-    y: CantorPoint
+    x_head: tuple[str, int]
+    y_head: tuple[str, int]
+
+    @cached_property
+    def x(self) -> CantorPoint:
+        word, k = self.x_head
+        return CantorPoint(word + "0" * k, DENSE_CYCLE)
+
+    @cached_property
+    def y(self) -> CantorPoint:
+        word, k = self.y_head
+        return CantorPoint(word + "0" * k, DENSE_CYCLE)
 
 
 @dataclass(frozen=True)
@@ -133,8 +159,8 @@ class Family:
     tested on :func:`dense_key`, not on built points: the head ``word 0^k``
     with its trailing ``20`` blocks stripped names the stream exactly, since
     every dense point shares the cycle ``20``, and is kept as a root word
-    and a count of trailing zeros, one set of counts per root.  Only the
-    kept point of each coordinate is built.
+    and a count of trailing zeros, one set of counts per root.  Pairs
+    build their points on first read (:class:`DensePair`).
 
     The base assignment is a greedy back and forth whose forward half is
     first fit: each word, in length-lexicographic order, goes to the least
@@ -149,6 +175,7 @@ class Family:
 
     def __init__(self) -> None:
         self._pairs: list[DensePair] = []
+        self._rank_words: list[str] = []
         self._x_taken: dict[str, set[int]] = {}
         self._y_taken: dict[str, set[int]] = {}
         self._x_pad: dict[str, int] = {}
@@ -171,25 +198,36 @@ class Family:
         while len(self._pairs) <= n:
             t = len(self._pairs)
             xr, yr = diag_pair(t)
-            x = self._fresh(lenlex_word(xr), self._x_taken, self._x_pad)
-            y = self._fresh(lenlex_word(yr), self._y_taken, self._y_pad)
+            # Diagonal s opens with ranks (s, 0), so a new rank is the next
+            # one; each rank word is built once and read on every diagonal.
+            if xr == len(self._rank_words):
+                self._rank_words.append(lenlex_word(xr))
+            xw, yw = self._rank_words[xr], self._rank_words[yr]
+            x = xw, self._fresh(xw, self._x_taken, self._x_pad)
+            y = yw, self._fresh(yw, self._y_taken, self._y_pad)
             self._pairs.append(DensePair(t, x, y))
         return self._pairs[n]
 
     def _fresh(
         self, word: str, taken: dict[str, set[int]], pads: dict[str, int]
-    ) -> CantorPoint:
+    ) -> int:
         # Minimal zero padding >= 1 keeping the new point distinct within
         # its own family; the point stays inside the requested cylinder.
         # Taken sets only grow, so the scan may resume at the last success.
+        # From k = 2 on the key keeps its root and counts k's zeros, so the
+        # scan steps one int through one set.
         k = pads.get(word, 1)
         root, zeros = dense_key(word, k)
-        while zeros in taken.get(root, ()):
-            k += 1
+        if k == 1 and zeros in taken.get(root, ()):
+            k = 2
             root, zeros = dense_key(word, k)
-        taken.setdefault(root, set()).add(zeros)
+        seen = taken.setdefault(root, set())
+        while zeros in seen:
+            k += 1
+            zeros += 1
+        seen.add(zeros)
         pads[word] = k
-        return CantorPoint(word + "0" * k, DENSE_CYCLE)
+        return k
 
     # -- approximants -----------------------------------------------------
 
@@ -226,32 +264,35 @@ class Family:
     def _decode(self, p: CantorPoint) -> tuple[int, int] | None:
         # Called on tag-shaped points only: cycle "0" and a prefix ending in
         # "22", so the tag sits at the very end of the prefix and the
-        # backward scan is aligned.
-        rest = p.prefix[:-2]
+        # backward scan is aligned.  The scan moves an end index over the
+        # prefix and slices nothing, so it is linear in its length.
+        s = p.prefix
+        end = len(s) - 2
         i = 0
-        while rest.endswith("02"):
-            rest = rest[:-2]
+        while s.endswith("02", 0, end):
+            end -= 2
             i += 1
-        if not rest.endswith("22"):
+        if not s.endswith("22", 0, end):
             return None
-        rest = rest[:-2]
-        n = 0
-        while True:
-            if len(rest) >= 2 and rest.endswith("2") and self._matches(rest, n, i):
-                return n, i
-            if rest.endswith("02"):
-                rest = rest[:-2]
-                n += 1
-            else:
-                return None
-
-    def _matches(self, rest: str, n: int, i: int) -> bool:
-        # rest should read: depth digits of the limit, flipped digit, "2".
-        d = approximant_depth(n, i)
-        if len(rest) != d + 2:
-            return False
+        top = end = end - 2
+        while s.endswith("02", 0, end):
+            end -= 2
+        # Sequence n leaves the rest s[:top - 2n] for its depth digits, the
+        # flipped digit and a "2".  The rest shrinks as n grows and the
+        # depth does not, so only the largest n whose rest is long enough
+        # can fit, and only if its rest is exactly that long.
+        for n in range((top - end) // 2, -1, -1):
+            d = approximant_depth(n, i)
+            if top - 2 * n >= d + 2:
+                break
+        else:
+            return None
+        if top - 2 * n != d + 2 or s[d + 1] != "2":
+            return None
         x = self.dense_pair(n).x
-        return rest[:d] == x.digits(d) and rest[d] == flip(x.digit(d))
+        if s.startswith(x.digits(d)) and s[d] == flip(x.digit(d)):
+            return n, i
+        return None
 
     # -- base enumeration -------------------------------------------------
 
@@ -284,11 +325,11 @@ class Family:
         if w not in self._word2idx:
             self._assign(self._first_fit(w), w)
         if t not in self._idx2word:
-            y = self.dense_pair(t).y
+            word, k = self.dense_pair(t).y_head
             length = 1
-            while y.digits(length) in self._word2idx:
+            while dense_digits(word, k, length) in self._word2idx:
                 length += 1
-            self._assign(t, y.digits(length))
+            self._assign(t, dense_digits(word, k, length))
         self._enum_step += 1
 
     def _first_fit(self, w: str) -> int:
@@ -311,7 +352,7 @@ class Family:
                 continue
             if n == len(self._pairs):
                 self.dense_pair(n)
-            pref = self._pairs[n].y.digits(len(w))
+            pref = dense_digits(*self._pairs[n].y_head, len(w))
             if pref == w:
                 return n
             if pref not in self._word2idx:

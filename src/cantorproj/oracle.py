@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .family import DENSE_CYCLE, Family, diag_pair, lenlex_nonempty, lenlex_word
+from .family import (
+    DENSE_CYCLE,
+    Family,
+    approximant_depth,
+    diag_pair,
+    lenlex_nonempty,
+    lenlex_word,
+)
 from .images import RectUnion
-from .words import CantorPoint, ClopenSet, all_words, repr_point
+from .words import CantorPoint, ClopenSet, all_words, flip, repr_point
 
 
 def in_x_truncated(fam: Family, x: CantorPoint, y: CantorPoint, n_fibers: int) -> bool:
@@ -67,6 +74,52 @@ def scanned_dense_pairs(count: int) -> list[tuple[CantorPoint, CantorPoint]]:
             pair.append(p)
         pairs.append((pair[0], pair[1]))
     return pairs
+
+
+def decode_tag(fam: Family, p: CantorPoint) -> tuple[int, int] | None:
+    """Which approximant ``p`` is, slicing its tag off two digits at a time.
+
+    Quadratic in the tag length; the reference for ``Family._decode``.
+    """
+    if p.cycle != "0" or not p.prefix.endswith("22"):
+        return None
+    rest = p.prefix[:-2]
+    i = 0
+    while rest.endswith("02"):
+        rest = rest[:-2]
+        i += 1
+    if not rest.endswith("22"):
+        return None
+    rest = rest[:-2]
+    n = 0
+    while True:
+        d = approximant_depth(n, i)
+        if len(rest) == d + 2 and rest.endswith("2"):
+            x = fam.dense_pair(n).x
+            if rest[:d] == x.digits(d) and rest[d] == flip(x.digit(d)):
+                return n, i
+        if not rest.endswith("02"):
+            return None
+        rest = rest[:-2]
+        n += 1
+
+
+def scanned_missing_index(
+    fam: Family, union: RectUnion, n: int, separator: str
+) -> int:
+    """Least i from 0 whose approximant starts with ``separator`` and is off
+    the image: no rectangle holds it with a second factor outside the base
+    of n, the one column it is removed from.
+    """
+    base = ClopenSet((fam.base_word(n).word,))
+    i = 0
+    while True:
+        q = fam.approximant(n, i).point
+        if q.starts_with(separator) and not any(
+            r.x_set.member(q) and not r.y_set.subset(base) for r in union.rects
+        ):
+            return i
+        i += 1
 
 
 def normal_point(prefix: str, cycle: str) -> tuple[str, str]:

@@ -52,7 +52,9 @@ class CantorPoint:
     further digit can be absorbed into a rotation of the cycle).  A one-digit
     cycle absorbs every trailing copy of its digit, and rotating it changes
     nothing, so that strip is a single ``rstrip``; the zero padding of
-    :func:`repr_point` costs one pass, not one slice per digit.  Points are
+    :func:`repr_point` costs one pass, not one slice per digit.  A longer
+    cycle strips whole copies of itself, then a partial one, and rotates
+    once, so the normal form is linear in the prefix.  Points are
     slotted: they carry no instance ``__dict__``, which keeps the many
     representative points of a deep trace small.
     """
@@ -69,9 +71,19 @@ class CantorPoint:
         pre = self.prefix
         if len(cyc) == 1:
             pre = pre.rstrip(cyc)
-        while pre and pre[-1] == cyc[-1]:
-            pre = pre[:-1]
-            cyc = cyc[-1] + cyc[:-1]
+        elif pre.endswith(cyc[-1]):
+            # Strip the longest suffix of the prefix that reads the cycle
+            # backwards, whole copies first and then fewer than c digits,
+            # and rotate the cycle right once by the digits of the partial
+            # copy.
+            c = len(cyc)
+            end = len(pre)
+            while pre.endswith(cyc, 0, end):
+                end -= c
+            r = 0
+            while r < end and pre[end - 1 - r] == cyc[c - 1 - r]:
+                r += 1
+            pre, cyc = pre[: end - r], cyc[c - r :] + cyc[: c - r]
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "cycle", cyc)
 

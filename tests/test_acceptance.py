@@ -47,6 +47,7 @@ from cantorproj.oracle import (
     brute_split_traces,
     brute_union_trace,
     representatives,
+    scanned_missing_index,
 )
 from cantorproj.suites import WITNESS_MUTATIONS, mutate_witness, small_clopens
 
@@ -229,6 +230,22 @@ def test_closure_split_clopen_parts_match_brute_traces(fam, rect_suite):
                 for part in (split.inter_hull, split.diff_clopen)
             )
             assert got == brute_split_traces(trace, f), (str(union), str(f))
+
+
+def test_missing_index_matches_scan_from_zero(fam, rect_suite):
+    """Not a numbered criterion: the oracle cross-check of the missing scan.
+
+    ``decompose`` starts its missing-approximant scan past the indices that
+    cannot start with the separator; scanning every index from 0, with
+    membership read off the rectangles, must find the same least index.
+    """
+    checked = 0
+    for union, img in rect_suite:
+        for d in decompose(fam, img).isolated:
+            want = scanned_missing_index(fam, union, d.seq, d.separator)
+            assert d.missing_index == want, (str(union), d.seq)
+            checked += 1
+    assert checked
 
 
 def test_07_witnesses_on_basic_rectangles(fam):

@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from cantorproj import (
+    CantorPoint,
     ClopenSet,
+    Family,
     PieceError,
     all_words,
     closure_split,
@@ -31,6 +33,30 @@ def img_of(fam, literal):
 
 
 class TestDecompose:
+    def test_deep_missing_scan_work_guard(self, monkeypatch):
+        # Work counts, not wall clock: the missing scan of each isolated
+        # point starts at the first approximant that can start with its
+        # separator, and base_index('02020202') materialises 58,311 pairs
+        # that build no point until a coordinate is read.  Eager pair
+        # points and a scan from 0 built 1,582 approximants and 118,204
+        # points here.
+        built = [0]
+        init = CantorPoint.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CantorPoint, "__init__", counting)
+        fresh = Family()
+        dec = decompose(fresh, img_of(fresh, "ε x 02020202"))
+        assert [d.missing_index for d in dec.isolated] == [
+            0, 7, 9, 73, 76, 466, 472, 470
+        ]
+        assert len(fresh._approx) == 23
+        assert built[0] == 31
+        assert len(fresh._pairs) == 58311
+
     def test_whole_square_trivial(self, fam):
         dec = decompose(fam, img_of(fam, "ε x ε"))
         assert dec.isolated == ()

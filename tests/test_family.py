@@ -24,8 +24,8 @@ from cantorproj import (
     repr_point,
 )
 from cantorproj.cli import main as cli_main
-from cantorproj.family import dense_key
-from cantorproj.oracle import first_fit_bases, scanned_dense_pairs
+from cantorproj.family import approximant_tag, dense_digits, dense_key
+from cantorproj.oracle import decode_tag, first_fit_bases, scanned_dense_pairs
 
 COMMON = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -129,7 +129,8 @@ class TestFreshnessKey:
             assert (fam.dense_pair(n).x, fam.dense_pair(n).y) == (x, y)
 
     def test_builds_only_kept_points(self, monkeypatch):
-        # Work count, not wall clock: one point per coordinate per pair.
+        # Work count, not wall clock: pairs build no point until a
+        # coordinate is read, then one point per coordinate, kept.
         built = [0]
         post_init = CantorPoint.__post_init__
 
@@ -140,7 +141,35 @@ class TestFreshnessKey:
         monkeypatch.setattr(CantorPoint, "__post_init__", counting)
         fresh = Family()
         fresh.dense_pair(2999)
+        assert built[0] == 0
+        pairs = [fresh.dense_pair(n) for n in range(3000)]
+        for pair in pairs:
+            pair.x, pair.y
         assert built[0] == 6000
+        for pair in pairs:
+            pair.x, pair.y
+        assert built[0] == 6000
+
+
+class TestDenseDigits:
+    @COMMON
+    @given(
+        st.text(alphabet="02", max_size=8),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from(["word", "pad", "boundary", "cycle"]),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_matches_built_point(self, word, k, where, offset):
+        # Lengths inside the word, inside the pad, at the pad's end and
+        # past it into the cycle.
+        length = {
+            "word": offset % (len(word) + 1),
+            "pad": len(word) + offset % (k + 1),
+            "boundary": len(word) + k,
+            "cycle": len(word) + k + 1 + offset,
+        }[where]
+        point = CantorPoint(word + "0" * k, "20")
+        assert dense_digits(word, k, length) == point.digits(length)
 
 
 class TestApproximants:
@@ -213,6 +242,53 @@ class TestRecognition:
     def test_periodic_tails_unrecognized(self, fam):
         assert fam.recognize(CantorPoint("", "02")) is None
         assert fam.recognize(CantorPoint("0022", "20")) is None
+
+    @staticmethod
+    def corrupt(fam, n, i, how, at):
+        # The prefix of approximant (n, i) with its tag damaged: one "02"
+        # block dropped or added in the n or i run, one tag digit flipped,
+        # or one "22" cut to "2".
+        prefix = fam.approximant(n, i).point.prefix
+        body = prefix[: len(prefix) - len(approximant_tag(n, i))]
+        runs = ["02" * n, "02" * i]
+        run = at % 2
+        if how == "drop" and runs[run]:
+            runs[run] = runs[run][2:]
+        elif how == "extra":
+            runs[run] += "02"
+        tag = "2" + runs[0] + "22" + runs[1] + "22"
+        if how == "flip":
+            pos = at % len(tag)
+            tag = tag[:pos] + flip(tag[pos]) + tag[pos + 1 :]
+        elif how == "cut":
+            tag = tag[:-1] if run else "2" + runs[0] + "2" + runs[1] + "22"
+        return CantorPoint(body + tag, "0")
+
+    @COMMON
+    @given(
+        st.integers(min_value=0, max_value=59),
+        st.integers(min_value=0, max_value=19),
+        st.sampled_from(["none", "drop", "extra", "flip", "cut"]),
+        st.integers(min_value=0, max_value=200),
+    )
+    def test_decoder_matches_slicing_oracle(self, fam, n, i, how, at):
+        p = self.corrupt(fam, n, i, how, at)
+        want = decode_tag(fam, p)
+        if how == "none":
+            assert want == (n, i)
+        if want is not None:
+            assert fam.approximant(*want).point == p
+        if p.cycle == "0" and p.prefix.endswith("22"):
+            assert fam._decode(p) == want
+        assert fam.recognize(p) == want
+
+    def test_forged_tag_point_rejected(self):
+        # 400k "02" blocks where sequence n's count goes: no n fits the
+        # rest, and the linear scan decides that without building a pair.
+        fresh = Family()
+        p = CantorPoint("2" + "02" * 400_000 + "22" + "22", "0")
+        assert fresh.recognize(p) is None
+        assert not fresh._pairs
 
     def test_memo_holds_only_tag_shaped_points(self):
         # The tag check runs ahead of the memo, so a depth-12 trace leaves

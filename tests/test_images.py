@@ -144,12 +144,12 @@ class TestProjectUnion:
         assert tuple(trace) == manual
 
     def test_trace_work_guard(self, monkeypatch):
-        # Work counts, not wall clock: a depth-12 trace of 4,096 cylinders
-        # builds one point per cylinder, and since recognition tests the tag
-        # shape before the memo, it decodes and memoises only the 2,047
-        # tag-shaped ones.
-        fresh = Family()
-        img = project_union(fresh, parse_rect_union("ε x 2"))
+        # Work counts, not wall clock, from a fresh Family through projection
+        # and a depth-12 trace of 4,096 cylinders: one point per cylinder
+        # plus the three dense points the two steps read (dense pairs build
+        # a point only when a coordinate is read).  Since recognition tests
+        # the tag shape before the memo, it decodes and memoises only the
+        # 2,047 tag-shaped points.
         counts = {"decode": 0, "point": 0}
         decode, init = Family._decode, CantorPoint.__init__
 
@@ -163,8 +163,10 @@ class TestProjectUnion:
 
         monkeypatch.setattr(Family, "_decode", counting_decode)
         monkeypatch.setattr(CantorPoint, "__init__", counting_init)
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union("ε x 2"))
         assert len(image_trace(fresh, img, 12)) == 4096
-        assert counts["point"] == 4096
+        assert counts["point"] == 4099
         assert counts["decode"] <= 2048
         assert len(fresh._recog) <= 2048
 

@@ -108,6 +108,29 @@ class TestNormalForm:
         p = CantorPoint(prefix, cycle)
         assert (p.prefix, p.cycle) == normal_point(prefix, cycle)
 
+    @COMMON
+    @given(
+        words_st,
+        st.text(alphabet="02", min_size=2, max_size=4),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_matches_strip_on_periodic_runs(self, head, cycle, shift, reps, cut):
+        # A long run of a rotated cycle, cut short at either end, makes the
+        # strip take whole copies and then a partial one.
+        turned = cycle[shift % len(cycle) :] + cycle[: shift % len(cycle)]
+        run = (turned * reps)[cut:]
+        p = CantorPoint(head + run, cycle)
+        assert (p.prefix, p.cycle) == normal_point(head + run, cycle)
+
+    def test_long_periodic_prefix(self):
+        # Linear in the prefix: 200k blocks strip in one pass.
+        p = CantorPoint("02" * 200_000, "02")
+        assert str(p) == "^(02)"
+        q = CantorPoint("2" + "02" * 200_000 + "0", "20")
+        assert (q.prefix, q.cycle) == ("", "20")
+
     @pytest.mark.parametrize(
         "prefix, cycle",
         [("2" + "0" * 1000, "0"), ("00000", "00"), ("0202", "02")],
