@@ -21,7 +21,6 @@ from .images import (
     piece_member,
     removal_sequences,
 )
-from .schema import wrap
 from .words import (
     CantorPoint,
     ClopenSet,
@@ -66,9 +65,6 @@ class Decomposition:
             "isolated": [d.as_dict() for d in self.isolated],
         }
 
-    def certificate(self) -> dict:
-        return wrap("decomposition", self.as_dict())
-
 
 @dataclass(frozen=True)
 class LC2Certificate:
@@ -84,9 +80,6 @@ class LC2Certificate:
             "cover": list(self.cover.words),
             "points": [str(p) for p in self.points],
         }
-
-    def certificate(self) -> dict:
-        return wrap("lc2", self.as_dict())
 
 
 def _open_member(fam: Family, pieces, p: CantorPoint) -> bool:

@@ -9,10 +9,12 @@ Subcommands::
     check       run the named self-check suites
 
 Exit codes: 0 success, 1 a verification or suite failed, 2 usage error,
-3 search budget exhausted.  Defaults may be set via ``CANTORPROJ_*``
-environment variables (``CANTORPROJ_DEPTH`` and so on); explicit flags win.
-A negative size knob (every knob but the seed) and a ``--samples`` below 1
-are usage errors.
+3 search budget exhausted.  A command takes only the integer knobs it reads:
+``construct`` takes ``--n-max`` and ``--i-max``, ``image`` ``--depth``,
+``falsify`` ``--budget``, ``check`` all six and ``verify`` none.  Defaults
+may be set via the ``CANTORPROJ_*`` environment variables of those knobs
+(``CANTORPROJ_DEPTH`` and so on); explicit flags win.  A negative size knob
+(every knob but the seed) and a ``--samples`` below 1 are usage errors.
 All JSON output is byte-deterministic for a fixed config.
 """
 
@@ -45,6 +47,20 @@ from .words import WordError
 
 ENV_PREFIX = "CANTORPROJ_"
 INT_KNOBS = ("depth", "n_max", "i_max", "truncation", "budget", "seed")
+KNOB_HELP = {
+    "depth": "trace and cell depth",
+    "truncation": "fibers kept by brute oracles",
+    "budget": "dense-pair scan bound",
+}
+# The integer knobs each command reads, as flags and as CANTORPROJ_*
+# variables; a command accepts no other.
+COMMAND_KNOBS = {
+    "construct": ("n_max", "i_max"),
+    "image": ("depth",),
+    "falsify": ("budget",),
+    "verify": (),
+    "check": INT_KNOBS,
+}
 
 
 class UsageError(Exception):
@@ -64,8 +80,8 @@ def _env_default(knob: str) -> int | None:
 def _config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     picked = {}
-    for knob in INT_KNOBS:
-        flag = getattr(args, knob, None)
+    for knob in COMMAND_KNOBS[args.command]:
+        flag = getattr(args, knob)
         value = flag if flag is not None else _env_default(knob)
         if value is None:
             continue
@@ -81,13 +97,10 @@ def _samples(args: argparse.Namespace) -> int | None:
     return args.samples
 
 
-def _add_knobs(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--depth", type=int, default=None, help="trace and cell depth")
-    sub.add_argument("--n-max", type=int, default=None, dest="n_max")
-    sub.add_argument("--i-max", type=int, default=None, dest="i_max")
-    sub.add_argument("--truncation", type=int, default=None, help="fibers kept by brute oracles")
-    sub.add_argument("--budget", type=int, default=None, help="dense-pair scan bound")
-    sub.add_argument("--seed", type=int, default=None)
+def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
+    for knob in COMMAND_KNOBS[command]:
+        flag = "--" + knob.replace("_", "-")
+        sub.add_argument(flag, type=int, default=None, dest=knob, help=KNOB_HELP.get(knob))
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -215,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("construct", help="emit the generated family")
-    _add_knobs(p)
+    _add_knobs(p, "construct")
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("image", help="project a rectangle union exactly")
     p.add_argument("rect", help="e.g. '0,2 x 00; 22 x ε'")
-    _add_knobs(p)
+    _add_knobs(p, "image")
     p.set_defaults(func=cmd_image)
 
     p = subs.add_parser("falsify", help="find a non-openness witness")
@@ -228,18 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--piece", default=None, help="piece complement as a rect union")
     p.add_argument("--samples", "-k", type=int, default=20)
     p.add_argument("--verify-only", action="store_true", dest="verify_only")
-    _add_knobs(p)
+    _add_knobs(p, "falsify")
     p.set_defaults(func=cmd_falsify)
 
     p = subs.add_parser("verify", help="recheck a witness certificate")
     p.add_argument("file", help="certificate path, or - for stdin")
     p.add_argument("--samples", "-k", type=int, default=None)
-    _add_knobs(p)
+    _add_knobs(p, "verify")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("check", help="run the self-check suites")
     p.add_argument("--inject-fault", choices=FAULTS, default=None, dest="inject_fault")
-    _add_knobs(p)
+    _add_knobs(p, "check")
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .words import CantorPoint, Cylinder, WordError, _check_digits, flip
+from .words import CantorPoint, ZERO_POINT, _check_digits, flip
 
 DENSE_CYCLE = "20"
 
@@ -296,13 +296,13 @@ class Family:
 
     # -- base enumeration -------------------------------------------------
 
-    def base_word(self, n: int) -> Cylinder:
-        """Base cylinder of sequence n; always contains the n-th y point."""
+    def base_word(self, n: int) -> str:
+        """Word of the base cylinder of sequence n; the n-th y point extends it."""
         if n < 0:
             raise FamilyError("base index must be a natural number")
         while n not in self._idx2word:
             self._enum_tick()
-        return Cylinder(self._idx2word[n])
+        return self._idx2word[n]
 
     def base_index(self, word: str) -> int:
         """Index of the sequence whose base is the given nonempty word."""
@@ -368,14 +368,14 @@ class Family:
         hit = self.recognize(x)
         if hit is None:
             return True
-        return not y.starts_with(self.base_word(hit[0]).word)
+        return not y.starts_with(self.base_word(hit[0]))
 
     def fiber_witness(self, x: CantorPoint) -> CantorPoint:
         """A y with (x, y) inside the space, valid for every x."""
         hit = self.recognize(x)
         if hit is None:
-            return CantorPoint("", "0")
-        word = self.base_word(hit[0]).word
+            return ZERO_POINT
+        word = self.base_word(hit[0])
         return CantorPoint(flip(word[0]), "0")
 
     def removed_fibers(self, count: int) -> list[Fiber]:
@@ -383,7 +383,7 @@ class Family:
         while len(self._fibers) < count:
             n, i = diag_pair(len(self._fibers))
             a = self.approximant(n, i)
-            self._fibers.append(Fiber(n, i, a.point, self.base_word(n).word))
+            self._fibers.append(Fiber(n, i, a.point, self.base_word(n)))
         return self._fibers[:count]
 
     # -- export -----------------------------------------------------------
@@ -406,7 +406,7 @@ class Family:
             for n in range(n_max)
             for i in range(i_max)
         ]
-        table = [{"n": n, "word": self.base_word(n).word} for n in range(n_max)]
+        table = [{"n": n, "word": self.base_word(n)} for n in range(n_max)]
         return {
             "schema_version": 1,
             "scheme_params": scheme_params(),

@@ -111,7 +111,7 @@ def scanned_missing_index(
     the image: no rectangle holds it with a second factor outside the base
     of n, the one column it is removed from.
     """
-    base = ClopenSet((fam.base_word(n).word,))
+    base = ClopenSet((fam.base_word(n),))
     i = 0
     while True:
         q = fam.approximant(n, i).point

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 SCHEMA_VERSION = 1
 
-CERTIFICATE_KINDS = ("witness", "lc2", "decomposition", "scattered")
+CERTIFICATE_KINDS = ("witness",)
 
 
 class CertificateFormatError(ValueError):

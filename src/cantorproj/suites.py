@@ -22,7 +22,7 @@ from .certify import (
     resolvable_probe,
 )
 from .family import Family
-from .images import Rect, RectUnion, image_member, project_rect, project_union
+from .images import Rect, RectUnion, image_member, image_trace, project_union
 from .oracle import brute_rect_trace
 from .witness import WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
@@ -31,7 +31,6 @@ from .words import (
     all_words,
     cantor_stage,
     cylinder_interval,
-    diam,
     distance,
     flip,
     repr_point,
@@ -90,7 +89,7 @@ def _random_word(rng: random.Random, depth: int) -> str:
 
 def _random_clopen(rng: random.Random, depth: int, max_words: int = 2) -> ClopenSet:
     count = rng.randint(1, max_words)
-    return ClopenSet.from_words(tuple(_random_word(rng, depth) for _ in range(count)))
+    return ClopenSet(tuple(_random_word(rng, depth) for _ in range(count)))
 
 
 def _random_point(rng: random.Random, pre_len: int = 6, cyc_len: int = 3) -> CantorPoint:
@@ -127,7 +126,7 @@ def small_clopens(depth: int = 2, max_words: int = 2) -> list[ClopenSet]:
     seen = {}
     for i, w in enumerate(words):
         for ws in [(w,)] + [(w, words[j]) for j in range(i + 1, len(words))]:
-            c = ClopenSet.from_words(ws)
+            c = ClopenSet(ws)
             seen.setdefault(c.words, c)
     return [seen[k] for k in sorted(seen)]
 
@@ -137,9 +136,7 @@ def clopen_antichains(depth: int) -> list[ClopenSet]:
     cells = all_words(depth)
     out = []
     for mask in range(1, 2 ** len(cells)):
-        out.append(
-            ClopenSet.from_words(tuple(c for j, c in enumerate(cells) if mask >> j & 1))
-        )
+        out.append(ClopenSet(tuple(c for j, c in enumerate(cells) if mask >> j & 1)))
     return out
 
 
@@ -245,12 +242,12 @@ def _suite_diam_law(fam, cfg, rng):
     for d in range(5):
         for w in all_words(d):
             checks += 1
-            if diam(ClopenSet((w,))) != Fraction(1, 3 ** len(w)):
+            if ClopenSet((w,)).diam() != Fraction(1, 3 ** len(w)):
                 failures.append({"word": w})
     for _ in range(80):
         w = _random_word(rng, 4)
         ext = w + "".join(rng.choice("02") for _ in range(rng.randint(0, 3)))
-        gap = 2 * diam(ClopenSet((ext,))) < diam(ClopenSet((w,)))
+        gap = 2 * ClopenSet((ext,)).diam() < ClopenSet((w,)).diam()
         checks += 1
         if gap != (len(ext) >= len(w) + 1):
             failures.append({"outer": w, "inner": ext})
@@ -308,16 +305,16 @@ def _suite_enumeration(fam, cfg, rng):
         for w in all_words(d):
             n = fam.base_index(w)
             checks += 1
-            if fam.base_word(n).word != w:
+            if fam.base_word(n) != w:
                 failures.append({"word": w, "index": n})
     for n in range(201):
         base = fam.base_word(n)
         y = fam.dense_pair(n).y
         checks += 1
-        if not y.starts_with(base.word):
+        if not y.starts_with(base):
             failures.append({"n": n, "law": "anchor_in_base"})
         checks += 1
-        if fam.base_index(base.word) != n:
+        if fam.base_index(base) != n:
             failures.append({"n": n, "law": "roundtrip"})
     return not failures, {"checks": checks, "failures": failures[:5], "steps": fam.enumeration_steps()}
 
@@ -348,13 +345,9 @@ def _suite_oracle_equivalence(fam, cfg, rng):
     depth1 = [c for c in sets if c.depth() <= 1]
     jobs = [(a, b) for a in depth1 for b in depth1]
     jobs += [pairs[i] for i in picks]
-    from .images import piece_member
-
     for w_set, v_set in jobs:
-        piece = project_rect(fam, w_set, v_set)
-        exact = tuple(
-            w for w in all_words(6) if piece_member(fam, piece, repr_point(w))
-        )
+        img = project_union(fam, RectUnion((Rect(w_set, v_set),)))
+        exact = image_trace(fam, img, 6)
         brute = brute_rect_trace(fam, w_set, v_set, cfg.truncation, trace_depth=6)
         checks += 1
         if exact != brute:
@@ -433,7 +426,7 @@ def _suite_witness(fam, cfg, rng):
         coarse = ClopenSet((cert.base_coarse,))
         fine = ClopenSet((cert.base_fine,))
         checks += 1
-        if not 2 * diam(fine) < diam(coarse):
+        if not 2 * fine.diam() < coarse.diam():
             failures.append({"rect": str(rect), "law": "diameter"})
     return not failures, {"checks": checks, "failures": failures[:5]}
 

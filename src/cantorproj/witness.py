@@ -11,7 +11,7 @@ clause that fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .certify import decompose
 from .family import Family
@@ -21,12 +21,12 @@ from .images import (
     Rect,
     RectUnion,
     image_member,
-    piece_member,
+    image_trace,
     project_rect,
     project_union,
 )
 from .schema import CertificateFormatError, unwrap, wrap
-from .words import CantorPoint, ClopenSet, all_words, diam, parse_point, repr_point
+from .words import CantorPoint, ClopenSet, all_words, parse_point, repr_point
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -97,22 +97,19 @@ def falsify_restriction(
     if not rect_outside(piece_complement, rect):
         raise PieceError("rectangle leaves the piece")
 
-    def base_of(n: int) -> str:
-        return fam.base_word(n).word
-
     n_coarse = None
     for n in range(budget):
-        word = base_of(n)
+        word = fam.base_word(n)
         if rect.x_set.member(fam.dense_pair(n).x) and ClopenSet((word,)).subset(rect.y_set):
             n_coarse = n
             break
     if n_coarse is None:
         raise SearchBudgetExceeded("the coarse base", budget)
 
-    coarse = base_of(n_coarse)
+    coarse = fam.base_word(n_coarse)
     n_fine = None
     for n in range(n_coarse + 1, budget):
-        word = base_of(n)
+        word = fam.base_word(n)
         if (
             len(word) > len(coarse)
             and word.startswith(coarse)
@@ -123,7 +120,7 @@ def falsify_restriction(
     if n_fine is None:
         raise SearchBudgetExceeded("the fine base", budget)
 
-    fine = base_of(n_fine)
+    fine = fam.base_word(n_fine)
     band = ClopenSet((coarse,)).minus(ClopenSet((fine,)))
     evidence = repr_point(band.words[0])
     missing = []
@@ -166,7 +163,7 @@ def verify_witness(
     def clauses():
         yield "n_fine_gt_n_coarse", cert.n_fine > cert.n_coarse
         yield "coarse_base_inside_y_factor", coarse.subset(cert.rect.y_set)
-        yield "diameter_gap", 2 * diam(fine) < diam(coarse)
+        yield "diameter_gap", 2 * fine.diam() < coarse.diam()
         yield "bases_nested", fine.subset(coarse)
         yield "rect_inside_piece", rect_outside(cert.piece_complement, cert.rect)
         yield "witness_in_rect", cert.rect.x_set.member(cert.witness_x) and fine.member(
@@ -200,9 +197,10 @@ def verify_witness(
             yield tag + "evidence_in_piece", not cert.piece_complement.covers(
                 entry.point, entry.evidence
             )
-        yield "base_words_match", cert.base_coarse == fam.base_word(
-            cert.n_coarse
-        ).word and cert.base_fine == fam.base_word(cert.n_fine).word
+        yield "base_words_match", (
+            cert.base_coarse == fam.base_word(cert.n_coarse)
+            and cert.base_fine == fam.base_word(cert.n_fine)
+        )
 
     for name, ok in clauses():
         if not ok:
@@ -401,7 +399,7 @@ def _piece_evidence(
     fam: Family, img: ImageSet, complement: RectUnion, seq: int, samples: int
 ) -> list[dict]:
     """Missing approximants of the sequence that the piece still projects."""
-    base = ClopenSet((fam.base_word(seq).word,))
+    base = ClopenSet((fam.base_word(seq),))
     out: list[dict] = []
     for i in range(samples + 30):
         if len(out) >= samples:
@@ -439,11 +437,7 @@ def stabilization_probe(
     for k in range(1, count + 1):
         img = project_union(fam, RectUnion(tuple(rects[:k])))
         dec = decompose(fam, img)
-        trace = {
-            w
-            for w in all_words(depth)
-            if any(piece_member(fam, piece, repr_point(w)) for piece in dec.open_pieces)
-        }
+        trace = set(image_trace(fam, ImageSet(dec.open_pieces), depth))
         iso = {str(d.point) for d in dec.isolated}
         if not prev_trace <= trace:
             raise NonMonotoneTraceError(

@@ -125,10 +125,6 @@ def parse_point(text: str) -> CantorPoint:
     return CantorPoint(head, rest[:-1])
 
 
-def point_value(p: CantorPoint) -> Fraction:
-    return p.value()
-
-
 def distance(p: CantorPoint, q: CantorPoint) -> Fraction:
     """Distance between the real values of two points."""
     return abs(p.value() - q.value())
@@ -161,28 +157,8 @@ class RationalInterval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The set of points extending a finite digit word."""
-
-    word: str = ""
-
-    def __post_init__(self) -> None:
-        _check_digits(self.word)
-
-    def interval(self) -> RationalInterval:
-        return cylinder_interval(self.word)
-
-    def as_clopen(self) -> "ClopenSet":
-        return ClopenSet((self.word,))
-
-    def __str__(self) -> str:
-        return self.word or "ε"
-
-
-def cylinder_interval(cyl: Cylinder | str) -> RationalInterval:
+def cylinder_interval(word: str) -> RationalInterval:
     """Convex hull of a cylinder inside [0, 1]."""
-    word = cyl.word if isinstance(cyl, Cylinder) else cyl
     _check_digits(word)
     lo = Fraction(int(word, 3) if word else 0, 3 ** len(word))
     return RationalInterval(lo, lo + Fraction(1, 3 ** len(word)))
@@ -266,10 +242,6 @@ class ClopenSet:
             _check_digits(w)
         object.__setattr__(self, "words", _normalize_words(self.words))
 
-    @staticmethod
-    def from_words(words) -> "ClopenSet":
-        return ClopenSet(tuple(words))
-
     def is_empty(self) -> bool:
         return not self.words
 
@@ -348,40 +320,6 @@ class ClopenSet:
 
 
 WHOLE_SPACE = ClopenSet(("",))
-
-
-def union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    return a.union(b)
-
-
-def intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    return a.intersect(b)
-
-
-def complement(a: ClopenSet) -> ClopenSet:
-    return a.complement()
-
-
-def subset(a: ClopenSet, b: ClopenSet) -> bool:
-    return a.subset(b)
-
-
-def is_empty(a: ClopenSet) -> bool:
-    return a.is_empty()
-
-
-def member(p: CantorPoint, s: ClopenSet | Cylinder | str) -> bool:
-    if isinstance(s, ClopenSet):
-        return s.member(p)
-    word = s.word if isinstance(s, Cylinder) else s
-    return p.starts_with(word)
-
-
-def diam(s: ClopenSet | Cylinder | str) -> Fraction:
-    if isinstance(s, ClopenSet):
-        return s.diam()
-    word = s.word if isinstance(s, Cylinder) else s
-    return Fraction(1, 3 ** len(word))
 
 
 def parse_clopen(text: str) -> ClopenSet:

@@ -7,7 +7,7 @@ randomness is drawn from generators seeded with fixed constants; tolerances
 are exact rational bounds, never floating point.
 """
 
-import json
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -15,23 +15,19 @@ from fractions import Fraction
 import pytest
 
 from cantorproj import (
-    CantorPoint,
     ClopenSet,
     Family,
     Rect,
     RectUnion,
     all_words,
-    diam,
     distance,
     falsify_restriction,
     image_member,
+    image_trace,
     lc2_certificate,
     lc2_valid,
     parse_rect_union,
-    piece_member,
-    project_rect,
     project_union,
-    repr_point,
     resolvable_probe,
     verify_witness,
 )
@@ -49,9 +45,17 @@ from cantorproj.oracle import (
     representatives,
     scanned_missing_index,
 )
-from cantorproj.suites import WITNESS_MUTATIONS, mutate_witness, small_clopens
+from cantorproj.suites import (
+    WITNESS_MUTATIONS,
+    _random_point,
+    _random_rect_union,
+    mutate_witness,
+    small_clopens,
+)
 
 SEED = 20250823
+RECT_SUITE_SHA256 = "ac121d694db113a25d6dd6084edb8ed4f9220bbf1cfe33f003142875b2eac627"
+PROBE_POOL_SHA256 = "8f394c93784348bc629254d0acf459ede00dcbee1d5a50bb3565985e6036ab04"
 TRIVIAL = RectUnion(())
 
 
@@ -60,27 +64,13 @@ def verdict(num: int, name: str, ok: bool, note: str = "") -> None:
     assert ok, f"criterion {num} ({name}) failed{': ' + note if note else ''}"
 
 
-def _random_word(rng, depth):
-    return "".join(rng.choice("02") for _ in range(rng.randint(0, depth)))
-
-
-def _random_clopen(rng, depth, max_words=2):
-    return ClopenSet.from_words(
-        tuple(_random_word(rng, depth) for _ in range(rng.randint(1, max_words)))
-    )
-
-
 @pytest.fixture(scope="module")
 def rect_suite(fam):
     """A seeded suite of 1000 rectangle unions with their exact images."""
     rng = random.Random(SEED)
     out = []
     for _ in range(1000):
-        rects = tuple(
-            Rect(_random_clopen(rng, 3), _random_clopen(rng, 3))
-            for _ in range(rng.randint(1, 3))
-        )
-        union = RectUnion(rects)
+        union = _random_rect_union(rng, 3)
         out.append((union, project_union(fam, union)))
     return out
 
@@ -92,14 +82,25 @@ def probe_points(fam):
     for t in range(500):
         kind = t % 3
         if kind == 0:
-            prefix = _random_word(rng, 6)
-            cycle = "".join(rng.choice("02") for _ in range(rng.randint(1, 3)))
-            pool.append(CantorPoint(prefix, cycle))
+            pool.append(_random_point(rng))
         elif kind == 1:
             pool.append(fam.dense_pair(rng.randint(0, 60)).x)
         else:
             pool.append(fam.approximant(rng.randint(0, 15), rng.randint(0, 10)).point)
     return pool
+
+
+def test_seeded_draws_pinned(rect_suite, probe_points):
+    """Not a numbered criterion: the fixtures keep the draws they always had.
+
+    Both fixtures draw with the generators of ``suites``; these SHA-256
+    digests were taken from the fixtures' own copies of those generators,
+    so a change to a shared generator shows up here.
+    """
+    unions = "\n".join(str(u) for u, _ in rect_suite)
+    points = "\n".join(str(p) for p in probe_points)
+    assert hashlib.sha256(unions.encode()).hexdigest() == RECT_SUITE_SHA256
+    assert hashlib.sha256(points.encode()).hexdigest() == PROBE_POOL_SHA256
 
 
 def test_01_family_distinct_and_convergent(fam):
@@ -122,7 +123,7 @@ def test_01_family_distinct_and_convergent(fam):
             ok &= last is None or d < last
             last = d
     for n in range(201):
-        ok &= fam.dense_pair(n).y.starts_with(fam.base_word(n).word)
+        ok &= fam.dense_pair(n).y.starts_with(fam.base_word(n))
     elapsed = time.monotonic() - t0
     verdict(1, "family-distinct-and-convergent", ok and elapsed < 10, f"{elapsed:.1f}s")
 
@@ -153,10 +154,8 @@ def test_03_exact_trace_equals_brute_trace(fam):
     ok = True
     for w_set in sets:
         for v_set in sets:
-            piece = project_rect(fam, w_set, v_set)
-            exact = tuple(
-                w for w in all_words(6) if piece_member(fam, piece, repr_point(w))
-            )
+            img = project_union(fam, RectUnion((Rect(w_set, v_set),)))
+            exact = image_trace(fam, img, 6)
             brute = brute_rect_trace(fam, w_set, v_set, 20, trace_depth=6)
             ok &= exact == brute
     elapsed = time.monotonic() - t0
@@ -201,7 +200,7 @@ def test_06_resolvability_bulk_law(fam, rect_suite):
     windows = []
     for mask in range(1, 256):
         windows.append(
-            ClopenSet.from_words(tuple(c for j, c in enumerate(cells) if mask >> j & 1))
+            ClopenSet(tuple(c for j, c in enumerate(cells) if mask >> j & 1))
         )
     ok = True
     for union, img in rect_suite:
@@ -259,7 +258,7 @@ def test_07_witnesses_on_basic_rectangles(fam):
             ok &= good and clause is None
             coarse = ClopenSet((cert.base_coarse,))
             fine = ClopenSet((cert.base_fine,))
-            ok &= 2 * diam(fine) < diam(coarse)
+            ok &= 2 * fine.diam() < coarse.diam()
             ok &= fine.subset(coarse) and coarse.subset(rect.y_set)
             bound = Fraction(1, cert.n_fine + 1)
             ok &= all(
@@ -287,9 +286,7 @@ def test_09_fiber_witnesses(fam):
     rng = random.Random(SEED + 9)
     ok = True
     for _ in range(200):
-        prefix = _random_word(rng, 8)
-        cycle = "".join(rng.choice("02") for _ in range(rng.randint(1, 4)))
-        x = CantorPoint(prefix, cycle)
+        x = _random_point(rng, pre_len=8, cyc_len=4)
         ok &= fam.in_x(x, fam.fiber_witness(x))
     elapsed = time.monotonic() - t0
     verdict(9, "fiber-witnesses", ok and elapsed < 5, f"{elapsed:.1f}s")

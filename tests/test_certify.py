@@ -23,7 +23,6 @@ from cantorproj import (
     resolvable_probe,
 )
 from cantorproj.certify import certificate_points
-from cantorproj.schema import unwrap
 
 WHOLE = ClopenSet(("",))
 
@@ -107,12 +106,6 @@ class TestDecompose:
             for p in probes:
                 assert decomposition_member(fam, dec, p) == image_member(fam, img, p)
 
-    def test_certificate_envelope(self, fam):
-        dec = decompose(fam, img_of(fam, "0 x 00"))
-        doc = dec.certificate()
-        payload = unwrap(doc, "decomposition")
-        assert len(payload["isolated"]) == 2
-
     def test_tampered_decomposition_detected(self, fam):
         img = img_of(fam, "0 x 00")
         dec = decompose(fam, img)
@@ -142,10 +135,6 @@ class TestLC2:
         bald = dataclasses.replace(cert, points=cert.points[:-1])
         extras = certificate_points(fam, img)
         assert not lc2_valid(fam, img, bald, probe_depth=4, extra_points=extras)
-
-    def test_envelope(self, fam):
-        doc = lc2_certificate(fam, img_of(fam, "0 x 00")).certificate()
-        assert unwrap(doc, "lc2")["points"]
 
 
 class TestClosureSplit:

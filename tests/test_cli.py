@@ -2,13 +2,50 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cantorproj.cli import main
+from cantorproj.cli import build_parser, main
+
+ALL_KNOB_FLAGS = {"--depth", "--n-max", "--i-max", "--truncation", "--budget", "--seed"}
+COMMAND_FLAGS = {
+    "construct": {"--n-max", "--i-max"},
+    "image": {"--depth"},
+    "falsify": {"--budget"},
+    "verify": set(),
+    "check": ALL_KNOB_FLAGS,
+}
+# Each command line with a size knob it reads; every size knob appears, and
+# ``check`` reads all five.
+SIZE_KNOB_READERS = [
+    (["construct"], "n_max"),
+    (["construct"], "i_max"),
+    (["image", "ε x ε"], "depth"),
+    (["falsify", "ε x ε"], "budget"),
+    (["check"], "truncation"),
+    (["check"], "depth"),
+    (["check"], "n_max"),
+    (["check"], "i_max"),
+    (["check"], "budget"),
+]
+
+
+def _flag(knob):
+    return "--" + knob.replace("_", "-")
+
+
+def _reader_ids(spell):
+    # A knob's first reader is named by the knob alone, a repeat by its
+    # command too, so every knob keeps one case under its plain name.
+    ids, seen = [], set()
+    for argv, knob in SIZE_KNOB_READERS:
+        ids.append(spell(knob) if knob not in seen else f"{argv[0]} {spell(knob)}")
+        seen.add(knob)
+    return ids
 
 
 def run(capsys, *argv):
@@ -196,22 +233,45 @@ class TestUsage:
         code, out, _ = run(capsys, "image", "ε x ε", "--depth", "2")
         assert json.loads(out)["trace"]["depth"] == 2
 
-    @pytest.mark.parametrize("flag", ["--depth", "--n-max", "--i-max", "--truncation", "--budget"])
-    def test_negative_size_flag(self, capsys, flag):
-        code, out, err = run(capsys, "construct", flag, "-3")
+    @pytest.mark.parametrize("argv, knob", SIZE_KNOB_READERS, ids=_reader_ids(_flag))
+    def test_negative_size_flag(self, capsys, argv, knob):
+        code, out, err = run(capsys, *argv, _flag(knob), "-3")
         assert code == 2 and out == ""
         assert "natural number" in err
 
-    @pytest.mark.parametrize("knob", ["DEPTH", "N_MAX", "I_MAX", "TRUNCATION", "BUDGET"])
-    def test_negative_size_env(self, capsys, monkeypatch, knob):
-        monkeypatch.setenv("CANTORPROJ_" + knob, "-1")
-        code, out, err = run(capsys, "construct")
+    @pytest.mark.parametrize("argv, knob", SIZE_KNOB_READERS, ids=_reader_ids(str.upper))
+    def test_negative_size_env(self, capsys, monkeypatch, argv, knob):
+        monkeypatch.setenv("CANTORPROJ_" + knob.upper(), "-1")
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "natural number" in err
 
     def test_negative_seed_allowed(self, capsys):
-        code, _, _ = run(capsys, "construct", "--n-max", "1", "--seed", "-3")
+        code, _, _ = run(capsys, "check", "--seed", "-3")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "--depth", "3"], ["verify", "--budget", "5", "w.json"]],
+        ids=["construct--depth", "verify--budget"],
+    )
+    def test_knob_of_another_command_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_env_of_another_command_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("CANTORPROJ_BUDGET", "-1")
+        code, out, _ = run(capsys, "construct", "--n-max", "1")
+        assert code == 0
+        assert len(json.loads(out)["dense_pairs"]) == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_own_knobs(self, capsys, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert shown & ALL_KNOB_FLAGS == COMMAND_FLAGS[command]
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("CANTORPROJ_DEPTH", "three")

@@ -307,18 +307,18 @@ class TestBaseEnumeration:
         for d in range(1, 5):
             for w in all_words(d):
                 n = fam.base_index(w)
-                assert fam.base_word(n).word == w
+                assert fam.base_word(n) == w
 
     def test_index_roundtrip(self, fam):
         for n in range(200):
-            assert fam.base_index(fam.base_word(n).word) == n
+            assert fam.base_index(fam.base_word(n)) == n
 
     def test_anchor_lies_inside_base(self, fam):
         for n in range(200):
-            assert fam.dense_pair(n).y.starts_with(fam.base_word(n).word)
+            assert fam.dense_pair(n).y.starts_with(fam.base_word(n))
 
     def test_bases_injective(self, fam):
-        words = [fam.base_word(n).word for n in range(200)]
+        words = [fam.base_word(n) for n in range(200)]
         assert len(set(words)) == 200
 
     def test_matches_first_fit_oracle(self, fam):
@@ -327,7 +327,7 @@ class TestBaseEnumeration:
         table = first_fit_bases(fam, 201)
         assert set(range(201)) <= set(table)
         for n, w in table.items():
-            assert fam.base_word(n).word == w
+            assert fam.base_word(n) == w
             assert fam.base_index(w) == n
 
     def test_empty_word_rejected(self, fam):
@@ -337,7 +337,7 @@ class TestBaseEnumeration:
     @COMMON
     @given(st.text(alphabet="02", min_size=1, max_size=5))
     def test_totality_random(self, fam, w):
-        assert fam.base_word(fam.base_index(w)).word == w
+        assert fam.base_word(fam.base_index(w)) == w
 
 
 def _sha256(data: str | bytes) -> str:
@@ -358,7 +358,7 @@ class TestGoldenBytes:
     CONSTRUCT_300_5 = "b21dda9c15b2948bc3aa295dd44f400f093edd3dfd3554fa7397349c56e4bc93"
 
     def test_base_words(self, fam):
-        text = "\n".join(fam.base_word(n).word for n in range(400))
+        text = "\n".join(fam.base_word(n) for n in range(400))
         assert _sha256(text) == self.BASE_WORDS_400
 
     def test_dense_pairs(self, fam):
@@ -376,7 +376,7 @@ class TestGoldenBytes:
 class TestPuncturedSpace:
     def test_membership_rule(self, fam):
         for n in range(12):
-            base = fam.base_word(n).word
+            base = fam.base_word(n)
             inside = repr_point(base)
             outside = repr_point(flip(base[0]) + base[1:])
             for i in range(6):
@@ -401,7 +401,7 @@ class TestPuncturedSpace:
         assert [(f.n, f.i) for f in fibers] == [diag_pair(t) for t in range(10)]
         for f in fibers:
             assert f.point == fam.approximant(f.n, f.i).point
-            assert f.base == fam.base_word(f.n).word
+            assert f.base == fam.base_word(f.n)
 
 
 class TestExport:

@@ -68,7 +68,7 @@ class TestFinIndices:
     def test_base_inclusion_characterization(self, fam):
         v = ClopenSet(("00",))
         for n in fin_indices(fam, v):
-            assert v.subset(ClopenSet((fam.base_word(n).word,)))
+            assert v.subset(ClopenSet((fam.base_word(n),)))
 
     def test_empty_factor_rejected(self, fam):
         with pytest.raises(PieceError):

@@ -15,7 +15,6 @@ from cantorproj import (
     Rect,
     RectUnion,
     SearchBudgetExceeded,
-    diam,
     falsify_restriction,
     parse_rect_union,
     piecewise_open_check,
@@ -50,9 +49,8 @@ class TestFalsify:
         assert cert.n_fine > cert.n_coarse
         assert cert.base_fine.startswith(cert.base_coarse)
         assert len(cert.base_fine) > len(cert.base_coarse)
-        assert 2 * diam(ClopenSet((cert.base_fine,))) < diam(
-            ClopenSet((cert.base_coarse,))
-        )
+        fine, coarse = ClopenSet((cert.base_fine,)), ClopenSet((cert.base_coarse,))
+        assert 2 * fine.diam() < coarse.diam()
 
     def test_missing_points_outside_image(self, fam):
         cert = cert_for(fam, "2 x 0")
