@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import DEPTH_OFFSET, Family, ceil_log3
+from .family import Family, stable_index
 from .images import (
     ImagePiece,
     ImageSet,
@@ -74,43 +74,32 @@ class LC2Certificate:
     cover: ClopenSet
     points: tuple[CantorPoint, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "open_pieces": [p.as_dict() for p in self.open_pieces],
-            "cover": list(self.cover.words),
-            "points": [str(p) for p in self.points],
-        }
-
 
 def _open_member(fam: Family, pieces, p: CantorPoint) -> bool:
     return any(piece_member(fam, piece, p) for piece in pieces)
 
 
-def _isolated_seqs(fam: Family, img: ImageSet) -> list[int]:
+def _tail_isolated(fam: Family, img: ImageSet, n: int) -> bool:
     # A limit point is isolated iff it lies in the image while every piece
     # containing it removes a tail of its approximants; then cofinitely many
     # approximants are outside the image, and conversely a single piece
     # keeping the tail makes the point interior.
-    out = []
-    seqs = sorted(
-        {ts.seq for p in img.pieces for ts in p.removals if ts.start is not None}
+    x = fam.dense_pair(n).x
+    holders = [p for p in img.pieces if p.hull.member(x)]
+    return bool(holders) and all(
+        any(ts.seq == n and ts.start is not None for ts in p.removals)
+        for p in holders
     )
-    for n in seqs:
-        x = fam.dense_pair(n).x
-        holders = [p for p in img.pieces if p.hull.member(x)]
-        if holders and all(
-            any(ts.seq == n and ts.start is not None for ts in p.removals)
-            for p in holders
-        ):
-            out.append(n)
-    return out
+
+
+def _isolated_seqs(fam: Family, img: ImageSet) -> list[int]:
+    return [n for n in removal_sequences(img) if _tail_isolated(fam, img, n)]
 
 
 def _missing_in(fam: Family, img: ImageSet, n: int, separator: str) -> int:
-    # Approximant i agrees with its limit to depth i + ceil_log3(n+1) +
-    # DEPTH_OFFSET and differs at that digit, so none below ``start``
-    # starts with the separator, a prefix of the limit; the scan skips them.
-    start = max(0, len(separator) - ceil_log3(n + 1) - DEPTH_OFFSET)
+    # The separator is a prefix of the limit, so no approximant below
+    # ``stable_index(n, len(separator))`` starts with it; the scan skips them.
+    start = stable_index(n, len(separator))
     cap = 8 + max(
         [len(separator)]
         + [p.hull.depth() for p in img.pieces]
@@ -237,7 +226,7 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
     # Each piece is dense in its hull, which it misses by a countable set,
     # so the closure of F & E is the union of the piece.hull & F.
     inter_hull = covered.intersect(f)
-    diff_clopen = f.minus(covered)
+    diff_clopen = f.intersect(img.outside())
 
     depth = max([f.depth()] + [p.hull.depth() for p in img.pieces])
     tails: list[TailSet] = []
@@ -245,7 +234,7 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
     for n in removal_sequences(img):
         x = fam.dense_pair(n).x
         stab = max(
-            [max(0, depth - ceil_log3(n + 1) - DEPTH_OFFSET)]
+            [stable_index(n, depth)]
             + [ts.start for p in img.pieces for ts in p.removals
                if ts.seq == n and ts.start is not None]
             + [i + 1 for p in img.pieces for ts in p.removals
@@ -255,16 +244,7 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
             q = fam.approximant(n, i).point
             if f.member(q) and covered.member(q) and not image_member(fam, img, q):
                 points.append(q)
-        holders = [p for p in img.pieces if p.hull.member(x)]
-        tail_flag = (
-            f.member(x)
-            and bool(holders)
-            and all(
-                any(ts.seq == n and ts.start is not None for ts in p.removals)
-                for p in holders
-            )
-        )
-        if tail_flag:
+        if f.member(x) and _tail_isolated(fam, img, n):
             tails.append(TailSet(n, stab))
             points.append(x)  # limit of the removed tail, hence in the closure
         elif f.member(x) and covered.member(x) and not image_member(fam, img, x):

@@ -75,6 +75,15 @@ def approximant_depth(n: int, i: int) -> int:
     return i + ceil_log3(n + 1) + DEPTH_OFFSET
 
 
+def stable_index(n: int, depth: int) -> int:
+    """Least i whose approximant of sequence n agrees with its limit to ``depth``.
+
+    Approximant i agrees exactly to ``approximant_depth(n, i)`` digits, which
+    grows with i, so every later index agrees too and no earlier one does.
+    """
+    return max(0, depth - approximant_depth(n, 0))
+
+
 def dense_key(word: str, k: int) -> tuple[str, int]:
     """Canonical name of the dense stream ``word 0^k (20)^w``, for k >= 1.
 

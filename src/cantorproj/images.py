@@ -10,9 +10,10 @@ removed in one piece but present in another belongs to the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .family import DEPTH_OFFSET, Family, ceil_log3
+from .family import Family, stable_index
 from .words import CantorPoint, ClopenSet, all_words, parse_clopen, repr_point
 
 
@@ -47,9 +48,6 @@ class RectUnion:
         object.__setattr__(
             self, "rects", tuple(r for r in self.rects if not r.is_empty())
         )
-
-    def is_empty(self) -> bool:
-        return not self.rects
 
     def covers(self, x: CantorPoint, y: CantorPoint) -> bool:
         return any(r.x_set.member(x) and r.y_set.member(y) for r in self.rects)
@@ -102,9 +100,6 @@ class TailSet:
             return True
         return i in self.extras
 
-    def is_empty(self) -> bool:
-        return self.start is None and not self.extras and not self.with_limit
-
     def sort_key(self) -> tuple:
         return (self.seq, -1 if self.start is None else self.start,
                 tuple(sorted(self.extras)), self.with_limit)
@@ -140,8 +135,6 @@ class ImageSet:
     """Union of image pieces, in a canonical order."""
 
     pieces: tuple[ImagePiece, ...] = ()
-    _hull: ClopenSet | None = field(default=None, init=False, repr=False, compare=False)
-    _outside: ClopenSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -150,16 +143,20 @@ class ImageSet:
 
     def hull(self) -> ClopenSet:
         """Union of the piece hulls, computed on first use and kept."""
-        if self._hull is None:
-            words = tuple(w for p in self.pieces for w in p.hull.words)
-            object.__setattr__(self, "_hull", ClopenSet(words))
         return self._hull
 
     def outside(self) -> ClopenSet:
         """Complement of the hull, computed on first use and kept."""
-        if self._outside is None:
-            object.__setattr__(self, "_outside", self.hull().complement())
         return self._outside
+
+    # Kept in the instance __dict__, outside the fields, ==, hash and repr.
+    @cached_property
+    def _hull(self) -> ClopenSet:
+        return ClopenSet(tuple(w for p in self.pieces for w in p.hull.words))
+
+    @cached_property
+    def _outside(self) -> ClopenSet:
+        return self._hull.complement()
 
     def as_dict(self) -> dict:
         return {"pieces": [p.as_dict() for p in self.pieces]}
@@ -192,7 +189,7 @@ def project_rect(fam: Family, x_set: ClopenSet, y_set: ClopenSet) -> ImagePiece:
     for n in fin_indices(fam, y_set):
         # Beyond this index the approximant agrees with its limit to the
         # full depth of the hull, so membership stabilizes.
-        start_min = max(0, depth - ceil_log3(n + 1) - DEPTH_OFFSET)
+        start_min = stable_index(n, depth)
         extras = frozenset(
             i for i in range(start_min) if x_set.member(fam.approximant(n, i).point)
         )

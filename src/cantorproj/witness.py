@@ -323,26 +323,19 @@ def scattered_check(members: list[ClopenSet], depth: int) -> tuple[bool, dict]:
 
 
 def _region_rects(rect: Rect, complement: RectUnion) -> list[Rect]:
-    """The rectangle minus the complement, as rectangles over a common grid."""
+    """The rectangle minus the complement, one rectangle per column of a common grid."""
     dx = max([rect.x_set.depth()] + [r.x_set.depth() for r in complement.rects])
-    dy = max([rect.y_set.depth()] + [r.y_set.depth() for r in complement.rects])
     out = []
     for wx in all_words(dx):
         col = ClopenSet((wx,))
         if col.intersect(rect.x_set).is_empty():
             continue
-        ys = []
-        for wy in all_words(dy):
-            row = ClopenSet((wy,))
-            if row.intersect(rect.y_set).is_empty():
-                continue
-            if any(
-                col.subset(r.x_set) and row.subset(r.y_set) for r in complement.rects
-            ):
-                continue
-            ys.append(wy)
-        if ys:
-            out.append(Rect(col, ClopenSet(tuple(ys))))
+        ys = rect.y_set
+        for r in complement.rects:
+            if col.subset(r.x_set):
+                ys = ys.minus(r.y_set)
+        if not ys.is_empty():
+            out.append(Rect(col, ys))
     return out
 
 
@@ -422,9 +415,7 @@ def _piece_evidence(
 # -- stabilization --------------------------------------------------------
 
 
-def stabilization_probe(
-    fam: Family, rects: list[Rect], depth: int, n_max: int | None = None
-) -> dict:
+def stabilization_probe(fam: Family, rects: list[Rect], depth: int) -> dict:
     """Track the image decomposition along growing prefixes of a stream.
 
     The open-part trace must grow monotonically; isolated points may migrate
@@ -433,8 +424,7 @@ def stabilization_probe(
     steps = []
     prev_trace: set[str] = set()
     prev_iso: set[str] = set()
-    count = len(rects) if n_max is None else min(len(rects), n_max)
-    for k in range(1, count + 1):
+    for k in range(1, len(rects) + 1):
         img = project_union(fam, RectUnion(tuple(rects[:k])))
         dec = decompose(fam, img)
         trace = set(image_trace(fam, ImageSet(dec.open_pieces), depth))

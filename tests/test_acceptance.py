@@ -231,6 +231,22 @@ def test_closure_split_clopen_parts_match_brute_traces(fam, rect_suite):
             assert got == brute_split_traces(trace, f), (str(union), str(f))
 
 
+def test_closure_split_tails_match_isolated_points(fam, rect_suite):
+    """Not a numbered criterion: the cross-check of ``closure_split``'s tails.
+
+    Over the whole space the removed tails of the closure split are exactly
+    the sequences whose limits ``decompose`` finds isolated.
+    """
+    whole = ClopenSet(("",))
+    with_isolated = 0
+    for union, img in rect_suite:
+        isolated = [d.seq for d in decompose(fam, img).isolated]
+        tails = [ts.seq for ts in closure_split(fam, img, whole).diff_tails]
+        assert tails == isolated, str(union)
+        with_isolated += bool(isolated)
+    assert with_isolated
+
+
 def test_missing_index_matches_scan_from_zero(fam, rect_suite):
     """Not a numbered criterion: the oracle cross-check of the missing scan.
 

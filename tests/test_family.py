@@ -24,7 +24,7 @@ from cantorproj import (
     repr_point,
 )
 from cantorproj.cli import main as cli_main
-from cantorproj.family import approximant_tag, dense_digits, dense_key
+from cantorproj.family import approximant_tag, dense_digits, dense_key, stable_index
 from cantorproj.oracle import decode_tag, first_fit_bases, scanned_dense_pairs
 
 COMMON = settings(max_examples=80, deadline=None, derandomize=True)
@@ -60,6 +60,19 @@ class TestHelpers:
         for n in range(12):
             for i in range(6):
                 assert approximant_depth(n, i + 1) == approximant_depth(n, i) + 1
+
+    def test_stable_index_law(self, fam):
+        # Read off real points: the approximants below d + 2 that start with
+        # the limit's first d digits are exactly those from stable_index on.
+        for n in range(60):
+            x = fam.dense_pair(n).x
+            for d in range(30):
+                head = x.digits(d)
+                hits = [
+                    i for i in range(d + 2)
+                    if fam.approximant(n, i).point.starts_with(head)
+                ]
+                assert hits == list(range(stable_index(n, d), d + 2)), (n, d)
 
 
 class TestDensePairs:
