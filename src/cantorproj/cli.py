@@ -78,7 +78,6 @@ def _env_default(knob: str) -> int | None:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
     picked = {}
     for knob in COMMAND_KNOBS[args.command]:
         flag = getattr(args, knob)
@@ -88,7 +87,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         if knob != "seed" and value < 0:
             raise UsageError(f"{knob} must be a natural number, got {value}")
         picked[knob] = value
-    return RunConfig(**{**cfg.as_dict(), **picked})
+    return RunConfig(**picked)
 
 
 def _samples(args: argparse.Namespace) -> int | None:

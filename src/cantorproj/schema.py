@@ -9,8 +9,6 @@ from __future__ import annotations
 
 SCHEMA_VERSION = 1
 
-CERTIFICATE_KINDS = ("witness",)
-
 
 class CertificateFormatError(ValueError):
     """Envelope malformed or produced under an incompatible scheme."""
@@ -27,22 +25,20 @@ def scheme_params() -> dict:
     }
 
 
-def wrap(kind: str, payload: dict) -> dict:
-    if kind not in CERTIFICATE_KINDS:
-        raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
+def wrap(payload: dict) -> dict:
     return {
-        "type": kind,
+        "type": "witness",
         "schema_version": SCHEMA_VERSION,
         "scheme_params": scheme_params(),
         "payload": payload,
     }
 
 
-def unwrap(doc: dict, kind: str) -> dict:
+def unwrap(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate must be a JSON object")
-    if doc.get("type") != kind:
-        raise CertificateFormatError(f"expected a {kind!r} certificate, got {doc.get('type')!r}")
+    if doc.get("type") != "witness":
+        raise CertificateFormatError(f"expected a 'witness' certificate, got {doc.get('type')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CertificateFormatError(f"unsupported schema version: {doc.get('schema_version')!r}")
     if doc.get("scheme_params") != scheme_params():

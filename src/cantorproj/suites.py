@@ -3,12 +3,21 @@
 Every suite draws its randomness from a private generator seeded by the run
 seed and the suite name, so a report is a pure function of its config and
 two runs produce identical bytes.
+
+A suite is a generator function of ``(fam, cfg, rng)``.  Each value it
+yields is one check: ``True`` if the check passed, or its failure record, so
+``yield ok or {...}`` builds a record only when the check fails.  A check
+that breaks two laws reports the first.  The generator may return a dict of
+extra detail keys.  :func:`run_suite` owns the report: it counts the checks,
+keeps the first five failure records and merges in the returned keys; a
+suite that raises fails with the error as its whole detail.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Generator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
@@ -47,9 +56,6 @@ class RunConfig:
     seed: int = 0
     suite_size: int = 60
     probes: int = 120
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,17 +126,6 @@ def probe_pool(fam: Family, rng: random.Random, size: int) -> list[CantorPoint]:
     return pool
 
 
-def small_clopens(depth: int = 2) -> list[ClopenSet]:
-    """All clopen sets built from at most two cylinders of bounded depth."""
-    words = [w for d in range(depth + 1) for w in all_words(d)]
-    seen = {}
-    for i, w in enumerate(words):
-        for ws in [(w,)] + [(w, words[j]) for j in range(i + 1, len(words))]:
-            c = ClopenSet(ws)
-            seen.setdefault(c.words, c)
-    return [seen[k] for k in sorted(seen)]
-
-
 def clopen_antichains(depth: int) -> list[ClopenSet]:
     """All nonempty clopen sets of the given depth, via cell subsets."""
     cells = all_words(depth)
@@ -144,7 +139,6 @@ def clopen_antichains(depth: int) -> list[ClopenSet]:
 
 
 def _suite_normal_form(fam, cfg, rng):
-    checks, failures = 0, []
     for _ in range(200):
         p = _random_point(rng)
         k = rng.randint(1, 2)
@@ -152,20 +146,14 @@ def _suite_normal_form(fam, cfg, rng):
         unrolled = CantorPoint(
             p.prefix + p.cycle * k + p.cycle[:j], p.cycle[j:] + p.cycle[:j]
         )
-        checks += 1
-        if unrolled != p:
-            failures.append({"point": str(p), "unrolled": str(unrolled)})
+        yield unrolled == p or {"point": str(p), "unrolled": str(unrolled)}
         q = _random_point(rng)
         same_digits = p.digits(60) == q.digits(60)
         same_value = p.value() == q.value()
-        checks += 1
-        if not ((p == q) == same_digits == same_value):
-            failures.append({"p": str(p), "q": str(q)})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        yield ((p == q) == same_digits == same_value) or {"p": str(p), "q": str(q)}
 
 
 def _suite_boolean_laws(fam, cfg, rng):
-    checks, failures = 0, []
     whole = ClopenSet(("",))
     empty = ClopenSet(())
     for _ in range(120):
@@ -184,162 +172,120 @@ def _suite_boolean_laws(fam, cfg, rng):
         p = _random_point(rng)
         laws["member_split"] = a.member(p) != a.complement().member(p)
         laws["member_union"] = a.union(b).member(p) == (a.member(p) or b.member(p))
-        checks += len(laws)
         for name, ok in laws.items():
-            if not ok:
-                failures.append({"law": name, "a": str(a), "b": str(b), "c": str(c)})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+            yield ok or {"law": name, "a": str(a), "b": str(b), "c": str(c)}
 
 
 def _suite_value_injective(fam, cfg, rng):
-    checks, failures = 0, []
     seen: dict[Fraction, CantorPoint] = {}
     for _ in range(300):
         p = _random_point(rng)
         v = p.value()
-        checks += 1
         if not 0 <= v <= 1:
-            failures.append({"point": str(p), "value": str(v)})
-        if v in seen and seen[v] != p:
-            failures.append({"p": str(p), "q": str(seen[v])})
+            yield {"point": str(p), "value": str(v)}
+        elif v in seen and seen[v] != p:
+            yield {"p": str(p), "q": str(seen[v])}
+        else:
+            yield True
         seen[v] = p
         m = rng.randint(1, 12)
         partial = sum(
             Fraction(int(d), 3 ** (k + 1)) for k, d in enumerate(p.digits(m))
         )
-        checks += 1
-        if abs(v - partial) > Fraction(1, 3**m):
-            failures.append({"point": str(p), "m": m})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        yield abs(v - partial) <= Fraction(1, 3**m) or {"point": str(p), "m": m}
 
 
 def _suite_stage_agreement(fam, cfg, rng):
-    checks, failures = 0, []
     key = lambda iv: (iv.lo, iv.hi)
     for n in range(cfg.depth + 3):
         stage = cantor_stage(n)
         cells = sorted((cylinder_interval(w) for w in all_words(n)), key=key)
-        checks += 1
-        if sorted(stage, key=key) != cells:
-            failures.append({"stage": n})
+        yield sorted(stage, key=key) == cells or {"stage": n}
         for iv in cells:
-            checks += 1
-            if iv.length() != Fraction(1, 3**n):
-                failures.append({"stage": n, "interval": str(iv)})
+            yield iv.length() == Fraction(1, 3**n) or {"stage": n, "interval": str(iv)}
     for _ in range(60):
         w = _random_word(rng, cfg.depth + 3)
         p = _random_point(rng)
         iv = cylinder_interval(w)
-        checks += 1
         inside = iv.lo <= p.value() <= iv.hi
-        if p.starts_with(w) and not inside:
-            failures.append({"word": w, "point": str(p)})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        yield inside or not p.starts_with(w) or {"word": w, "point": str(p)}
 
 
 def _suite_diam_law(fam, cfg, rng):
-    checks, failures = 0, []
     for d in range(5):
         for w in all_words(d):
-            checks += 1
-            if ClopenSet((w,)).diam() != Fraction(1, 3 ** len(w)):
-                failures.append({"word": w})
+            yield ClopenSet((w,)).diam() == Fraction(1, 3 ** len(w)) or {"word": w}
     for _ in range(80):
         w = _random_word(rng, 4)
         ext = w + "".join(rng.choice("02") for _ in range(rng.randint(0, 3)))
         gap = 2 * ClopenSet((ext,)).diam() < ClopenSet((w,)).diam()
-        checks += 1
-        if gap != (len(ext) >= len(w) + 1):
-            failures.append({"outer": w, "inner": ext})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        yield gap == (len(ext) >= len(w) + 1) or {"outer": w, "inner": ext}
 
 
 def _suite_family_determinism(fam, cfg, rng):
     one = type(fam)().export(n_max=12, i_max=6)
     two = type(fam)().export(n_max=12, i_max=6)
     same = json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
-    return same, {"checks": 1, "failures": [] if same else [{"law": "export_bytes"}]}
+    yield same or {"law": "export_bytes"}
 
 
 def _suite_distinctness(fam, cfg, rng):
-    checks, failures = 0, []
     xs = {}
     ys = {}
     for n in range(cfg.n_max + 1):
         pair = fam.dense_pair(n)
         for label, point, seen in (("x", pair.x, xs), ("y", pair.y, ys)):
-            checks += 1
-            if point in seen:
-                failures.append({"axis": label, "n": n, "clash": seen[point]})
+            yield point not in seen or {"axis": label, "n": n, "clash": seen[point]}
             seen[point] = n
     approx = {}
     for n in range(min(cfg.n_max, 30) + 1):
         for i in range(min(cfg.i_max, 10) + 1):
             q = fam.approximant(n, i).point
-            checks += 1
-            if q in approx or q in xs:
-                failures.append({"n": n, "i": i})
+            yield (q not in approx and q not in xs) or {"n": n, "i": i}
             approx[q] = (n, i)
-    return not failures, {"checks": checks, "failures": failures[:5]}
 
 
 def _suite_convergence(fam, cfg, rng):
-    checks, failures = 0, []
     for n in range(cfg.n_max + 1):
         x = fam.dense_pair(n).x
         last = None
         for i in range(cfg.i_max + 1):
             d = distance(fam.approximant(n, i).point, x)
-            checks += 1
             if not 0 < d < Fraction(1, n + 1):
-                failures.append({"n": n, "i": i, "distance": str(d)})
-            if last is not None and not d < last:
-                failures.append({"n": n, "i": i, "law": "strict_decrease"})
+                yield {"n": n, "i": i, "distance": str(d)}
+            elif last is not None and not d < last:
+                yield {"n": n, "i": i, "law": "strict_decrease"}
+            else:
+                yield True
             last = d
-    return not failures, {"checks": checks, "failures": failures[:5]}
 
 
 def _suite_enumeration(fam, cfg, rng):
-    checks, failures = 0, []
     for d in range(1, 5):
         for w in all_words(d):
             n = fam.base_index(w)
-            checks += 1
-            if fam.base_word(n) != w:
-                failures.append({"word": w, "index": n})
+            yield fam.base_word(n) == w or {"word": w, "index": n}
     for n in range(201):
         base = fam.base_word(n)
         y = fam.dense_pair(n).y
-        checks += 1
-        if not y.starts_with(base):
-            failures.append({"n": n, "law": "anchor_in_base"})
-        checks += 1
-        if fam.base_index(base) != n:
-            failures.append({"n": n, "law": "roundtrip"})
-    return not failures, {"checks": checks, "failures": failures[:5], "steps": fam.enumeration_steps()}
+        yield y.starts_with(base) or {"n": n, "law": "anchor_in_base"}
+        yield fam.base_index(base) == n or {"n": n, "law": "roundtrip"}
+    return {"steps": fam.enumeration_steps()}
 
 
 def _suite_density(fam, cfg, rng):
-    checks, failures = 0, []
     cover = {}
     for w in all_words(cfg.depth):
-        hit = None
-        for n in range(4000):
-            if fam.dense_pair(n).x.starts_with(w):
-                hit = n
-                break
-        checks += 1
-        if hit is None:
-            failures.append({"word": w})
-        else:
+        hits = (n for n in range(4000) if fam.dense_pair(n).x.starts_with(w))
+        hit = next(hits, None)
+        yield hit is not None or {"word": w}
+        if hit is not None:
             cover[w] = hit
-    index = max(cover.values()) if cover else None
-    return not failures, {"checks": checks, "failures": failures, "cover_index": index}
+    return {"cover_index": max(cover.values()) if cover else None}
 
 
 def _suite_oracle_equivalence(fam, cfg, rng):
-    checks, failures = 0, []
-    sets = small_clopens(depth=2)
+    sets = sorted(clopen_antichains(2), key=lambda c: c.words)
     pairs = [(a, b) for a in sets for b in sets]
     picks = rng.sample(range(len(pairs)), min(40, len(pairs)))
     depth1 = [c for c in sets if c.depth() <= 1]
@@ -349,14 +295,10 @@ def _suite_oracle_equivalence(fam, cfg, rng):
         img = project_union(fam, RectUnion((Rect(w_set, v_set),)))
         exact = image_trace(fam, img, 6)
         brute = brute_rect_trace(fam, w_set, v_set, cfg.truncation, trace_depth=6)
-        checks += 1
-        if exact != brute:
-            failures.append({"w": str(w_set), "v": str(v_set)})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        yield exact == brute or {"w": str(w_set), "v": str(v_set)}
 
 
 def _suite_decomposition(fam, cfg, rng):
-    checks, failures = 0, []
     pool = probe_pool(fam, rng, cfg.probes)
     for t in range(cfg.suite_size):
         union = _random_rect_union(rng, cfg.depth)
@@ -364,48 +306,30 @@ def _suite_decomposition(fam, cfg, rng):
         try:
             dec = decompose(fam, img)
         except CertificationError as err:
-            failures.append({"trial": t, "error": str(err)})
+            yield {"trial": t, "error": str(err)}
             continue
-        probes = pool + certificate_points(fam, img)
-        for p in probes:
-            checks += 1
-            if decomposition_member(fam, dec, p) != image_member(fam, img, p):
-                failures.append({"trial": t, "point": str(p)})
+        for p in pool + certificate_points(fam, img):
+            agree = decomposition_member(fam, dec, p) == image_member(fam, img, p)
+            yield agree or {"trial": t, "point": str(p)}
+            if not agree:
                 break
-    return not failures, {"checks": checks, "failures": failures[:5]}
 
 
 def _suite_lc2(fam, cfg, rng):
-    checks, failures = 0, []
     for t in range(20):
-        union = _random_rect_union(rng, cfg.depth)
-        img = project_union(fam, union)
-        cert = lc2_certificate(fam, img)
-        checks += 1
-        if not lc2_valid(fam, img, cert):
-            failures.append({"trial": t})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        img = project_union(fam, _random_rect_union(rng, cfg.depth))
+        yield lc2_valid(fam, img, lc2_certificate(fam, img)) or {"trial": t}
 
 
 def _suite_resolvability(fam, cfg, rng):
-    checks, failures = 0, []
     fs = clopen_antichains(2)
     for t in range(12):
-        union = _random_rect_union(rng, cfg.depth)
-        img = project_union(fam, union)
+        img = project_union(fam, _random_rect_union(rng, cfg.depth))
         for f in fs:
-            checks += 1
-            if not resolvable_probe(fam, img, f):
-                failures.append({"trial": t, "f": str(f)})
-    return not failures, {"checks": checks, "failures": failures[:5]}
-
-
-def _trivial_piece() -> RectUnion:
-    return RectUnion(())
+            yield resolvable_probe(fam, img, f) or {"trial": t, "f": str(f)}
 
 
 def _suite_witness(fam, cfg, rng):
-    checks, failures = 0, []
     rects = [
         Rect(ClopenSet(("",)), ClopenSet(("",))),
         Rect(ClopenSet(("0",)), ClopenSet(("0",))),
@@ -415,19 +339,12 @@ def _suite_witness(fam, cfg, rng):
         Rect(ClopenSet(("02",)), ClopenSet(("22",))),
     ]
     for rect in rects:
-        cert = falsify_restriction(
-            fam, _trivial_piece(), rect, budget=cfg.budget, samples=10
-        )
+        cert = falsify_restriction(fam, RectUnion(()), rect, budget=cfg.budget, samples=10)
         ok, clause = verify_witness(fam, cert, samples=10)
-        checks += 1
-        if not ok:
-            failures.append({"rect": str(rect), "clause": clause})
+        yield ok or {"rect": str(rect), "clause": clause}
         coarse = ClopenSet((cert.base_coarse,))
         fine = ClopenSet((cert.base_fine,))
-        checks += 1
-        if not 2 * fine.diam() < coarse.diam():
-            failures.append({"rect": str(rect), "law": "diameter"})
-    return not failures, {"checks": checks, "failures": failures[:5]}
+        yield 2 * fine.diam() < coarse.diam() or {"rect": str(rect), "law": "diameter"}
 
 
 WITNESS_MUTATIONS: list[tuple[str, str]] = [
@@ -481,23 +398,17 @@ def mutate_witness(fam: Family, cert: WitnessCertificate, kind: str) -> WitnessC
 
 
 def _suite_witness_mutations(fam, cfg, rng):
-    checks, failures = 0, []
     for rect in (
         Rect(ClopenSet(("",)), ClopenSet(("",))),
         Rect(ClopenSet(("2",)), ClopenSet(("0",))),
     ):
-        cert = falsify_restriction(
-            fam, _trivial_piece(), rect, budget=cfg.budget, samples=10
-        )
+        cert = falsify_restriction(fam, RectUnion(()), rect, budget=cfg.budget, samples=10)
         for kind, expected in WITNESS_MUTATIONS:
             mutated = mutate_witness(fam, cert, kind)
             ok, clause = verify_witness(fam, mutated, samples=len(cert.missing))
-            checks += 1
-            if ok or clause != expected:
-                failures.append(
-                    {"rect": str(rect), "mutation": kind, "clause": clause}
-                )
-    return not failures, {"checks": checks, "failures": failures[:5]}
+            yield (not ok and clause == expected) or {
+                "rect": str(rect), "mutation": kind, "clause": clause
+            }
 
 
 SUITES = [
@@ -520,13 +431,30 @@ SUITES = [
 ]
 
 
+def _tally(outcomes: Generator) -> tuple[bool, dict]:
+    """Count a suite's checks and keep its first five failure records.
+
+    The detail keys the suite returns are merged into the report.
+    """
+    checks, failures = 0, []
+    while True:
+        try:
+            outcome = next(outcomes)
+        except StopIteration as done:
+            detail = {"checks": checks, "failures": failures[:5], **(done.value or {})}
+            return not failures, detail
+        checks += 1
+        if outcome is not True:
+            failures.append(outcome)
+
+
 def run_suite(name: str, fam: Family, cfg: RunConfig) -> SuiteResult:
     table = dict(SUITES)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}")
     rng = random.Random(f"{cfg.seed}:{name}")
     try:
-        passed, detail = table[name](fam, cfg, rng)
+        passed, detail = _tally(table[name](fam, cfg, rng))
     except Exception as err:  # a crashed suite is a failed suite, not a crash
         passed, detail = False, {"error": f"{type(err).__name__}: {err}"}
     return SuiteResult(name=name, passed=passed, detail=detail)
@@ -536,7 +464,7 @@ def run_all(cfg: RunConfig, fault: str | None = None) -> dict:
     fam = make_family(fault)
     results = [run_suite(name, fam, cfg) for name, _ in SUITES]
     return {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "fault": fault,
         "suites": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results

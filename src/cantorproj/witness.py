@@ -221,7 +221,7 @@ def witness_to_dict(cert: WitnessCertificate) -> dict:
             for m in cert.missing
         ],
     }
-    return wrap("witness", payload)
+    return wrap(payload)
 
 
 def _typed(value, kind: type):
@@ -256,7 +256,7 @@ def witness_from_dict(doc: dict) -> WitnessCertificate:
     :class:`CertificateFormatError` naming the payload field, so a malformed
     file is a format error and never a rejection or a traceback.
     """
-    payload = unwrap(doc, "witness")
+    payload = unwrap(doc)
     return WitnessCertificate(
         n_coarse=_field(payload, "n_coarse", lambda n: _typed(n, int)),
         n_fine=_field(payload, "n_fine", lambda n: _typed(n, int)),

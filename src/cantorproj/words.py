@@ -181,14 +181,6 @@ def repr_point(word: str) -> CantorPoint:
     return CantorPoint(word, "0")
 
 
-def _common_prefix(words: tuple[str, ...]) -> str:
-    lo, hi = min(words), max(words)
-    k = 0
-    while k < len(lo) and lo[k] == hi[k]:
-        k += 1
-    return lo[:k]
-
-
 def _is_normal(words: tuple[str, ...]) -> bool:
     # In sorted order a word's extensions, and its sibling when no extension
     # is present, sit right after it, so adjacent pairs decide the form.
@@ -311,7 +303,12 @@ class ClopenSet:
     def common_prefix(self) -> str:
         if not self.words:
             raise WordError("common prefix of the empty set")
-        return _common_prefix(self.words)
+        # The words are sorted, so the first and last bound the prefix.
+        lo, hi = self.words[0], self.words[-1]
+        k = 0
+        while k < len(lo) and lo[k] == hi[k]:
+            k += 1
+        return lo[:k]
 
     def __str__(self) -> str:
         if not self.words:

@@ -49,8 +49,8 @@ from cantorproj.suites import (
     WITNESS_MUTATIONS,
     _random_point,
     _random_rect_union,
+    clopen_antichains,
     mutate_witness,
-    small_clopens,
 )
 
 SEED = 20250823
@@ -150,7 +150,7 @@ def test_02_joint_density_depth_three():
 
 def test_03_exact_trace_equals_brute_trace(fam):
     t0 = time.monotonic()
-    sets = small_clopens(depth=2)
+    sets = sorted(clopen_antichains(2), key=lambda c: c.words)
     ok = True
     for w_set in sets:
         for v_set in sets:

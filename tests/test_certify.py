@@ -1,6 +1,7 @@
 """Open-plus-isolated decompositions, locally-closed form, closure probes."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from cantorproj import (
     repr_point,
     resolvable_probe,
 )
-from cantorproj.certify import certificate_points
+from cantorproj.certify import CertificationError, _certify_decomposition, certificate_points
 
 WHOLE = ClopenSet(("",))
 
@@ -114,6 +115,35 @@ class TestDecompose:
         assert image_member(fam, img, lost)
         assert not decomposition_member(fam, chopped, lost)
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda img, dec, a, b: dataclasses.replace(dec, open_pieces=img.pieces),
+             "isolated point of sequence 0 is in the open part"),
+            (lambda img, dec, a, b: _first_separator(dec, b.separator),
+             "separator misses its own point (0)"),
+            (lambda img, dec, a, b: _first_separator(dec, ""),
+             "separator of 0 also contains the point of 1"),
+            (lambda img, dec, a, b: _first_separator(dec, a.point.digits(10)),
+             "missing-approximant witness broken for 0"),
+            (lambda img, dec, a, b: dataclasses.replace(dec, isolated=(a,)),
+             "reconstruction differs at"),
+        ],
+        ids=["open-part-is-image", "other-separator", "empty-separator",
+             "deep-separator", "dropped-point"],
+    )
+    def test_certification_rejects_tampering(self, fam, tamper, message):
+        img = img_of(fam, "0 x 00")
+        dec = decompose(fam, img)
+        a, b = dec.isolated
+        with pytest.raises(CertificationError, match=re.escape(message)):
+            _certify_decomposition(fam, img, tamper(img, dec, a, b))
+
+
+def _first_separator(dec, separator):
+    first = dataclasses.replace(dec.isolated[0], separator=separator)
+    return dataclasses.replace(dec, isolated=(first,) + dec.isolated[1:])
+
 
 class TestLC2:
     def test_valid_on_samples(self, fam):
@@ -135,6 +165,11 @@ class TestLC2:
         bald = dataclasses.replace(cert, points=cert.points[:-1])
         extras = certificate_points(fam, img)
         assert not lc2_valid(fam, img, bald, probe_depth=4, extra_points=extras)
+
+    def test_emptied_cover_rejected(self, fam):
+        img = img_of(fam, "0 x 00")
+        cert = lc2_certificate(fam, img)
+        assert not lc2_valid(fam, img, dataclasses.replace(cert, cover=ClopenSet(())))
 
 
 class TestClosureSplit:

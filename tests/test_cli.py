@@ -167,6 +167,42 @@ class TestFalsifyVerify:
         assert code == 2 and out == ""
         assert f"malformed payload field {field!r}" in err
 
+    def test_text_format(self, tmp_path, capsys):
+        cert_file = tmp_path / "w.json"
+        code, out, _ = run(capsys, "falsify", "2 x 0", "--samples", "3", "--format", "text")
+        assert code == 0
+        assert re.fullmatch(
+            r"witness for 2x0: coarse n=\d+ base=[02]+, fine n=\d+ base=[02]+, "
+            r"3 missing approximants\n",
+            out,
+        )
+        run(capsys, "falsify", "2 x 0", "--samples", "3", "--out", str(cert_file))
+        code, out, _ = run(capsys, "verify", str(cert_file), "--format", "text")
+        assert (code, out) == (0, "witness ok\n")
+        doc = json.loads(cert_file.read_text())
+        doc["payload"]["n_fine"] = doc["payload"]["n_coarse"]
+        cert_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert_file), "--format", "text")
+        assert (code, out) == (1, "witness FAILED at n_fine_gt_n_coarse\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "certificate must be a JSON object"),
+            (lambda doc: {**doc, "schema_version": 2}, "unsupported schema version: 2"),
+            (lambda doc: {**doc, "payload": [doc["payload"]]},
+             "certificate payload must be a JSON object"),
+        ],
+        ids=["document-not-an-object", "schema-version-2", "payload-not-an-object"],
+    )
+    def test_envelope_is_format_error(self, tmp_path, capsys, edit, message):
+        cert_file = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "2", "--out", str(cert_file))
+        cert_file.write_text(json.dumps(edit(json.loads(cert_file.read_text()))))
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "falsify", "0 x 0", "--budget", "1")
         assert code == 3

@@ -1,7 +1,7 @@
 """The names the package root exports."""
 
 import cantorproj
-from cantorproj import words
+from cantorproj import schema, suites, words
 
 # Module-level copies of ClopenSet and CantorPoint methods, and a wrapper
 # around a base word: each concept has one path, so none of these exists.
@@ -28,3 +28,11 @@ def test_all_is_bound_unique_and_sorted():
 def test_all_has_no_removed_name():
     assert set(REMOVED).isdisjoint(cantorproj.__all__)
     assert [name for name in REMOVED if hasattr(words, name)] == []
+
+
+def test_single_use_helpers_are_gone():
+    # Suites draw from clopen_antichains, certificates have one kind, and
+    # RunConfig converts through dataclasses.asdict.
+    assert not hasattr(suites, "small_clopens")
+    assert not hasattr(schema, "CERTIFICATE_KINDS")
+    assert not hasattr(suites.RunConfig, "as_dict")

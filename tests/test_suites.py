@@ -1,9 +1,11 @@
 """The named self-check suites: coverage, determinism, fault response."""
 
+import inspect
 import json
 
 import pytest
 
+from cantorproj import suites
 from cantorproj.suites import (
     FAULTS,
     RunConfig,
@@ -70,3 +72,34 @@ def test_unknown_fault_rejected():
     with pytest.raises(ValueError):
         make_family("bogus-fault")
     assert FAULTS == ("approximant-digit",)
+
+
+def test_every_suite_is_a_generator_function():
+    assert [name for name, suite in SUITES if not inspect.isgeneratorfunction(suite)] == []
+
+
+def _fake_suite(fam, cfg, rng):
+    # Seven failures among passes: run_suite counts all, keeps five.
+    for k in range(11):
+        yield k % 3 == 0 or {"k": k}
+    return {"steps": 3}
+
+
+def _crashing_suite(fam, cfg, rng):
+    yield True
+    raise ArithmeticError("boom")
+
+
+def test_run_suite_owns_the_report(fam, monkeypatch):
+    monkeypatch.setattr(suites, "SUITES", [("fake", _fake_suite), ("crash", _crashing_suite)])
+    result = run_suite("fake", fam, RunConfig())
+    assert result.passed is False
+    assert result.detail == {
+        "checks": 11,
+        "failures": [{"k": 1}, {"k": 2}, {"k": 4}, {"k": 5}, {"k": 7}],
+        "steps": 3,
+    }
+    crashed = run_suite("crash", fam, RunConfig())
+    assert crashed.passed is False
+    assert crashed.detail == {"error": "ArithmeticError: boom"}
+

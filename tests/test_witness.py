@@ -16,6 +16,7 @@ from cantorproj import (
     RectUnion,
     SearchBudgetExceeded,
     falsify_restriction,
+    parse_point,
     parse_rect_union,
     piecewise_open_check,
     scattered_check,
@@ -276,6 +277,18 @@ class TestPiecewiseOpen:
     def test_overlapping_pieces_rejected(self, fam):
         with pytest.raises(PieceError):
             piecewise_open_check(fam, [TRIVIAL, TRIVIAL], depth=1)
+
+    # Under "ε x 20" the first free word, "2", lies in the complement, so
+    # evidence that ignored the complement would be caught here.
+    @pytest.mark.parametrize("literal", ["ε x 00", "ε x 20"])
+    def test_evidence_avoids_piece_complement(self, fam, literal):
+        complement = parse_rect_union(literal)
+        ok, violation = piecewise_open_check(fam, [complement], depth=1)
+        assert not ok and violation["samples"]
+        for sample in violation["samples"]:
+            x, y = parse_point(sample["point"]), parse_point(sample["evidence"])
+            assert fam.in_x(x, y)
+            assert not complement.covers(x, y)
 
 
 class TestStabilization:
