@@ -10,60 +10,31 @@ to a closed piece with interior is never an open map onto its image.
 from .words import (
     CantorPoint,
     ClopenSet,
-    RationalInterval,
     WordError,
-    ZERO_POINT,
     all_words,
-    cantor_stage,
-    cylinder_interval,
-    distance,
-    flip,
     parse_clopen,
     parse_point,
     repr_point,
-    separation_depth,
 )
-from .family import (
-    Approximant,
-    DensePair,
-    Family,
-    FamilyError,
-    Fiber,
-    approximant_depth,
-    ceil_log3,
-    diag_pair,
-    lenlex_word,
-)
+from .family import Family, FamilyError
 from .images import (
-    ImagePiece,
     ImageSet,
     PieceError,
     Rect,
     RectUnion,
-    TailSet,
-    adjust_open,
     image_member,
     image_trace,
-    parse_rect,
     parse_rect_union,
-    piece_member,
-    project_rect,
     project_union,
 )
 from .certify import (
     CertificationError,
-    Decomposition,
-    IsolatedPoint,
-    LC2Certificate,
-    closure_split,
     decompose,
-    decomposition_member,
     lc2_certificate,
     lc2_valid,
     resolvable_probe,
 )
 from .witness import (
-    MissingApproximant,
     NonMonotoneTraceError,
     SearchBudgetExceeded,
     WitnessCertificate,
@@ -75,67 +46,43 @@ from .witness import (
     witness_from_dict,
     witness_to_dict,
 )
+from .schema import CertificateFormatError
 from .suites import RunConfig, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Approximant",
     "CantorPoint",
+    "CertificateFormatError",
     "CertificationError",
     "ClopenSet",
-    "Decomposition",
-    "DensePair",
     "Family",
     "FamilyError",
-    "Fiber",
-    "ImagePiece",
     "ImageSet",
-    "IsolatedPoint",
-    "LC2Certificate",
-    "MissingApproximant",
     "NonMonotoneTraceError",
     "PieceError",
-    "RationalInterval",
     "Rect",
     "RectUnion",
     "RunConfig",
     "SearchBudgetExceeded",
-    "TailSet",
     "WitnessCertificate",
     "WordError",
-    "ZERO_POINT",
-    "adjust_open",
     "all_words",
-    "approximant_depth",
-    "cantor_stage",
-    "ceil_log3",
-    "closure_split",
-    "cylinder_interval",
     "decompose",
-    "decomposition_member",
-    "diag_pair",
-    "distance",
     "falsify_restriction",
-    "flip",
     "image_member",
     "image_trace",
     "lc2_certificate",
     "lc2_valid",
-    "lenlex_word",
     "parse_clopen",
     "parse_point",
-    "parse_rect",
     "parse_rect_union",
-    "piece_member",
     "piecewise_open_check",
-    "project_rect",
     "project_union",
     "repr_point",
     "resolvable_probe",
     "run_all",
     "scattered_check",
-    "separation_depth",
     "stabilization_probe",
     "verify_witness",
     "witness_from_dict",

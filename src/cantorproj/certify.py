@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 from .family import Family, stable_index
 from .images import (
-    ImagePiece,
     ImageSet,
     PieceError,
     TailSet,
     adjust_open,
     image_member,
-    piece_member,
     removal_sequences,
 )
 from .words import (
@@ -56,12 +54,12 @@ class IsolatedPoint:
 class Decomposition:
     """Image = union of certified-open pieces + isolated points."""
 
-    open_pieces: tuple[ImagePiece, ...]
+    open_part: ImageSet
     isolated: tuple[IsolatedPoint, ...]
 
     def as_dict(self) -> dict:
         return {
-            "open_pieces": [p.as_dict() for p in self.open_pieces],
+            "open_pieces": [p.as_dict() for p in self.open_part.pieces],
             "isolated": [d.as_dict() for d in self.isolated],
         }
 
@@ -70,13 +68,9 @@ class Decomposition:
 class LC2Certificate:
     """Image = open part union (clopen cover intersect finite closed set)."""
 
-    open_pieces: tuple[ImagePiece, ...]
+    open_part: ImageSet
     cover: ClopenSet
     points: tuple[CantorPoint, ...]
-
-
-def _open_member(fam: Family, pieces, p: CantorPoint) -> bool:
-    return any(piece_member(fam, piece, p) for piece in pieces)
 
 
 def _tail_isolated(fam: Family, img: ImageSet, n: int) -> bool:
@@ -130,8 +124,10 @@ def decompose(fam: Family, img: ImageSet) -> Decomposition:
         isolated.append(
             IsolatedPoint(n, points[n], sep, _missing_in(fam, img, n, sep))
         )
-    open_pieces = tuple(adjust_open(fam, p) for p in img.pieces)
-    dec = Decomposition(open_pieces, tuple(isolated))
+    # Adjusting keeps each piece's place in the canonical order, so the open
+    # part lists its pieces in the image's order.
+    open_part = ImageSet(tuple(adjust_open(fam, p) for p in img.pieces))
+    dec = Decomposition(open_part, tuple(isolated))
     _certify_decomposition(fam, img, dec)
     return dec
 
@@ -139,7 +135,7 @@ def decompose(fam: Family, img: ImageSet) -> Decomposition:
 def decomposition_member(fam: Family, dec: Decomposition, p: CantorPoint) -> bool:
     if any(d.point == p for d in dec.isolated):
         return True
-    return _open_member(fam, dec.open_pieces, p)
+    return image_member(fam, dec.open_part, p)
 
 
 def certificate_points(fam: Family, img: ImageSet) -> list[CantorPoint]:
@@ -160,7 +156,7 @@ def certificate_points(fam: Family, img: ImageSet) -> list[CantorPoint]:
 
 def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition) -> None:
     for d in dec.isolated:
-        if _open_member(fam, dec.open_pieces, d.point):
+        if image_member(fam, dec.open_part, d.point):
             raise CertificationError(f"isolated point of sequence {d.seq} is in the open part")
         if not d.point.starts_with(d.separator):
             raise CertificationError(f"separator misses its own point ({d.seq})")
@@ -181,7 +177,7 @@ def lc2_certificate(fam: Family, img: ImageSet) -> LC2Certificate:
     """Present the image as open union (clopen cover intersect finite set)."""
     dec = decompose(fam, img)
     cover = ClopenSet(tuple(d.separator for d in dec.isolated))
-    return LC2Certificate(dec.open_pieces, cover, tuple(d.point for d in dec.isolated))
+    return LC2Certificate(dec.open_part, cover, tuple(d.point for d in dec.isolated))
 
 
 def lc2_valid(
@@ -200,7 +196,7 @@ def lc2_valid(
     probes += list(extra_points)
     for p in probes:
         in_l2 = p in cert.points and cert.cover.member(p)
-        got = _open_member(fam, cert.open_pieces, p) or in_l2
+        got = image_member(fam, cert.open_part, p) or in_l2
         if got != image_member(fam, img, p):
             return False
     return True

@@ -40,8 +40,8 @@ from .witness import (
     SearchBudgetExceeded,
     falsify_restriction,
     verify_witness,
+    witness_dumps,
     witness_from_dict,
-    witness_to_dict,
 )
 from .words import WordError
 
@@ -179,7 +179,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             f"{len(cert.missing)} missing approximants\n",
         )
     else:
-        _emit_json(args, witness_to_dict(cert))
+        _emit(args, witness_dumps(cert))
     return 0
 
 

@@ -112,6 +112,18 @@ def dense_digits(word: str, k: int, length: int) -> str:
     return word + "0" * k + (DENSE_CYCLE * (tail // 2 + 1))[:tail]
 
 
+def scheme_params() -> dict:
+    """The generation scheme a certificate pins, read from the constants above."""
+    return {
+        "name": "diagonal-lenlex-greedy",
+        "version": 1,
+        "dense_tail_cycle": DENSE_CYCLE,
+        "approximant_tail_digit": "0",
+        "depth_rule": f"i + ceil_log3(n + 1) + {DEPTH_OFFSET}",
+        "tag": "2 (02)^n 22 (02)^i 22",
+    }
+
+
 def approximant_tag(n: int, i: int) -> str:
     return "2" + "02" * n + "22" + "02" * i + "22"
 
@@ -148,16 +160,6 @@ class Approximant:
     i: int
     point: CantorPoint
     depth: int
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """One removed column: the approximant and its base cylinder word."""
-
-    n: int
-    i: int
-    point: CantorPoint
-    base: str
 
 
 class Family:
@@ -197,7 +199,6 @@ class Family:
         self._prefix_len = 0
         self._prefix_scanned = 0
         self._by_prefix: dict[str, list[int]] = {}
-        self._fibers: list[Fiber] = []
 
     # -- dense pairs ------------------------------------------------------
 
@@ -387,20 +388,10 @@ class Family:
         word = self.base_word(hit[0])
         return CantorPoint(flip(word[0]), "0")
 
-    def removed_fibers(self, count: int) -> list[Fiber]:
-        """First ``count`` removed columns in the fixed diagonal order."""
-        while len(self._fibers) < count:
-            n, i = diag_pair(len(self._fibers))
-            a = self.approximant(n, i)
-            self._fibers.append(Fiber(n, i, a.point, self.base_word(n)))
-        return self._fibers[:count]
-
     # -- export -----------------------------------------------------------
 
     def export(self, n_max: int, i_max: int) -> dict:
         """Deterministic, diffable description of the family window."""
-        from .schema import scheme_params
-
         pairs = [
             {"n": n, "a": str(self.dense_pair(n).x), "b": str(self.dense_pair(n).y)}
             for n in range(n_max)

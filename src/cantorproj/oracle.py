@@ -22,12 +22,17 @@ from .images import RectUnion
 from .words import CantorPoint, ClopenSet, all_words, flip, repr_point
 
 
-def in_x_truncated(fam: Family, x: CantorPoint, y: CantorPoint, n_fibers: int) -> bool:
-    """Membership with only the first ``n_fibers`` columns removed."""
-    for fb in fam.removed_fibers(n_fibers):
-        if fb.point == x and y.starts_with(fb.base):
-            return False
-    return True
+def removed_fibers(fam: Family, count: int) -> list[tuple[CantorPoint, str]]:
+    """First ``count`` removed columns, in ``diag_pair`` order.
+
+    Column t is the approximant point of ``diag_pair(t)`` with the base
+    word of its sequence.
+    """
+    out = []
+    for t in range(count):
+        n, i = diag_pair(t)
+        out.append((fam.approximant(n, i).point, fam.base_word(n)))
+    return out
 
 
 def first_fit_bases(fam: Family, steps: int) -> dict[int, str]:
@@ -160,13 +165,19 @@ def brute_rect_trace(
     trace_depth: int = 6,
     sample_depth: int = 6,
 ) -> tuple[str, ...]:
-    """Trace of the truncated image, computed point by point."""
+    """Trace of the truncated image, computed point by point.
+
+    A sample (x, y) is in the truncated space unless one of the first
+    ``n_fibers`` columns sits at x and its base holds y.
+    """
     ys = [y for _, y in representatives(sample_depth) if y_set.member(y)]
+    fibers = removed_fibers(fam, n_fibers)
     out = []
     for w, x in representatives(trace_depth):
         if not x_set.member(x):
             continue
-        if any(in_x_truncated(fam, x, y, n_fibers) for y in ys):
+        bases = [base for point, base in fibers if point == x]
+        if any(not any(y.starts_with(b) for b in bases) for y in ys):
             out.append(w)
     return tuple(out)
 
@@ -203,10 +214,9 @@ def project_rect_truncated(
 ) -> tuple[ClopenSet, tuple[CantorPoint, ...]]:
     """Truncated image as hull minus a finite list of removed points."""
     removed = []
-    for fb in fam.removed_fibers(n_fibers):
-        base = ClopenSet((fb.base,))
-        if y_set.subset(base) and x_set.member(fb.point):
-            removed.append(fb.point)
+    for point, word in removed_fibers(fam, n_fibers):
+        if y_set.subset(ClopenSet((word,))) and x_set.member(point):
+            removed.append(point)
     return x_set, tuple(removed)
 
 

@@ -1,28 +1,20 @@
 """Shared envelope for certificate files.
 
 Every certificate serializes as ``{type, schema_version, scheme_params,
-payload}``.  The scheme parameters pin the deterministic generation scheme,
-so a verifier can refuse certificates produced under a different family.
+payload}``.  The scheme parameters (``family.scheme_params``, read from the
+generator's own constants) pin the deterministic generation scheme, so a
+verifier can refuse certificates produced under a different family.
 """
 
 from __future__ import annotations
+
+from .family import scheme_params
 
 SCHEMA_VERSION = 1
 
 
 class CertificateFormatError(ValueError):
     """Envelope malformed or produced under an incompatible scheme."""
-
-
-def scheme_params() -> dict:
-    return {
-        "name": "diagonal-lenlex-greedy",
-        "version": 1,
-        "dense_tail_cycle": "20",
-        "approximant_tail_digit": "0",
-        "depth_rule": "i + ceil_log3(n + 1) + 2",
-        "tag": "2 (02)^n 22 (02)^i 22",
-    }
 
 
 def wrap(payload: dict) -> dict:

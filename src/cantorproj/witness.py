@@ -427,7 +427,7 @@ def stabilization_probe(fam: Family, rects: list[Rect], depth: int) -> dict:
     for k in range(1, len(rects) + 1):
         img = project_union(fam, RectUnion(tuple(rects[:k])))
         dec = decompose(fam, img)
-        trace = set(image_trace(fam, ImageSet(dec.open_pieces), depth))
+        trace = set(image_trace(fam, dec.open_part, depth))
         iso = {str(d.point) for d in dec.isolated}
         if not prev_trace <= trace:
             raise NonMonotoneTraceError(

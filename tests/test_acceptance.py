@@ -20,7 +20,6 @@ from cantorproj import (
     Rect,
     RectUnion,
     all_words,
-    distance,
     falsify_restriction,
     image_member,
     image_trace,
@@ -52,6 +51,7 @@ from cantorproj.suites import (
     clopen_antichains,
     mutate_witness,
 )
+from cantorproj.words import distance
 
 SEED = 20250823
 RECT_SUITE_SHA256 = "ac121d694db113a25d6dd6084edb8ed4f9220bbf1cfe33f003142875b2eac627"

@@ -11,19 +11,23 @@ from cantorproj import (
     Family,
     PieceError,
     all_words,
-    closure_split,
     decompose,
-    decomposition_member,
     image_member,
     lc2_certificate,
     lc2_valid,
     parse_rect_union,
-    piece_member,
     project_union,
     repr_point,
     resolvable_probe,
 )
-from cantorproj.certify import CertificationError, _certify_decomposition, certificate_points
+from cantorproj.certify import (
+    CertificationError,
+    _certify_decomposition,
+    certificate_points,
+    closure_split,
+    decomposition_member,
+)
+from cantorproj.images import piece_member
 
 WHOLE = ClopenSet(("",))
 
@@ -60,8 +64,8 @@ class TestDecompose:
     def test_whole_square_trivial(self, fam):
         dec = decompose(fam, img_of(fam, "ε x ε"))
         assert dec.isolated == ()
-        assert len(dec.open_pieces) == 1
-        assert dec.open_pieces[0].removals == ()
+        assert len(dec.open_part.pieces) == 1
+        assert dec.open_part.pieces[0].removals == ()
 
     def test_single_isolated_limit(self, fam):
         x1 = fam.dense_pair(1).x
@@ -87,7 +91,7 @@ class TestDecompose:
         dec = decompose(fam, img)
         for iso in dec.isolated:
             assert not any(
-                piece_member(fam, piece, iso.point) for piece in dec.open_pieces
+                piece_member(fam, piece, iso.point) for piece in dec.open_part.pieces
             )
             assert decomposition_member(fam, dec, iso.point)
 
@@ -118,7 +122,7 @@ class TestDecompose:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda img, dec, a, b: dataclasses.replace(dec, open_pieces=img.pieces),
+            (lambda img, dec, a, b: dataclasses.replace(dec, open_part=img),
              "isolated point of sequence 0 is in the open part"),
             (lambda img, dec, a, b: _first_separator(dec, b.separator),
              "separator misses its own point (0)"),

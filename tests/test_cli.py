@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cantorproj.cli import build_parser, main
+from cantorproj.witness import witness_dumps, witness_from_dict
 
 ALL_KNOB_FLAGS = {"--depth", "--n-max", "--i-max", "--truncation", "--budget", "--seed"}
 COMMAND_FLAGS = {
@@ -110,6 +111,17 @@ class TestFalsifyVerify:
         code, out, _ = run(capsys, "verify", str(cert_file))
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_out_file_is_witness_dumps(self, tmp_path, capsys):
+        # The file holds the codec's own bytes: the certificate read back
+        # from it dumps to the same text.
+        cert_file = tmp_path / "w.json"
+        code, _, _ = run(
+            capsys, "falsify", "2 x 0", "--samples", "3", "--out", str(cert_file)
+        )
+        assert code == 0
+        raw = cert_file.read_text(encoding="utf-8")
+        assert raw == witness_dumps(witness_from_dict(json.loads(raw)))
 
     def test_verify_only(self, capsys):
         code, out, _ = run(capsys, "falsify", "0 x 0", "--samples", "3", "--verify-only")

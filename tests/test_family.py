@@ -12,20 +12,24 @@ from cantorproj import (
     Family,
     FamilyError,
     all_words,
-    approximant_depth,
-    ceil_log3,
-    diag_pair,
-    distance,
-    flip,
     image_trace,
-    lenlex_word,
     parse_rect_union,
     project_union,
     repr_point,
 )
 from cantorproj.cli import main as cli_main
-from cantorproj.family import approximant_tag, dense_digits, dense_key, stable_index
-from cantorproj.oracle import decode_tag, first_fit_bases, scanned_dense_pairs
+from cantorproj.family import (
+    approximant_depth,
+    approximant_tag,
+    ceil_log3,
+    dense_digits,
+    dense_key,
+    diag_pair,
+    lenlex_word,
+    stable_index,
+)
+from cantorproj.oracle import decode_tag, first_fit_bases, removed_fibers, scanned_dense_pairs
+from cantorproj.words import distance, flip
 
 COMMON = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -410,11 +414,12 @@ class TestPuncturedSpace:
             assert fam.in_x(x, fam.fiber_witness(x))
 
     def test_removed_fibers_diag_order(self, fam):
-        fibers = fam.removed_fibers(10)
-        assert [(f.n, f.i) for f in fibers] == [diag_pair(t) for t in range(10)]
-        for f in fibers:
-            assert f.point == fam.approximant(f.n, f.i).point
-            assert f.base == fam.base_word(f.n)
+        fibers = removed_fibers(fam, 10)
+        assert len(fibers) == 10
+        for t, (point, base) in enumerate(fibers):
+            n, i = diag_pair(t)
+            assert fam.recognize(point) == (n, i)
+            assert base == fam.base_word(n)
 
 
 class TestExport:

@@ -10,18 +10,20 @@ from cantorproj import (
     PieceError,
     Rect,
     RectUnion,
-    TailSet,
-    adjust_open,
     image_member,
     image_trace,
-    parse_rect,
     parse_rect_union,
-    piece_member,
-    project_rect,
     project_union,
     repr_point,
 )
-from cantorproj.images import fin_indices
+from cantorproj.images import (
+    TailSet,
+    adjust_open,
+    fin_indices,
+    parse_rect,
+    piece_member,
+    project_rect,
+)
 from cantorproj.oracle import project_rect_truncated, truncated_member
 from cantorproj.family import diag_pair
 

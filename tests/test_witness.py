@@ -16,6 +16,7 @@ from cantorproj import (
     RectUnion,
     SearchBudgetExceeded,
     falsify_restriction,
+    family,
     parse_point,
     parse_rect_union,
     piecewise_open_check,
@@ -161,6 +162,14 @@ class TestSerialization:
     def test_envelope_rejects_foreign_scheme(self, fam):
         doc = witness_to_dict(cert_for(fam, "0 x 2"))
         doc["scheme_params"]["dense_tail_cycle"] = "02"
+        with pytest.raises(CertificateFormatError):
+            witness_from_dict(doc)
+
+    def test_envelope_follows_the_depth_rule(self, fam, monkeypatch):
+        # The pin is read from the generator's constants, so a certificate
+        # written under another depth rule no longer matches it.
+        doc = witness_to_dict(cert_for(fam, "0 x 2"))
+        monkeypatch.setattr(family, "DEPTH_OFFSET", family.DEPTH_OFFSET + 1)
         with pytest.raises(CertificateFormatError):
             witness_from_dict(doc)
 

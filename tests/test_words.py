@@ -9,18 +9,20 @@ from cantorproj import (
     CantorPoint,
     ClopenSet,
     WordError,
-    ZERO_POINT,
     all_words,
-    cantor_stage,
-    cylinder_interval,
-    distance,
     parse_clopen,
     parse_point,
     repr_point,
-    separation_depth,
 )
 from cantorproj.oracle import normal_point, scan_member
-from cantorproj.words import flip
+from cantorproj.words import (
+    ZERO_POINT,
+    cantor_stage,
+    cylinder_interval,
+    distance,
+    flip,
+    separation_depth,
+)
 
 words_st = st.text(alphabet="02", max_size=8)
 cycles_st = st.text(alphabet="02", min_size=1, max_size=4)
