@@ -10,38 +10,33 @@ to a closed piece with interior is never an open map onto its image.
 from .words import (
     CantorPoint,
     ClopenSet,
+    PieceError,
+    Rect,
+    RectUnion,
     WordError,
     all_words,
     parse_clopen,
     parse_point,
+    parse_rect_union,
     repr_point,
 )
 from .family import Family, FamilyError
-from .images import (
-    ImageSet,
-    PieceError,
-    Rect,
-    RectUnion,
-    image_member,
-    image_trace,
-    parse_rect_union,
-    project_union,
-)
+from .images import ImageSet, image_member, image_trace, project_union
 from .certify import (
     CertificationError,
+    NonMonotoneTraceError,
     decompose,
     lc2_certificate,
     lc2_valid,
+    piecewise_open_check,
     resolvable_probe,
+    scattered_check,
+    stabilization_probe,
 )
 from .witness import (
-    NonMonotoneTraceError,
     SearchBudgetExceeded,
     WitnessCertificate,
     falsify_restriction,
-    piecewise_open_check,
-    scattered_check,
-    stabilization_probe,
     verify_witness,
     witness_from_dict,
     witness_to_dict,

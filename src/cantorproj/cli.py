@@ -27,13 +27,7 @@ import sys
 
 from .certify import CertificationError, decompose
 from .family import Family, FamilyError
-from .images import (
-    PieceError,
-    RectUnion,
-    image_trace,
-    parse_rect_union,
-    project_union,
-)
+from .images import image_trace, project_union
 from .schema import CertificateFormatError
 from .suites import FAULTS, RunConfig, run_all
 from .witness import (
@@ -43,7 +37,7 @@ from .witness import (
     witness_dumps,
     witness_from_dict,
 )
-from .words import WordError
+from .words import PieceError, RectUnion, WordError, parse_rect_union
 
 ENV_PREFIX = "CANTORPROJ_"
 INT_KNOBS = ("depth", "n_max", "i_max", "truncation", "budget", "seed")

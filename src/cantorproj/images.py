@@ -14,64 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .family import Family, stable_index
-from .words import CantorPoint, ClopenSet, all_words, parse_clopen, repr_point
-
-
-class PieceError(ValueError):
-    """Empty factor or a rectangle escaping its piece."""
-
-
-@dataclass(frozen=True)
-class Rect:
-    """A clopen rectangle: first factor x_set, second factor y_set."""
-
-    x_set: ClopenSet
-    y_set: ClopenSet
-
-    def is_empty(self) -> bool:
-        return self.x_set.is_empty() or self.y_set.is_empty()
-
-    def __str__(self) -> str:
-        return f"{self.x_set}x{self.y_set}"
-
-    def as_dict(self) -> dict:
-        return {"x": list(self.x_set.words), "y": list(self.y_set.words)}
-
-
-@dataclass(frozen=True)
-class RectUnion:
-    """A finite union of clopen rectangles; empty rectangles are dropped."""
-
-    rects: tuple[Rect, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rects", tuple(r for r in self.rects if not r.is_empty())
-        )
-
-    def covers(self, x: CantorPoint, y: CantorPoint) -> bool:
-        return any(r.x_set.member(x) and r.y_set.member(y) for r in self.rects)
-
-    def __str__(self) -> str:
-        return ";".join(str(r) for r in self.rects)
-
-    def as_dict(self) -> list:
-        return [r.as_dict() for r in self.rects]
-
-
-def parse_rect(text: str) -> Rect:
-    """Parse ``WxV`` with comma-joined cylinder words, ``ε`` for the root."""
-    body = text.replace("×", "x")
-    left, sep, right = body.partition("x")
-    if not sep:
-        raise PieceError(f"not a rectangle literal: {text!r}")
-    return Rect(parse_clopen(left), parse_clopen(right))
-
-
-def parse_rect_union(text: str) -> RectUnion:
-    if not text.strip():
-        raise PieceError("empty rectangle union literal")
-    return RectUnion(tuple(parse_rect(chunk) for chunk in text.split(";")))
+from .words import CantorPoint, ClopenSet, PieceError, RectUnion, all_words, repr_point
 
 
 @dataclass(frozen=True)
@@ -231,6 +174,23 @@ def image_trace(fam: Family, img: ImageSet, depth: int) -> tuple[str, ...]:
 def removal_sequences(img: ImageSet) -> tuple[int, ...]:
     """Sequences with a removal record in some piece, in increasing order."""
     return tuple(sorted({ts.seq for p in img.pieces for ts in p.removals}))
+
+
+def settled_index(img: ImageSet, n: int, depth: int) -> int:
+    """An index from which membership of ``approximant(n, i)`` is constant.
+
+    From ``stable_index`` of the deepest hull (and of ``depth``) on, the
+    approximants lie in exactly the hulls that hold the limit, and past every
+    tail start and sporadic index each piece removes all of them or none.
+    """
+    depth = max([depth] + [p.hull.depth() for p in img.pieces])
+    return max(
+        [stable_index(n, depth)]
+        + [ts.start for p in img.pieces for ts in p.removals
+           if ts.seq == n and ts.start is not None]
+        + [i + 1 for p in img.pieces for ts in p.removals
+           if ts.seq == n for i in ts.extras]
+    )
 
 
 def adjust_open(fam: Family, piece: ImagePiece) -> ImagePiece:

@@ -18,8 +18,7 @@ from .family import (
     lenlex_nonempty,
     lenlex_word,
 )
-from .images import RectUnion
-from .words import CantorPoint, ClopenSet, all_words, flip, repr_point
+from .words import CantorPoint, ClopenSet, RectUnion, all_words, flip, repr_point
 
 
 def removed_fibers(fam: Family, count: int) -> list[tuple[CantorPoint, str]]:

@@ -31,12 +31,15 @@ from .certify import (
     resolvable_probe,
 )
 from .family import Family
-from .images import Rect, RectUnion, image_member, image_trace, project_union
+from .images import image_member, image_trace, project_union
 from .oracle import brute_rect_trace
 from .witness import WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
+    WHOLE_SPACE,
     CantorPoint,
     ClopenSet,
+    Rect,
+    RectUnion,
     all_words,
     cantor_stage,
     cylinder_interval,
@@ -56,13 +59,6 @@ class RunConfig:
     seed: int = 0
     suite_size: int = 60
     probes: int = 120
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: dict
 
 
 FAULTS = ("approximant-digit",)
@@ -154,7 +150,6 @@ def _suite_normal_form(fam, cfg, rng):
 
 
 def _suite_boolean_laws(fam, cfg, rng):
-    whole = ClopenSet(("",))
     empty = ClopenSet(())
     for _ in range(120):
         a = _random_clopen(rng, cfg.depth)
@@ -164,7 +159,7 @@ def _suite_boolean_laws(fam, cfg, rng):
             "de_morgan": a.union(b).complement() == a.complement().intersect(b.complement()),
             "double_complement": a.complement().complement() == a,
             "distribute": a.intersect(b.union(c)) == a.intersect(b).union(a.intersect(c)),
-            "partition": a.union(a.complement()) == whole
+            "partition": a.union(a.complement()) == WHOLE_SPACE
             and a.intersect(a.complement()) == empty,
             "subset_minus": a.subset(b) == a.minus(b).is_empty(),
             "absorb": a.union(a.intersect(b)) == a,
@@ -331,7 +326,7 @@ def _suite_resolvability(fam, cfg, rng):
 
 def _suite_witness(fam, cfg, rng):
     rects = [
-        Rect(ClopenSet(("",)), ClopenSet(("",))),
+        Rect(WHOLE_SPACE, WHOLE_SPACE),
         Rect(ClopenSet(("0",)), ClopenSet(("0",))),
         Rect(ClopenSet(("2",)), ClopenSet(("0",))),
         Rect(ClopenSet(("00",)), ClopenSet(("20",))),
@@ -399,7 +394,7 @@ def mutate_witness(fam: Family, cert: WitnessCertificate, kind: str) -> WitnessC
 
 def _suite_witness_mutations(fam, cfg, rng):
     for rect in (
-        Rect(ClopenSet(("",)), ClopenSet(("",))),
+        Rect(WHOLE_SPACE, WHOLE_SPACE),
         Rect(ClopenSet(("2",)), ClopenSet(("0",))),
     ):
         cert = falsify_restriction(fam, RectUnion(()), rect, budget=cfg.budget, samples=10)
@@ -448,7 +443,7 @@ def _tally(outcomes: Generator) -> tuple[bool, dict]:
             failures.append(outcome)
 
 
-def run_suite(name: str, fam: Family, cfg: RunConfig) -> SuiteResult:
+def run_suite(name: str, fam: Family, cfg: RunConfig) -> dict:
     table = dict(SUITES)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}")
@@ -457,7 +452,7 @@ def run_suite(name: str, fam: Family, cfg: RunConfig) -> SuiteResult:
         passed, detail = _tally(table[name](fam, cfg, rng))
     except Exception as err:  # a crashed suite is a failed suite, not a crash
         passed, detail = False, {"error": f"{type(err).__name__}: {err}"}
-    return SuiteResult(name=name, passed=passed, detail=detail)
+    return {"name": name, "passed": passed, "detail": detail}
 
 
 def run_all(cfg: RunConfig, fault: str | None = None) -> dict:
@@ -466,8 +461,6 @@ def run_all(cfg: RunConfig, fault: str | None = None) -> dict:
     return {
         "config": asdict(cfg),
         "fault": fault,
-        "suites": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "all_pass": all(r.passed for r in results),
+        "suites": results,
+        "all_pass": all(r["passed"] for r in results),
     }

@@ -5,6 +5,8 @@ Points of the set are infinite words over the digit alphabet {0, 2}; the word
 implements the eventually periodic points, cylinders and finite unions of
 cylinders in a canonical antichain normal form, and exact interval metrics
 over `fractions.Fraction`.  No floating point is used anywhere in the package.
+Clopen rectangles and their finite unions close the module, so the verifier
+kernel reads certificates without the projection code.
 """
 
 from __future__ import annotations
@@ -331,3 +333,60 @@ def parse_clopen(text: str) -> ClopenSet:
         _check_digits(chunk)
         words.append(chunk)
     return ClopenSet(tuple(words))
+
+
+class PieceError(ValueError):
+    """Empty factor or a rectangle escaping its piece."""
+
+
+@dataclass(frozen=True)
+class Rect:
+    """A clopen rectangle: first factor x_set, second factor y_set."""
+
+    x_set: ClopenSet
+    y_set: ClopenSet
+
+    def is_empty(self) -> bool:
+        return self.x_set.is_empty() or self.y_set.is_empty()
+
+    def __str__(self) -> str:
+        return f"{self.x_set}x{self.y_set}"
+
+    def as_dict(self) -> dict:
+        return {"x": list(self.x_set.words), "y": list(self.y_set.words)}
+
+
+@dataclass(frozen=True)
+class RectUnion:
+    """A finite union of clopen rectangles; empty rectangles are dropped."""
+
+    rects: tuple[Rect, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "rects", tuple(r for r in self.rects if not r.is_empty())
+        )
+
+    def covers(self, x: CantorPoint, y: CantorPoint) -> bool:
+        return any(r.x_set.member(x) and r.y_set.member(y) for r in self.rects)
+
+    def __str__(self) -> str:
+        return ";".join(str(r) for r in self.rects)
+
+    def as_dict(self) -> list:
+        return [r.as_dict() for r in self.rects]
+
+
+def parse_rect(text: str) -> Rect:
+    """Parse ``WxV`` with comma-joined cylinder words, ``ε`` for the root."""
+    body = text.replace("×", "x")
+    left, sep, right = body.partition("x")
+    if not sep:
+        raise PieceError(f"not a rectangle literal: {text!r}")
+    return Rect(parse_clopen(left), parse_clopen(right))
+
+
+def parse_rect_union(text: str) -> RectUnion:
+    if not text.strip():
+        raise PieceError("empty rectangle union literal")
+    return RectUnion(tuple(parse_rect(chunk) for chunk in text.split(";")))

@@ -1,5 +1,7 @@
 """Exact projection images of rectangles and their removal bookkeeping."""
 
+import random
+
 import pytest
 
 from cantorproj import (
@@ -10,6 +12,7 @@ from cantorproj import (
     PieceError,
     Rect,
     RectUnion,
+    decompose,
     image_member,
     image_trace,
     parse_rect_union,
@@ -17,14 +20,18 @@ from cantorproj import (
     repr_point,
 )
 from cantorproj.images import (
+    ImagePiece,
     TailSet,
     adjust_open,
     fin_indices,
-    parse_rect,
     piece_member,
     project_rect,
+    removal_sequences,
+    settled_index,
 )
 from cantorproj.oracle import project_rect_truncated, truncated_member
+from cantorproj.suites import _random_rect_union
+from cantorproj.words import parse_rect
 from cantorproj.family import diag_pair
 
 WHOLE = ClopenSet(("",))
@@ -198,6 +205,33 @@ class TestTailSets:
     def test_finite_only(self):
         t = TailSet(1, None, frozenset({3}))
         assert t.covers_index(3) and not t.covers_index(4)
+
+
+class TestSettledIndex:
+    def test_membership_is_constant_from_it(self, fam):
+        rng = random.Random(11)
+        for _ in range(200):
+            union = _random_rect_union(rng, 3)
+            img = project_union(fam, union)
+            isolated = {d.seq for d in decompose(fam, img).isolated}
+            for n in removal_sequences(img):
+                start = settled_index(img, n, 0)
+                seen = {
+                    image_member(fam, img, fam.approximant(n, i).point)
+                    for i in range(start, start + 6)
+                }
+                assert len(seen) == 1, (str(union), n)
+                if n in isolated:
+                    assert seen == {False}, (str(union), n)
+
+    def test_reads_tail_starts_and_sporadic_indices(self, fam):
+        # Projected images never need these two terms (their removals
+        # settle by the hull depth); hand-built descriptions do.
+        for ts, settled in ((TailSet(3, 10), 10), (TailSet(3, None, frozenset({7})), 8)):
+            img = ImageSet((ImagePiece(WHOLE, (ts,)),))
+            assert settled_index(img, 3, 0) == settled
+            before = image_member(fam, img, fam.approximant(3, settled - 1).point)
+            assert before != image_member(fam, img, fam.approximant(3, settled).point)
 
 
 class TestAdjustOpen:

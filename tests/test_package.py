@@ -1,5 +1,6 @@
-"""The names the package root exports."""
+"""The names the package root exports, and the package's import graph."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import cantorproj
 from cantorproj import certify, family, oracle, schema, suites, words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(cantorproj.__file__).resolve().parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 # Module-level copies of ClopenSet and CantorPoint methods, and a wrapper
 # around a base word: each concept has one path, so none of these exists.
@@ -55,3 +58,60 @@ def test_single_use_helpers_are_gone():
     assert not hasattr(oracle, "in_x_truncated")
     assert not hasattr(certify, "_open_member")
     assert schema.scheme_params is family.scheme_params
+
+
+def _imports(module: str) -> list[ast.Import | ast.ImportFrom]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _package_imports(module: str) -> dict[str, list[str]]:
+    """The sibling modules one module imports, each with the names it takes."""
+    out: dict[str, list[str]] = {}
+    for node in _imports(module):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    return out
+
+
+def _closure(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_package_imports(name))
+    return seen
+
+
+def test_package_imports_are_relative():
+    # The graph reads relative imports only, so an absolute import of the
+    # package would be an edge it cannot see.
+    absolute = []
+    for module in MODULES:
+        for node in _imports(module):
+            if isinstance(node, ast.Import):
+                absolute += [(module, alias.name) for alias in node.names]
+            elif node.level == 0:
+                absolute.append((module, node.module))
+    assert [pair for pair in absolute if pair[1].split(".")[0] == "cantorproj"] == []
+
+
+def test_names_are_imported_from_their_owner():
+    # One import path per name: no module takes a name from a sibling that
+    # itself imported it.
+    for module in MODULES:
+        for source, names in _package_imports(module).items():
+            assert source in MODULES, (module, source)
+            borrowed = {n for taken in _package_imports(source).values() for n in taken}
+            assert borrowed.isdisjoint(names), (module, source, borrowed & set(names))
+
+
+def test_verifier_kernel_trusts_words_family_schema_only():
+    # verify's verdict rests on these modules alone, never on projection
+    # or certification code.
+    assert _closure("witness") == {"words", "family", "schema", "witness"}
+
+
+def test_oracle_imports_no_exact_machinery():
+    assert _closure("oracle") == {"words", "family", "oracle"}

@@ -50,8 +50,8 @@ def test_report_shape_and_determinism():
 
 def test_single_suite_run(fam):
     result = run_suite("core-diam-law", fam, RunConfig())
-    assert result.passed
-    assert result.detail["checks"] > 0
+    assert result["passed"]
+    assert result["detail"]["checks"] > 0
 
 
 def test_unknown_suite_rejected(fam):
@@ -93,13 +93,13 @@ def _crashing_suite(fam, cfg, rng):
 def test_run_suite_owns_the_report(fam, monkeypatch):
     monkeypatch.setattr(suites, "SUITES", [("fake", _fake_suite), ("crash", _crashing_suite)])
     result = run_suite("fake", fam, RunConfig())
-    assert result.passed is False
-    assert result.detail == {
+    assert result["passed"] is False
+    assert result["detail"] == {
         "checks": 11,
         "failures": [{"k": 1}, {"k": 2}, {"k": 4}, {"k": 5}, {"k": 7}],
         "steps": 3,
     }
     crashed = run_suite("crash", fam, RunConfig())
-    assert crashed.passed is False
-    assert crashed.detail == {"error": "ArithmeticError: boom"}
+    assert crashed["passed"] is False
+    assert crashed["detail"] == {"error": "ArithmeticError: boom"}
 

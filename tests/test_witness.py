@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorproj import (
     ClopenSet,
+    NonMonotoneTraceError,
     PieceError,
     Rect,
     RectUnion,
@@ -29,7 +30,6 @@ from cantorproj import (
 from cantorproj.cli import main as cli_main
 from cantorproj.schema import CertificateFormatError
 from cantorproj.suites import WITNESS_MUTATIONS, mutate_witness
-from cantorproj.witness import NonMonotoneTraceError
 
 WHOLE = ClopenSet(("",))
 TRIVIAL = RectUnion(())
