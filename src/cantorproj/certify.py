@@ -203,8 +203,7 @@ def lc2_valid(
     probes += [repr_point(w) for w in all_words(probe_depth)]
     probes += list(extra_points)
     for p in probes:
-        in_l2 = p in cert.points and cert.cover.member(p)
-        got = image_member(fam, cert.open_part, p) or in_l2
+        got = image_member(fam, cert.open_part, p) or p in cert.points
         if got != image_member(fam, img, p):
             return False
     return True

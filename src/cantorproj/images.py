@@ -161,7 +161,10 @@ def piece_member(fam: Family, piece: ImagePiece, p: CantorPoint) -> bool:
 
 
 def image_member(fam: Family, img: ImageSet, p: CantorPoint) -> bool:
-    return any(piece_member(fam, piece, p) for piece in img.pieces)
+    for piece in img.pieces:
+        if piece_member(fam, piece, p):
+            return True
+    return False
 
 
 def image_trace(fam: Family, img: ImageSet, depth: int) -> tuple[str, ...]:

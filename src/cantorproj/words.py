@@ -183,38 +183,21 @@ def repr_point(word: str) -> CantorPoint:
     return CantorPoint(word, "0")
 
 
-def _is_normal(words: tuple[str, ...]) -> bool:
-    # In sorted order a word's extensions, and its sibling when no extension
-    # is present, sit right after it, so adjacent pairs decide the form.
-    for a, b in zip(words, words[1:]):
-        if b <= a or b.startswith(a) or (len(a) == len(b) and a[:-1] == b[:-1]):
-            return False
-    return True
-
-
 def _normalize_words(words) -> tuple[str, ...]:
-    # Antichain: drop words with a proper prefix present, then merge sibling
-    # pairs (w0, w2) -> w to a fixpoint.  The result is a canonical form.
-    words = tuple(words)
-    if _is_normal(words):
-        return words
-    ordered = sorted(set(words), key=len)
-    kept: set[str] = set()
-    for w in ordered:
-        if not any(w[:k] in kept for k in range(len(w))):
-            kept.add(w)
-    stack = list(kept)
-    while stack:
-        w = stack.pop()
-        if not w or w not in kept:
+    # One pass over the sorted words keeps ``out`` a sorted antichain with no
+    # sibling pair.  A kept word's extensions sort directly after it, so only
+    # ``out[-1]`` can prefix the next word; a merged sibling pair leaves their
+    # parent, which can pair only with the new ``out[-1]``, since a parent
+    # cannot extend, or sit below, any word kept before its ``0`` child.  So
+    # one pass is complete, and the result is the canonical form.
+    out: list[str] = []
+    for w in sorted(words):
+        if out and w.startswith(out[-1]):
             continue
-        sibling = w[:-1] + flip(w[-1])
-        if sibling in kept:
-            kept.discard(w)
-            kept.discard(sibling)
-            kept.add(w[:-1])
-            stack.append(w[:-1])
-    return tuple(sorted(kept))
+        while out and len(out[-1]) == len(w) and out[-1][:-1] == w[:-1]:
+            w = out.pop()[:-1]
+        out.append(w)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -223,10 +206,10 @@ class ClopenSet:
 
     The normal form is canonical: two instances denote the same set of points
     iff they are equal as values.  The empty tuple denotes the empty set and
-    ``("",)`` the whole space.  Construction first makes one linear pass over
-    adjacent words; a tuple that is already sorted, prefix-free and free of
-    sibling pairs (as every ``intersect`` and ``complement`` result is) is
-    kept as given, and only other inputs pay for the full normalisation.
+    ``("",)`` the whole space.  Construction makes one pass over the sorted
+    words, dropping extensions and merging sibling pairs; the sort is linear
+    on a normal input (every ``intersect`` and ``complement`` result) and
+    merges the two sorted runs that ``union`` concatenates.
     """
 
     words: tuple[str, ...] = ()
@@ -330,7 +313,6 @@ def parse_clopen(text: str) -> ClopenSet:
         chunk = chunk.strip()
         if chunk == "ε":
             chunk = ""
-        _check_digits(chunk)
         words.append(chunk)
     return ClopenSet(tuple(words))
 

@@ -51,12 +51,13 @@ def test_single_use_helpers_are_gone():
     assert not hasattr(suites, "small_clopens")
     assert not hasattr(schema, "CERTIFICATE_KINDS")
     assert not hasattr(suites.RunConfig, "as_dict")
-    # The oracle owns the removed columns, image_member the open-part test
-    # and family the scheme pin.
+    # The oracle owns the removed columns, image_member the open-part test,
+    # family the scheme pin and _normalize_words the whole normal form.
     assert not hasattr(family, "Fiber")
     assert not hasattr(family.Family, "removed_fibers")
     assert not hasattr(oracle, "in_x_truncated")
     assert not hasattr(certify, "_open_member")
+    assert not hasattr(words, "_is_normal")
     assert schema.scheme_params is family.scheme_params
 
 

@@ -287,11 +287,13 @@ class TestClopenAlgebra:
             clopen_st.map(lambda c: list(c.words) + [w + "0" for w in c.words]),
             clopen_st.map(lambda c: [w + d for w in c.words for d in "02"]),
             clopen_st.map(lambda c: [w for w in c.words for _ in "02"]),
+            st.tuples(clopen_st, clopen_st).map(lambda ab: list(ab[0].words + ab[1].words)),
         )
     )
     def test_normal_form_property(self, ws):
         # Inputs: arbitrary lists, normal forms, normal forms plus
-        # extensions, and sorted lists made of sibling pairs or duplicates.
+        # extensions, sorted lists made of sibling pairs or duplicates, and
+        # two normal forms concatenated, as ``union`` passes them.
         out = ClopenSet(tuple(ws)).words
         assert list(out) == sorted(set(out))
         assert not any(b.startswith(a) for a in out for b in out if a != b)
@@ -306,7 +308,7 @@ class TestClopenAlgebra:
 
     def test_normal_tuple_kept_as_given(self):
         words = ("00", "020", "2")
-        assert ClopenSet(words).words is words
+        assert ClopenSet(words).words == words
         assert ClopenSet(("2", "00", "020")).words == words
 
     def test_parse_clopen(self):
