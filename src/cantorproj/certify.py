@@ -108,7 +108,7 @@ def _missing_in(fam: Family, img: ImageSet, n: int, separator: str) -> int:
     # For an isolated n the approximant at the settled index is off the image.
     start = stable_index(n, len(separator))
     for i in range(start, settled_index(img, n, len(separator)) + 1):
-        q = fam.approximant(n, i).point
+        q = fam.approximant(n, i)
         if q.starts_with(separator) and not image_member(fam, img, q):
             return i
     raise CertificationError(f"no missing approximant found for sequence {n}")
@@ -158,7 +158,7 @@ def certificate_points(fam: Family, img: ImageSet) -> list[CantorPoint]:
             else:
                 probes.add(max(ts.extras, default=0) + 1)
             for i in sorted(probes):
-                out.append(fam.approximant(ts.seq, i).point)
+                out.append(fam.approximant(ts.seq, i))
     return out
 
 
@@ -173,7 +173,7 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition) -> No
                 raise CertificationError(
                     f"separator of {d.seq} also contains the point of {other.seq}"
                 )
-        missing = fam.approximant(d.seq, d.missing_index).point
+        missing = fam.approximant(d.seq, d.missing_index)
         if not missing.starts_with(d.separator) or image_member(fam, img, missing):
             raise CertificationError(f"missing-approximant witness broken for {d.seq}")
     for p in certificate_points(fam, img):
@@ -203,7 +203,7 @@ def lc2_valid(
     probes += [repr_point(w) for w in all_words(probe_depth)]
     probes += list(extra_points)
     for p in probes:
-        got = image_member(fam, cert.open_part, p) or p in cert.points
+        got = p in cert.points or image_member(fam, cert.open_part, p)
         if got != image_member(fam, img, p):
             return False
     return True
@@ -237,7 +237,7 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
         x = fam.dense_pair(n).x
         stab = settled_index(img, n, f.depth())
         for i in range(stab):
-            q = fam.approximant(n, i).point
+            q = fam.approximant(n, i)
             if f.member(q) and covered.member(q) and not image_member(fam, img, q):
                 points.append(q)
         if f.member(x) and _tail_isolated(fam, img, n):
@@ -385,7 +385,7 @@ def _piece_evidence(
     for i in range(samples + 30):
         if len(out) >= samples:
             break
-        q = fam.approximant(seq, i).point
+        q = fam.approximant(seq, i)
         if image_member(fam, img, q):
             continue
         blocked = base

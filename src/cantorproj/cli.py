@@ -8,7 +8,8 @@ Subcommands::
     verify      recheck a witness certificate produced elsewhere
     check       run the named self-check suites
 
-Exit codes: 0 success, 1 a verification or suite failed, 2 usage error,
+Exit codes: 0 success, 1 a verification or suite failed, 2 usage error or
+unreadable input (an unusable path, a certificate that does not parse),
 3 search budget exhausted.  A command takes only the integer knobs it reads:
 ``construct`` takes ``--n-max`` and ``--i-max``, ``image`` ``--depth``,
 ``falsify`` ``--budget``, ``check`` all six and ``verify`` none.  Defaults
@@ -180,12 +181,16 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     samples = _samples(args)
     fam = Family()
-    if args.file == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    cert = witness_from_dict(json.loads(raw))
+    try:
+        if args.file == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        doc = json.loads(raw)
+    except (UnicodeDecodeError, RecursionError) as err:
+        raise CertificateFormatError(f"unreadable certificate: {err}") from err
+    cert = witness_from_dict(doc)
     if samples is None:
         samples = len(cert.missing)
     ok, clause = verify_witness(fam, cert, samples=samples)
@@ -269,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         FamilyError,
         CertificateFormatError,
         json.JSONDecodeError,
-        FileNotFoundError,
+        OSError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -26,9 +26,6 @@ DENSE_CYCLE = "20"
 # the distance bound strictly below 1/(n+1) even when n+1 is a power of 3.
 DEPTH_OFFSET = 2
 
-# Memo lookup default telling "never decoded" apart from a cached None.
-_UNSEEN = object()
-
 
 class FamilyError(ValueError):
     """Invalid index or word for the generated family."""
@@ -152,16 +149,6 @@ class DensePair:
         return CantorPoint(word + "0" * k, DENSE_CYCLE)
 
 
-@dataclass(frozen=True)
-class Approximant:
-    """The i-th approximant of the x-coordinate of dense pair n."""
-
-    n: int
-    i: int
-    point: CantorPoint
-    depth: int
-
-
 class Family:
     """Append-only memo of the generated family.
 
@@ -180,6 +167,9 @@ class Family:
     indices, in increasing order), built lazily and extended pair by pair
     only as far as a lookup needs, so no lookup rescans from index 0.
 
+    Approximants are memoised by their indices, and recognition keeps the
+    inverse map on the approximants it has decoded, and nothing else.
+
     Deterministic: two instances always produce identical output.  The memo
     is not thread safe; give each thread its own instance.
     """
@@ -191,8 +181,8 @@ class Family:
         self._y_taken: dict[str, set[int]] = {}
         self._x_pad: dict[str, int] = {}
         self._y_pad: dict[str, int] = {}
-        self._approx: dict[tuple[int, int], Approximant] = {}
-        self._recog: dict[CantorPoint, tuple[int, int] | None] = {}
+        self._approx: dict[tuple[int, int], CantorPoint] = {}
+        self._recog: dict[CantorPoint, tuple[int, int]] = {}
         self._idx2word: dict[int, str] = {}
         self._word2idx: dict[str, int] = {}
         self._enum_step = 0
@@ -241,7 +231,8 @@ class Family:
 
     # -- approximants -----------------------------------------------------
 
-    def approximant(self, n: int, i: int) -> Approximant:
+    def approximant(self, n: int, i: int) -> CantorPoint:
+        """The i-th approximant of the x-coordinate of dense pair n."""
         key = (n, i)
         found = self._approx.get(key)
         if found is None:
@@ -250,8 +241,7 @@ class Family:
             x = self.dense_pair(n).x
             d = approximant_depth(n, i)
             word = x.digits(d) + flip(x.digit(d)) + approximant_tag(n, i)
-            found = Approximant(n, i, CantorPoint(word, "0"), d)
-            self._approx[key] = found
+            found = self._approx[key] = CantorPoint(word, "0")
         return found
 
     def recognize(self, p: CantorPoint) -> tuple[int, int] | None:
@@ -261,14 +251,17 @@ class Family:
         sequence n; any corruption of the tag yields ``None``.  The tag shape
         is tested before the memo: approximants end in zeros, which in
         normal form means cycle ``"0"``, and their tag ends in ``"22"``, so
-        any other point is answered at once.  The memo holds only points of
-        that shape, about half of the representative points of a trace.
+        any other point is answered at once.  Points of that shape are
+        decoded, and the memo keeps only those that decode to an
+        approximant, so it maps each point seen back to its indices.
         """
         if p.cycle != "0" or not p.prefix.endswith("22"):
             return None
-        hit = self._recog.get(p, _UNSEEN)
-        if hit is _UNSEEN:
-            hit = self._recog[p] = self._decode(p)
+        hit = self._recog.get(p)
+        if hit is None:
+            hit = self._decode(p)
+            if hit is not None:
+                self._recog[p] = hit
         return hit
 
     def _decode(self, p: CantorPoint) -> tuple[int, int] | None:
@@ -400,8 +393,8 @@ class Family:
             {
                 "n": n,
                 "i": i,
-                "point": str(self.approximant(n, i).point),
-                "D": self.approximant(n, i).depth,
+                "point": str(self.approximant(n, i)),
+                "D": approximant_depth(n, i),
             }
             for n in range(n_max)
             for i in range(i_max)

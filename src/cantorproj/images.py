@@ -134,7 +134,7 @@ def project_rect(fam: Family, x_set: ClopenSet, y_set: ClopenSet) -> ImagePiece:
         # full depth of the hull, so membership stabilizes.
         start_min = stable_index(n, depth)
         extras = frozenset(
-            i for i in range(start_min) if x_set.member(fam.approximant(n, i).point)
+            i for i in range(start_min) if x_set.member(fam.approximant(n, i))
         )
         if x_set.member(fam.dense_pair(n).x):
             removals.append(TailSet(n, start_min, extras))

@@ -30,7 +30,7 @@ def removed_fibers(fam: Family, count: int) -> list[tuple[CantorPoint, str]]:
     out = []
     for t in range(count):
         n, i = diag_pair(t)
-        out.append((fam.approximant(n, i).point, fam.base_word(n)))
+        out.append((fam.approximant(n, i), fam.base_word(n)))
     return out
 
 
@@ -118,7 +118,7 @@ def scanned_missing_index(
     base = ClopenSet((fam.base_word(n),))
     i = 0
     while True:
-        q = fam.approximant(n, i).point
+        q = fam.approximant(n, i)
         if q.starts_with(separator) and not any(
             r.x_set.member(q) and not r.y_set.subset(base) for r in union.rects
         ):

@@ -68,10 +68,8 @@ class _FaultyFamily(Family):
     """Family with a deliberately corrupted approximant generator."""
 
     def approximant(self, n, i):
-        ap = super().approximant(n, i)
-        prefix = ap.point.prefix
-        bad = CantorPoint(flip(prefix[0]) + prefix[1:], "0")
-        return replace(ap, point=bad)
+        prefix = super().approximant(n, i).prefix
+        return CantorPoint(flip(prefix[0]) + prefix[1:], "0")
 
 
 def make_family(fault: str | None = None) -> Family:
@@ -118,7 +116,7 @@ def probe_pool(fam: Family, rng: random.Random, size: int) -> list[CantorPoint]:
         elif kind == 1:
             pool.append(fam.dense_pair(rng.randint(0, 40)).x)
         else:
-            pool.append(fam.approximant(rng.randint(0, 12), rng.randint(0, 8)).point)
+            pool.append(fam.approximant(rng.randint(0, 12), rng.randint(0, 8)))
     return pool
 
 
@@ -235,7 +233,7 @@ def _suite_distinctness(fam, cfg, rng):
     approx = {}
     for n in range(min(cfg.n_max, 30) + 1):
         for i in range(min(cfg.i_max, 10) + 1):
-            q = fam.approximant(n, i).point
+            q = fam.approximant(n, i)
             yield (q not in approx and q not in xs) or {"n": n, "i": i}
             approx[q] = (n, i)
 
@@ -245,7 +243,7 @@ def _suite_convergence(fam, cfg, rng):
         x = fam.dense_pair(n).x
         last = None
         for i in range(cfg.i_max + 1):
-            d = distance(fam.approximant(n, i).point, x)
+            d = distance(fam.approximant(n, i), x)
             if not 0 < d < Fraction(1, n + 1):
                 yield {"n": n, "i": i, "distance": str(d)}
             elif last is not None and not d < last:

@@ -126,7 +126,7 @@ def falsify_restriction(
     while len(missing) < samples:
         if i > 1000 + 10 * samples:
             raise SearchBudgetExceeded("missing approximants", budget)
-        q = fam.approximant(n_fine, i).point
+        q = fam.approximant(n_fine, i)
         if rect.x_set.member(q):
             missing.append(MissingApproximant(i, q, evidence))
         i += 1

@@ -257,19 +257,13 @@ class ClopenSet:
         return ClopenSet(tuple(out))
 
     def complement(self) -> "ClopenSet":
-        out: list[str] = []
-
-        def walk(prefix: str, words: list[str]) -> None:
-            if "" in words:
-                return
-            if not words:
-                out.append(prefix)
-                return
-            walk(prefix + "0", [w[1:] for w in words if w[0] == "0"])
-            walk(prefix + "2", [w[1:] for w in words if w[0] == "2"])
-
-        walk("", list(self.words))
-        return ClopenSet(tuple(out))
+        # The cylinders off the set are the children of its words' proper
+        # prefixes that are no prefix of a word themselves.
+        if not self.words:
+            return WHOLE_SPACE
+        prefixes = {w[:k] for w in self.words for k in range(len(w) + 1)}
+        inner = prefixes.difference(self.words)
+        return ClopenSet(tuple(u + c for u in inner for c in "02" if u + c not in prefixes))
 
     def minus(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())

@@ -86,7 +86,7 @@ def probe_points(fam):
         elif kind == 1:
             pool.append(fam.dense_pair(rng.randint(0, 60)).x)
         else:
-            pool.append(fam.approximant(rng.randint(0, 15), rng.randint(0, 10)).point)
+            pool.append(fam.approximant(rng.randint(0, 15), rng.randint(0, 10)))
     return pool
 
 
@@ -115,7 +115,7 @@ def test_01_family_distinct_and_convergent(fam):
         bound = Fraction(1, n + 1)
         last = None
         for i in range(21):
-            q = fam.approximant(n, i).point
+            q = fam.approximant(n, i)
             ok &= q not in seen and q not in dense_x
             seen.add(q)
             d = distance(q, xs[n])

@@ -75,7 +75,7 @@ class TestDecompose:
         iso = dec.isolated[0]
         assert iso.point == x1
         assert ClopenSet((iso.separator,)).member(x1)
-        missing = fam.approximant(1, iso.missing_index).point
+        missing = fam.approximant(1, iso.missing_index)
         assert ClopenSet((iso.separator,)).member(missing)
         assert not image_member(fam, img, missing)
 

@@ -249,6 +249,33 @@ class TestFalsifyVerify:
         assert code == 2
 
 
+class TestInputBoundary:
+    """Unreadable input is a usage or format error: exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["verify"], b"\xff\xfe"),
+            (["verify"], None),
+            (["verify"], b"[" * 200_000 + b"]" * 200_000),
+            (["construct", "--n-max", "2", "--out"], None),
+        ],
+        ids=["verify-not-utf8", "verify-a-directory", "verify-deep-nesting",
+             "construct-out-a-directory"],
+    )
+    def test_exit_code_two(self, tmp_path, capsys, argv, content):
+        # No content puts a directory where the command wants a file.
+        target = tmp_path / "input"
+        if content is None:
+            target.mkdir()
+        else:
+            target.write_bytes(content)
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestCheck:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "check", "--format", "text")

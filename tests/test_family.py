@@ -74,7 +74,7 @@ class TestHelpers:
                 head = x.digits(d)
                 hits = [
                     i for i in range(d + 2)
-                    if fam.approximant(n, i).point.starts_with(head)
+                    if fam.approximant(n, i).starts_with(head)
                 ]
                 assert hits == list(range(stable_index(n, d), d + 2)), (n, d)
 
@@ -195,7 +195,7 @@ class TestApproximants:
         seen = {}
         for n in range(30):
             for i in range(10):
-                q = fam.approximant(n, i).point
+                q = fam.approximant(n, i)
                 assert q not in xs
                 assert q not in seen, (n, i, seen.get(q))
                 seen[q] = (n, i)
@@ -206,7 +206,7 @@ class TestApproximants:
             bound = Fraction(1, n + 1)
             last = None
             for i in range(20):
-                d = distance(fam.approximant(n, i).point, x)
+                d = distance(fam.approximant(n, i), x)
                 assert 0 < d < bound
                 if last is not None:
                     assert d < last
@@ -215,25 +215,25 @@ class TestApproximants:
     def test_distance_respects_depth(self, fam):
         for n in range(12):
             for i in range(8):
-                ap = fam.approximant(n, i)
-                d = distance(ap.point, fam.dense_pair(n).x)
-                assert d <= Fraction(1, 3**ap.depth)
+                d = distance(fam.approximant(n, i), fam.dense_pair(n).x)
+                assert d <= Fraction(1, 3 ** approximant_depth(n, i))
 
     def test_word_shape(self, fam):
-        ap = fam.approximant(1, 0)
+        q = fam.approximant(1, 0)
         x = fam.dense_pair(1).x
-        w = ap.point.prefix
-        assert w.startswith(x.digits(ap.depth))
-        assert w[ap.depth] == flip(x.digit(ap.depth))
+        d = approximant_depth(1, 0)
+        w = q.prefix
+        assert w.startswith(x.digits(d))
+        assert w[d] == flip(x.digit(d))
         assert w.endswith("22")
-        assert ap.point.cycle == "0"
+        assert q.cycle == "0"
 
 
 class TestRecognition:
     def test_roundtrip(self, fam):
         for n in range(40):
             for i in range(12):
-                assert fam.recognize(fam.approximant(n, i).point) == (n, i)
+                assert fam.recognize(fam.approximant(n, i)) == (n, i)
 
     def test_dense_points_unrecognized(self, fam):
         for n in range(80):
@@ -248,13 +248,13 @@ class TestRecognition:
     def test_corruption_soundness(self, fam):
         # Any single-digit corruption is either rejected outright or lands
         # exactly on another generated approximant; it never misattributes.
-        word = fam.approximant(3, 2).point.prefix
+        word = fam.approximant(3, 2).prefix
         for pos in range(len(word)):
             bad = CantorPoint(word[:pos] + flip(word[pos]) + word[pos + 1 :], "0")
             got = fam.recognize(bad)
             assert got != (3, 2)
             if got is not None:
-                assert fam.approximant(*got).point == bad
+                assert fam.approximant(*got) == bad
 
     def test_periodic_tails_unrecognized(self, fam):
         assert fam.recognize(CantorPoint("", "02")) is None
@@ -265,7 +265,7 @@ class TestRecognition:
         # The prefix of approximant (n, i) with its tag damaged: one "02"
         # block dropped or added in the n or i run, one tag digit flipped,
         # or one "22" cut to "2".
-        prefix = fam.approximant(n, i).point.prefix
+        prefix = fam.approximant(n, i).prefix
         body = prefix[: len(prefix) - len(approximant_tag(n, i))]
         runs = ["02" * n, "02" * i]
         run = at % 2
@@ -294,7 +294,7 @@ class TestRecognition:
         if how == "none":
             assert want == (n, i)
         if want is not None:
-            assert fam.approximant(*want).point == p
+            assert fam.approximant(*want) == p
         if p.cycle == "0" and p.prefix.endswith("22"):
             assert fam._decode(p) == want
         assert fam.recognize(p) == want
@@ -308,15 +308,13 @@ class TestRecognition:
         assert not fresh._pairs
 
     def test_memo_holds_only_tag_shaped_points(self):
-        # The tag check runs ahead of the memo, so a depth-12 trace leaves
-        # only points with cycle "0" and a prefix ending in "22" in it.
+        # The memo keeps only decoded approximants, so after a depth-12
+        # trace it maps every point it holds back to that point's indices.
         fresh = Family()
         img = project_union(fresh, parse_rect_union("0,2 x 00; 22 x ε"))
         image_trace(fresh, img, 12)
         assert fresh._recog
-        assert all(
-            p.cycle == "0" and p.prefix.endswith("22") for p in fresh._recog
-        )
+        assert all(fresh.approximant(*fresh._recog[p]) == p for p in fresh._recog)
 
 
 class TestBaseEnumeration:
@@ -390,6 +388,49 @@ class TestGoldenBytes:
         assert _sha256(target.read_bytes()) == self.CONSTRUCT_300_5
 
 
+class TestCliGoldenBytes:
+    """SHA-256 digests of stdout plus ``exit=<code>`` of command runs, in-process.
+
+    Every command's output is meant to stay byte-identical across refactors,
+    so these pin the JSON of ``check``, ``image``, ``falsify`` and ``verify``.
+    """
+
+    @staticmethod
+    def run(capsys, *argv):
+        code = cli_main(list(argv))
+        return capsys.readouterr().out + f"exit={code}\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["check", "--seed", "7"],
+             "7c86661d231a64ea382b586113d82ff466c7695c98bb09f854a92e378301a04b"),
+            (["check", "--inject-fault", "approximant-digit"],
+             "b23e3a900da2fab6835f26157cb203548eca8c43ff1d0a7cebf1e79a27480e16"),
+            (["image", "0,2 x 00; 22 x ε", "--depth", "12"],
+             "09f90366ebe4af33affd5f5333da8b6b80291b2360a216bdfa08a6bd1dceeba9"),
+            (["image", "ε x 0202", "--depth", "16"],
+             "3c09f999293eae6826cd3daba4f164ca3bd06d583086e4c41e6de7a1b51057ab"),
+            (["falsify", "22 x 2"],
+             "5bd78298edf853c85b59ead038ead3d6160f7039a2f3991d04040171a4bd3d54"),
+        ],
+        ids=["check", "check-fault", "image-depth-12", "image-depth-16", "falsify"],
+    )
+    def test_command_bytes(self, capsys, argv, digest):
+        assert _sha256(self.run(capsys, *argv)) == digest
+
+    def test_certificate_file_and_its_verdict(self, tmp_path, capsys):
+        cert = tmp_path / "w.json"
+        argv = ["falsify", "2 x 0", "--samples", "3", "--out", str(cert)]
+        assert self.run(capsys, *argv) == "exit=0\n"
+        assert _sha256(cert.read_bytes()) == (
+            "291921b2a2e0b0812e8ff9d76e1f5a9499a36ac18b461694576b37ceb2e1431b"
+        )
+        assert _sha256(self.run(capsys, "verify", str(cert))) == (
+            "e6ca777c13e69fec1930557a56a7aea689db6425ceea1168faf50eb2d7dfdfec"
+        )
+
+
 class TestPuncturedSpace:
     def test_membership_rule(self, fam):
         for n in range(12):
@@ -397,7 +438,7 @@ class TestPuncturedSpace:
             inside = repr_point(base)
             outside = repr_point(flip(base[0]) + base[1:])
             for i in range(6):
-                q = fam.approximant(n, i).point
+                q = fam.approximant(n, i)
                 assert not fam.in_x(q, inside)
                 assert fam.in_x(q, outside)
 
@@ -408,7 +449,7 @@ class TestPuncturedSpace:
 
     def test_fiber_witness(self, fam):
         points = [fam.dense_pair(n).x for n in range(50)]
-        points += [fam.approximant(n, i).point for n in range(10) for i in range(5)]
+        points += [fam.approximant(n, i) for n in range(10) for i in range(5)]
         points += [CantorPoint("02", "20"), CantorPoint("", "2")]
         for x in points:
             assert fam.in_x(x, fam.fiber_witness(x))

@@ -58,6 +58,9 @@ def test_single_use_helpers_are_gone():
     assert not hasattr(oracle, "in_x_truncated")
     assert not hasattr(certify, "_open_member")
     assert not hasattr(words, "_is_normal")
+    # An approximant is its point, and recognition memoises only hits.
+    assert not hasattr(family, "Approximant")
+    assert not hasattr(family, "_UNSEEN")
     assert schema.scheme_params is family.scheme_params
 
 

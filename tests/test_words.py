@@ -230,6 +230,14 @@ class TestClopenAlgebra:
         assert ClopenSet(("",)).complement().words == ()
         assert ClopenSet(()).complement().words == ("",)
 
+    def test_complement_of_a_long_word(self):
+        # One pass over the prefixes: a 3,000-digit word recurses nowhere.
+        word = ClopenSet(("0" * 3000,))
+        comp = word.complement()
+        assert set(comp.words) == {"0" * k + "2" for k in range(3000)}
+        assert comp.union(word).words == ("",)
+        assert comp.intersect(word).words == ()
+
     def test_diam(self):
         assert ClopenSet(("",)).diam() == 1
         assert ClopenSet(("00",)).diam() == Fraction(1, 9)
