@@ -1,11 +1,11 @@
 """Certified structure of projection images.
 
 Every image splits into an open part plus finitely many isolated limit
-points; this module computes that split, certifies it, presents the image as
-an intersection of an open with a closed set around those points, and probes
-exact closures of clopen slices through the image.  The scans built on the
-split live here too: scattered families, piecewise openness of a closed
-cover, and the split along a growing union of rectangles.
+points, a closed set; this module computes that split, which is the image's
+LC₂ presentation, certifies it, and probes exact closures of clopen slices
+through the image.  The scans built on the split live here too: scattered
+families, piecewise openness of a closed cover, and the split along a
+growing union of rectangles.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True)
-class LC2Certificate:
-    """Image = open part union (clopen cover intersect finite closed set)."""
-
-    open_part: ImageSet
-    cover: ClopenSet
-    points: tuple[CantorPoint, ...]
-
-
 def _tail_isolated(fam: Family, img: ImageSet, n: int) -> bool:
     # A limit point is isolated iff it lies in the image while every piece
     # containing it removes a tail of its approximants; then cofinitely many
@@ -96,10 +87,6 @@ def _tail_isolated(fam: Family, img: ImageSet, n: int) -> bool:
         any(ts.seq == n and ts.start is not None for ts in p.removals)
         for p in holders
     )
-
-
-def _isolated_seqs(fam: Family, img: ImageSet) -> list[int]:
-    return [n for n in removal_sequences(img) if _tail_isolated(fam, img, n)]
 
 
 def _missing_in(fam: Family, img: ImageSet, n: int, separator: str) -> int:
@@ -120,7 +107,7 @@ def decompose(fam: Family, img: ImageSet) -> Decomposition:
     Raises :class:`CertificationError` if any certificate check fails,
     which would indicate a bug rather than bad input.
     """
-    seqs = _isolated_seqs(fam, img)
+    seqs = [n for n in removal_sequences(img) if _tail_isolated(fam, img, n)]
     points = {n: fam.dense_pair(n).x for n in seqs}
     isolated = []
     for n in seqs:
@@ -162,7 +149,11 @@ def certificate_points(fam: Family, img: ImageSet) -> list[CantorPoint]:
     return out
 
 
-def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition) -> None:
+def _certify_decomposition(
+    fam: Family, img: ImageSet, dec: Decomposition, probes: tuple[CantorPoint, ...] = ()
+) -> None:
+    """Recheck the split per isolated point, then against the image at the
+    isolated points, ``probes`` and the image's certificate points."""
     for d in dec.isolated:
         if image_member(fam, dec.open_part, d.point):
             raise CertificationError(f"isolated point of sequence {d.seq} is in the open part")
@@ -176,36 +167,31 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition) -> No
         missing = fam.approximant(d.seq, d.missing_index)
         if not missing.starts_with(d.separator) or image_member(fam, img, missing):
             raise CertificationError(f"missing-approximant witness broken for {d.seq}")
-    for p in certificate_points(fam, img):
+    points = [d.point for d in dec.isolated] + list(probes) + certificate_points(fam, img)
+    for p in points:
         if decomposition_member(fam, dec, p) != image_member(fam, img, p):
             raise CertificationError(f"reconstruction differs at {p}")
 
 
-def lc2_certificate(fam: Family, img: ImageSet) -> LC2Certificate:
-    """Present the image as open union (clopen cover intersect finite set)."""
-    dec = decompose(fam, img)
-    cover = ClopenSet(tuple(d.separator for d in dec.isolated))
-    return LC2Certificate(dec.open_part, cover, tuple(d.point for d in dec.isolated))
+def lc2_certificate(fam: Family, img: ImageSet) -> Decomposition:
+    """The image's LC₂ presentation, which is its decomposition."""
+    return decompose(fam, img)
 
 
 def lc2_valid(
     fam: Family,
     img: ImageSet,
-    cert: LC2Certificate,
+    dec: Decomposition,
     probe_depth: int = 4,
     extra_points: tuple[CantorPoint, ...] = (),
 ) -> bool:
-    """Check the locally closed presentation pointwise."""
-    if any(not cert.cover.member(p) for p in cert.points):
+    """Whether the split passes :func:`decompose`'s recheck, also probed at
+    every depth-``probe_depth`` representative and ``extra_points``."""
+    probes = (*map(repr_point, all_words(probe_depth)), *extra_points)
+    try:
+        _certify_decomposition(fam, img, dec, probes)
+    except CertificationError:
         return False
-    probes = list(cert.points)
-    probes += certificate_points(fam, img)
-    probes += [repr_point(w) for w in all_words(probe_depth)]
-    probes += list(extra_points)
-    for p in probes:
-        got = p in cert.points or image_member(fam, cert.open_part, p)
-        if got != image_member(fam, img, p):
-            return False
     return True
 
 
@@ -225,17 +211,17 @@ class ClosureSplit:
 
 
 def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
-    covered = img.hull()
+    covered = img.hull
     # Each piece is dense in its hull, which it misses by a countable set,
     # so the closure of F & E is the union of the piece.hull & F.
     inter_hull = covered.intersect(f)
-    diff_clopen = f.intersect(img.outside())
+    diff_clopen = f.intersect(img.outside)
 
     tails: list[TailSet] = []
     points: list[CantorPoint] = []
     for n in removal_sequences(img):
         x = fam.dense_pair(n).x
-        stab = settled_index(img, n, f.depth())
+        stab = settled_index(img, n, f.depth)
         for i in range(stab):
             q = fam.approximant(n, i)
             if f.member(q) and covered.member(q) and not image_member(fam, img, q):
@@ -266,7 +252,7 @@ def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
     """
     if f.is_empty():
         raise PieceError("resolvability probe needs a nonempty closed set")
-    core = img.hull().intersect(f).intersect(f.intersect(img.outside()))
+    core = img.hull.intersect(f).intersect(f.intersect(img.outside))
     return not f.subset(core)
 
 
@@ -314,7 +300,7 @@ def scattered_check(members: list[ClopenSet], depth: int) -> tuple[bool, dict]:
 
 def _region_rects(rect: Rect, complement: RectUnion) -> list[Rect]:
     """The rectangle minus the complement, one rectangle per column of a common grid."""
-    dx = max([rect.x_set.depth()] + [r.x_set.depth() for r in complement.rects])
+    dx = max([rect.x_set.depth] + [r.x_set.depth for r in complement.rects])
     out = []
     for wx in all_words(dx):
         col = ClopenSet((wx,))

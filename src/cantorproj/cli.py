@@ -263,6 +263,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # Fail on an unusable --out before the work.  Append mode creates a
+        # missing file and truncates nothing, so verify can overwrite its input.
+        if args.out:
+            open(args.out, "a", encoding="utf-8").close()
         return args.func(args)
     except SearchBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)

@@ -84,22 +84,17 @@ class ImageSet:
             self, "pieces", tuple(sorted(self.pieces, key=ImagePiece.sort_key))
         )
 
+    # Both are kept in the instance __dict__, outside the fields, ==, hash
+    # and repr.
+    @cached_property
     def hull(self) -> ClopenSet:
         """Union of the piece hulls, computed on first use and kept."""
-        return self._hull
-
-    def outside(self) -> ClopenSet:
-        """Complement of the hull, computed on first use and kept."""
-        return self._outside
-
-    # Kept in the instance __dict__, outside the fields, ==, hash and repr.
-    @cached_property
-    def _hull(self) -> ClopenSet:
         return ClopenSet(tuple(w for p in self.pieces for w in p.hull.words))
 
     @cached_property
-    def _outside(self) -> ClopenSet:
-        return self._hull.complement()
+    def outside(self) -> ClopenSet:
+        """Complement of the hull, computed on first use and kept."""
+        return self.hull.complement()
 
     def as_dict(self) -> dict:
         return {"pieces": [p.as_dict() for p in self.pieces]}
@@ -127,7 +122,7 @@ def project_rect(fam: Family, x_set: ClopenSet, y_set: ClopenSet) -> ImagePiece:
     """
     if x_set.is_empty() or y_set.is_empty():
         raise PieceError("empty rectangle factor")
-    depth = x_set.depth()
+    depth = x_set.depth
     removals = []
     for n in fin_indices(fam, y_set):
         # Beyond this index the approximant agrees with its limit to the
@@ -186,7 +181,7 @@ def settled_index(img: ImageSet, n: int, depth: int) -> int:
     approximants lie in exactly the hulls that hold the limit, and past every
     tail start and sporadic index each piece removes all of them or none.
     """
-    depth = max([depth] + [p.hull.depth() for p in img.pieces])
+    depth = max([depth] + [p.hull.depth for p in img.pieces])
     return max(
         [stable_index(n, depth)]
         + [ts.start for p in img.pieces for ts in p.removals

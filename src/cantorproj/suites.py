@@ -281,7 +281,7 @@ def _suite_oracle_equivalence(fam, cfg, rng):
     sets = sorted(clopen_antichains(2), key=lambda c: c.words)
     pairs = [(a, b) for a in sets for b in sets]
     picks = rng.sample(range(len(pairs)), min(40, len(pairs)))
-    depth1 = [c for c in sets if c.depth() <= 1]
+    depth1 = [c for c in sets if c.depth <= 1]
     jobs = [(a, b) for a in depth1 for b in depth1]
     jobs += [pairs[i] for i in picks]
     for w_set, v_set in jobs:

@@ -222,15 +222,12 @@ class ClopenSet:
     def is_empty(self) -> bool:
         return not self.words
 
-    def depth(self) -> int:
-        return self._depth
-
     # Computed on first use, not at construction: most sets are built as
     # intermediate results and never asked, and a field set in
     # __post_init__ would cost every construction.  cached_property stores
     # into the instance __dict__, so the class must stay unslotted.
     @cached_property
-    def _depth(self) -> int:
+    def depth(self) -> int:
         return max(map(len, self.words), default=0)
 
     def member(self, p: CantorPoint) -> bool:
@@ -239,7 +236,7 @@ class ClopenSet:
         # starts with w, and a prefix antichain holds no extension of w.
         if not self.words:
             return False
-        lead = p.digits(self._depth)
+        lead = p.digits(self.depth)
         i = bisect_right(self.words, lead)
         return i > 0 and lead.startswith(self.words[i - 1])
 

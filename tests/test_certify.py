@@ -28,6 +28,7 @@ from cantorproj.certify import (
     decomposition_member,
 )
 from cantorproj.images import piece_member
+from cantorproj.words import flip
 
 WHOLE = ClopenSet(("",))
 
@@ -120,28 +121,41 @@ class TestDecompose:
         assert not decomposition_member(fam, chopped, lost)
 
     @pytest.mark.parametrize(
-        "tamper, message",
+        "tamper, message, check",
         [
-            (lambda img, dec, a, b: dataclasses.replace(dec, open_part=img),
-             "isolated point of sequence 0 is in the open part"),
-            (lambda img, dec, a, b: _first_separator(dec, b.separator),
-             "separator misses its own point (0)"),
-            (lambda img, dec, a, b: _first_separator(dec, ""),
-             "separator of 0 also contains the point of 1"),
-            (lambda img, dec, a, b: _first_separator(dec, a.point.digits(10)),
-             "missing-approximant witness broken for 0"),
-            (lambda img, dec, a, b: dataclasses.replace(dec, isolated=(a,)),
-             "reconstruction differs at"),
+            pytest.param(tamper, message, check, id=name + suffix)
+            for name, tamper, message in [
+                ("open-part-is-image",
+                 lambda img, dec, a, b: dataclasses.replace(dec, open_part=img),
+                 "isolated point of sequence 0 is in the open part"),
+                ("other-separator",
+                 lambda img, dec, a, b: _first_separator(dec, b.separator),
+                 "separator misses its own point (0)"),
+                ("empty-separator",
+                 lambda img, dec, a, b: _first_separator(dec, ""),
+                 "separator of 0 also contains the point of 1"),
+                ("deep-separator",
+                 lambda img, dec, a, b: _first_separator(dec, a.point.digits(10)),
+                 "missing-approximant witness broken for 0"),
+                ("dropped-point",
+                 lambda img, dec, a, b: dataclasses.replace(dec, isolated=(a,)),
+                 "reconstruction differs at"),
+            ]
+            for suffix, check in [("", "certify"), ("-lc2_valid", "lc2_valid")]
         ],
-        ids=["open-part-is-image", "other-separator", "empty-separator",
-             "deep-separator", "dropped-point"],
     )
-    def test_certification_rejects_tampering(self, fam, tamper, message):
+    def test_certification_rejects_tampering(self, fam, tamper, message, check):
+        # lc2_valid reruns the same recheck, so it rejects every tampering
+        # that _certify_decomposition does.
         img = img_of(fam, "0 x 00")
         dec = decompose(fam, img)
         a, b = dec.isolated
-        with pytest.raises(CertificationError, match=re.escape(message)):
-            _certify_decomposition(fam, img, tamper(img, dec, a, b))
+        tampered = tamper(img, dec, a, b)
+        if check == "certify":
+            with pytest.raises(CertificationError, match=re.escape(message)):
+                _certify_decomposition(fam, img, tampered)
+        else:
+            assert not lc2_valid(fam, img, tampered)
 
 
 def _first_separator(dec, separator):
@@ -153,27 +167,34 @@ class TestLC2:
     def test_valid_on_samples(self, fam):
         for literal in ("0 x 00", "002 x 00", "2 x 0; 0 x 2", "ε x ε"):
             img = img_of(fam, literal)
-            cert = lc2_certificate(fam, img)
+            dec = lc2_certificate(fam, img)
             extras = certificate_points(fam, img)
-            assert lc2_valid(fam, img, cert, probe_depth=4, extra_points=extras)
+            assert lc2_valid(fam, img, dec, probe_depth=4, extra_points=extras)
 
     def test_cover_isolates_points(self, fam):
+        # The separators cover the isolated points, one point each.
         img = img_of(fam, "0 x 00")
-        cert = lc2_certificate(fam, img)
-        for p in cert.points:
-            assert cert.cover.member(p)
+        dec = lc2_certificate(fam, img)
+        assert dec == decompose(fam, img) and len(dec.isolated) == 2
+        for d in dec.isolated:
+            held = [e.seq for e in dec.isolated if e.point.starts_with(d.separator)]
+            assert held == [d.seq]
 
     def test_tampered_cover_rejected(self, fam):
         img = img_of(fam, "0 x 00")
-        cert = lc2_certificate(fam, img)
-        bald = dataclasses.replace(cert, points=cert.points[:-1])
+        dec = lc2_certificate(fam, img)
+        bald = dataclasses.replace(dec, isolated=dec.isolated[:-1])
         extras = certificate_points(fam, img)
         assert not lc2_valid(fam, img, bald, probe_depth=4, extra_points=extras)
 
     def test_emptied_cover_rejected(self, fam):
         img = img_of(fam, "0 x 00")
-        cert = lc2_certificate(fam, img)
-        assert not lc2_valid(fam, img, dataclasses.replace(cert, cover=ClopenSet(())))
+        dec = lc2_certificate(fam, img)
+        flipped = tuple(
+            dataclasses.replace(d, separator=flip(d.separator[0]) + d.separator[1:])
+            for d in dec.isolated
+        )
+        assert not lc2_valid(fam, img, dataclasses.replace(dec, isolated=flipped))
 
 
 class TestClosureSplit:

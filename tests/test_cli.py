@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorproj import cli
 from cantorproj.cli import build_parser, main
 from cantorproj.witness import witness_dumps, witness_from_dict
 
@@ -274,6 +275,27 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+    def test_out_checked_before_work(self, tmp_path, capsys, monkeypatch):
+        class Unbuilt:
+            def __init__(self):
+                pytest.fail("a Family was built before --out was checked")
+
+        monkeypatch.setattr(cli, "Family", Unbuilt)
+        argv = ["construct", "--n-max", "2000", "--i-max", "10", "--out", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_verify_out_in_place(self, tmp_path, capsys):
+        # The early --out check truncates nothing, so verify still reads the
+        # certificate that its verdict then replaces.
+        cert = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "3", "--out", str(cert))
+        code, out, _ = run(capsys, "verify", str(cert), "--out", str(cert))
+        assert code == 0 and out == ""
+        assert json.loads(cert.read_text()) == {"clause": None, "ok": True, "samples": 3}
 
 
 class TestCheck:

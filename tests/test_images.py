@@ -185,10 +185,10 @@ class TestProjectUnion:
         img = project_union(fam, parse_rect_union(literal))
         fresh = project_union(fam, parse_rect_union(literal))
         before = repr(img)
-        assert img.hull() == ClopenSet(("002", "02", "2"))
-        assert img.hull() is img.hull()
-        assert img.outside() == ClopenSet(("000",)) == img.hull().complement()
-        assert img.outside() is img.outside()
+        assert img.hull == ClopenSet(("002", "02", "2"))
+        assert img.hull is img.hull
+        assert img.outside == ClopenSet(("000",)) == img.hull.complement()
+        assert img.outside is img.outside
         assert img == fresh and hash(img) == hash(fresh)
         assert repr(img) == before == repr(fresh)
 

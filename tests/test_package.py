@@ -61,6 +61,10 @@ def test_single_use_helpers_are_gone():
     # An approximant is its point, and recognition memoises only hits.
     assert not hasattr(family, "Approximant")
     assert not hasattr(family, "_UNSEEN")
+    # The decomposition is the LC2 presentation, and decompose finds its
+    # isolated sequences inline.
+    assert not hasattr(certify, "LC2Certificate")
+    assert not hasattr(certify, "_isolated_seqs")
     assert schema.scheme_params is family.scheme_params
 
 

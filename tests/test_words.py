@@ -278,9 +278,9 @@ class TestClopenAlgebra:
 
     def test_depth_is_lazy_and_kept(self):
         s = ClopenSet(("00", "020", "2"))
-        assert "_depth" not in vars(s)
-        assert s.depth() == 3 and vars(s)["_depth"] == 3
-        assert s == ClopenSet(("2", "00", "020")) and "_depth" not in repr(s)
+        assert "depth" not in vars(s)
+        assert s.depth == 3 and vars(s)["depth"] == 3
+        assert s == ClopenSet(("2", "00", "020")) and "depth" not in repr(s)
 
     @COMMON
     @given(clopen_st, clopen_st)
