@@ -76,19 +76,6 @@ class Decomposition:
         }
 
 
-def _tail_isolated(fam: Family, img: ImageSet, n: int) -> bool:
-    # A limit point is isolated iff it lies in the image while every piece
-    # containing it removes a tail of its approximants; then cofinitely many
-    # approximants are outside the image, and conversely a single piece
-    # keeping the tail makes the point interior.
-    x = fam.dense_pair(n).x
-    holders = [p for p in img.pieces if p.hull.member(x)]
-    return bool(holders) and all(
-        any(ts.seq == n and ts.start is not None for ts in p.removals)
-        for p in holders
-    )
-
-
 def _missing_in(fam: Family, img: ImageSet, n: int, separator: str) -> int:
     # The separator is a prefix of the limit, so no approximant below
     # ``stable_index(n, len(separator))`` starts with it; the scan skips them.
@@ -107,21 +94,23 @@ def decompose(fam: Family, img: ImageSet) -> Decomposition:
     Raises :class:`CertificationError` if any certificate check fails,
     which would indicate a bug rather than bad input.
     """
-    seqs = [n for n in removal_sequences(img) if _tail_isolated(fam, img, n)]
-    points = {n: fam.dense_pair(n).x for n in seqs}
-    isolated = []
-    for n in seqs:
-        depth = 1 + max(
-            (separation_depth(points[n], points[m]) for m in seqs if m != n),
-            default=0,
-        )
-        sep = points[n].digits(depth)
-        isolated.append(
-            IsolatedPoint(n, points[n], sep, _missing_in(fam, img, n, sep))
-        )
+    # An isolated point is a point of the image outside its open part.
     # Adjusting keeps each piece's place in the canonical order, so the open
     # part lists its pieces in the image's order.
-    open_part = ImageSet(tuple(adjust_open(fam, p) for p in img.pieces))
+    open_part = ImageSet(tuple(adjust_open(p) for p in img.pieces))
+    points: dict[int, CantorPoint] = {}
+    for n in removal_sequences(img):
+        x = fam.dense_pair(n).x
+        if image_member(fam, img, x) and not image_member(fam, open_part, x):
+            points[n] = x
+    isolated = []
+    for n, x in points.items():
+        depth = 1 + max(
+            (separation_depth(x, y) for m, y in points.items() if m != n),
+            default=0,
+        )
+        sep = x.digits(depth)
+        isolated.append(IsolatedPoint(n, x, sep, _missing_in(fam, img, n, sep)))
     dec = Decomposition(open_part, tuple(isolated))
     _certify_decomposition(fam, img, dec)
     return dec
@@ -226,10 +215,13 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
             q = fam.approximant(n, i)
             if f.member(q) and covered.member(q) and not image_member(fam, img, q):
                 points.append(q)
-        if f.member(x) and _tail_isolated(fam, img, n):
+        if not (f.member(x) and covered.member(x)):
+            continue
+        # From the settled index on the image holds every approximant or none.
+        if not image_member(fam, img, fam.approximant(n, stab)):
             tails.append(TailSet(n, stab))
             points.append(x)  # limit of the removed tail, hence in the closure
-        elif f.member(x) and covered.member(x) and not image_member(fam, img, x):
+        elif not image_member(fam, img, x):
             points.append(x)
     return ClosureSplit(inter_hull, diff_clopen, tuple(tails), tuple(points))
 

@@ -134,7 +134,6 @@ class DensePair:
     walks past, reading prefixes with :func:`dense_digits`, build none.
     """
 
-    n: int
     x_head: tuple[str, int]
     y_head: tuple[str, int]
 
@@ -196,8 +195,7 @@ class Family:
         if n < 0:
             raise FamilyError("pair index must be a natural number")
         while len(self._pairs) <= n:
-            t = len(self._pairs)
-            xr, yr = diag_pair(t)
+            xr, yr = diag_pair(len(self._pairs))
             # Diagonal s opens with ranks (s, 0), so a new rank is the next
             # one; each rank word is built once and read on every diagonal.
             if xr == len(self._rank_words):
@@ -205,7 +203,7 @@ class Family:
             xw, yw = self._rank_words[xr], self._rank_words[yr]
             x = xw, self._fresh(xw, self._x_taken, self._x_pad)
             y = yw, self._fresh(yw, self._y_taken, self._y_pad)
-            self._pairs.append(DensePair(t, x, y))
+            self._pairs.append(DensePair(x, y))
         return self._pairs[n]
 
     def _fresh(

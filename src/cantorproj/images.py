@@ -118,7 +118,8 @@ def project_rect(fam: Family, x_set: ClopenSet, y_set: ClopenSet) -> ImagePiece:
 
     A point survives iff some y in the second factor avoids its removed
     column; that fails exactly for approximants of the finitely many
-    sequences whose base swallows the whole second factor.
+    sequences whose base swallows the whole second factor.  A removal has
+    an infinite tail only when the hull holds the sequence's limit.
     """
     if x_set.is_empty() or y_set.is_empty():
         raise PieceError("empty rectangle factor")
@@ -191,16 +192,15 @@ def settled_index(img: ImageSet, n: int, depth: int) -> int:
     )
 
 
-def adjust_open(fam: Family, piece: ImagePiece) -> ImagePiece:
-    """Remove the limit of every infinite tail that lies in the hull.
+def adjust_open(piece: ImagePiece) -> ImagePiece:
+    """Remove the limit of every infinite tail, keeping the removal order.
 
-    The adjusted piece denotes its hull minus a countable closed set, hence
-    an open set; under union semantics the dropped limits are recovered by
-    whichever piece keeps them interior.
+    :func:`project_rect` records an infinite tail only when the hull holds
+    its limit, so the adjusted piece is its hull minus a countable closed
+    set, an open set; under union semantics the dropped limits are
+    recovered by whichever piece keeps them interior.
     """
-    out = []
-    for ts in piece.removals:
-        if ts.start is not None and piece.hull.member(fam.dense_pair(ts.seq).x):
-            ts = replace(ts, with_limit=True)
-        out.append(ts)
-    return ImagePiece(piece.hull, tuple(sorted(out, key=TailSet.sort_key)))
+    return ImagePiece(piece.hull, tuple(
+        ts if ts.start is None else replace(ts, with_limit=True)
+        for ts in piece.removals
+    ))

@@ -172,10 +172,15 @@ def all_words(depth: int) -> tuple[str, ...]:
 
 
 def cantor_stage(n: int) -> list[RationalInterval]:
-    """The 2**n intervals of the n-th stage of the middle-thirds removal."""
+    """The 2**n intervals of the n-th stage of the middle-thirds removal,
+    each stage cut from the last rather than read off :func:`cylinder_interval`."""
     if n < 0:
         raise WordError("stage index must be a natural number")
-    return [cylinder_interval(w) for w in all_words(n)]
+    ends = [(Fraction(0), Fraction(1))]
+    for _ in range(n):
+        ends = [cut for lo, hi in ends
+                for cut in ((lo, (2 * lo + hi) / 3), ((lo + 2 * hi) / 3, hi))]
+    return [RationalInterval(lo, hi) for lo, hi in ends]
 
 
 def repr_point(word: str) -> CantorPoint:

@@ -187,9 +187,7 @@ def test_05_locally_closed_form(fam, rect_suite):
     ok = True
     for union, img in rect_suite:
         cert = lc2_certificate(fam, img)
-        if not lc2_valid(
-            fam, img, cert, probe_depth=4, extra_points=certificate_points(fam, img)
-        ):
+        if not lc2_valid(fam, img, cert, probe_depth=4):
             ok = False
             break
     verdict(5, "locally-closed-form", ok)
@@ -245,6 +243,36 @@ def test_closure_split_tails_match_isolated_points(fam, rect_suite):
         assert tails == isolated, str(union)
         with_isolated += bool(isolated)
     assert with_isolated
+
+
+def test_open_part_decomposes_to_itself(fam, rect_suite):
+    """Not a numbered criterion: an open part is its own split.
+
+    The open part ``decompose`` returns is an image with no isolated point,
+    so decomposing it again finds none and returns it unchanged.
+    """
+    for union, img in rect_suite:
+        open_part = decompose(fam, img).open_part
+        again = decompose(fam, open_part)
+        assert (again.isolated, again.open_part) == ((), open_part), str(union)
+
+
+def test_closure_split_of_open_part_matches_image(fam, rect_suite):
+    """Not a numbered criterion: removing the isolated limits keeps the split.
+
+    The open part differs from the image only at the isolated limits, which
+    lie in the closure of their removed tails, so the closure split of the
+    open part lists the same tails and points as that of the image.
+    """
+    windows = [ClopenSet(("",)), ClopenSet(("0",)), ClopenSet(("2",))]
+    with_tails = 0
+    for union, img in rect_suite:
+        open_part = decompose(fam, img).open_part
+        for f in windows:
+            split = closure_split(fam, img, f)
+            assert closure_split(fam, open_part, f) == split, (str(union), str(f))
+            with_tails += bool(split.diff_tails)
+    assert with_tails
 
 
 def test_missing_index_matches_scan_from_zero(fam, rect_suite):

@@ -1,6 +1,7 @@
 """Open-plus-isolated decompositions, locally-closed form, closure probes."""
 
 import dataclasses
+import random
 import re
 
 import pytest
@@ -27,7 +28,8 @@ from cantorproj.certify import (
     closure_split,
     decomposition_member,
 )
-from cantorproj.images import piece_member
+from cantorproj.images import piece_member, removal_sequences
+from cantorproj.suites import _random_rect_union
 from cantorproj.words import flip
 
 WHOLE = ClopenSet(("",))
@@ -95,6 +97,27 @@ class TestDecompose:
                 piece_member(fam, piece, iso.point) for piece in dec.open_part.pieces
             )
             assert decomposition_member(fam, dec, iso.point)
+
+    def test_isolation_matches_holders_rule(self, fam):
+        # The reference: a limit is isolated iff some hull holds it and
+        # every piece whose hull holds it removes an infinite tail of its
+        # approximants.  decompose reads the same thing off membership.
+        def holders_rule(img, n):
+            x = fam.dense_pair(n).x
+            holders = [p for p in img.pieces if p.hull.member(x)]
+            return bool(holders) and all(
+                any(ts.seq == n and ts.start is not None for ts in p.removals)
+                for p in holders
+            )
+
+        rng = random.Random(1547)
+        with_isolated = 0
+        for _ in range(300):
+            img = project_union(fam, _random_rect_union(rng, 3))
+            want = [n for n in removal_sequences(img) if holders_rule(img, n)]
+            assert [d.seq for d in decompose(fam, img).isolated] == want
+            with_isolated += bool(want)
+        assert with_isolated > 30
 
     def test_union_keeps_limit_interior(self, fam):
         x1 = fam.dense_pair(1).x
@@ -168,8 +191,7 @@ class TestLC2:
         for literal in ("0 x 00", "002 x 00", "2 x 0; 0 x 2", "ε x ε"):
             img = img_of(fam, literal)
             dec = lc2_certificate(fam, img)
-            extras = certificate_points(fam, img)
-            assert lc2_valid(fam, img, dec, probe_depth=4, extra_points=extras)
+            assert lc2_valid(fam, img, dec, probe_depth=4)
 
     def test_cover_isolates_points(self, fam):
         # The separators cover the isolated points, one point each.
@@ -184,8 +206,7 @@ class TestLC2:
         img = img_of(fam, "0 x 00")
         dec = lc2_certificate(fam, img)
         bald = dataclasses.replace(dec, isolated=dec.isolated[:-1])
-        extras = certificate_points(fam, img)
-        assert not lc2_valid(fam, img, bald, probe_depth=4, extra_points=extras)
+        assert not lc2_valid(fam, img, bald, probe_depth=4)
 
     def test_emptied_cover_rejected(self, fam):
         img = img_of(fam, "0 x 00")

@@ -240,10 +240,29 @@ class TestAdjustOpen:
         x1 = fam.dense_pair(1).x
         w = ClopenSet((x1.digits(3),))
         piece = project_rect(fam, w, ClopenSet(("00",)))
-        opened = adjust_open(fam, piece)
+        opened = adjust_open(piece)
         assert opened.removals[0].with_limit
         assert not piece_member(fam, opened, x1)
         assert piece_member(fam, opened, repr_point(x1.digits(4)))
+
+    def test_tails_only_where_hull_holds_limit(self, fam):
+        # adjust_open marks every infinite tail, which is sound because
+        # projection records one only when the hull holds the limit.
+        rng = random.Random(2718)
+        tails = 0
+        for _ in range(200):
+            for r in _random_rect_union(rng, 3).rects:
+                piece = project_rect(fam, r.x_set, r.y_set)
+                for ts in piece.removals:
+                    held = piece.hull.member(fam.dense_pair(ts.seq).x)
+                    assert (ts.start is not None) == held, (str(r), ts)
+                    tails += held
+                opened = adjust_open(piece)
+                assert [ts.with_limit for ts in opened.removals] == [
+                    ts.start is not None for ts in piece.removals
+                ]
+                assert adjust_open(opened) == opened
+        assert tails
 
 
 class TestAgainstTruncatedOracle:

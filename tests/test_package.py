@@ -65,6 +65,8 @@ def test_single_use_helpers_are_gone():
     # isolated sequences inline.
     assert not hasattr(certify, "LC2Certificate")
     assert not hasattr(certify, "_isolated_seqs")
+    # Isolation is read off image membership, not off the removal records.
+    assert not hasattr(certify, "_tail_isolated")
     assert schema.scheme_params is family.scheme_params
 
 
@@ -123,3 +125,16 @@ def test_verifier_kernel_trusts_words_family_schema_only():
 
 def test_oracle_imports_no_exact_machinery():
     assert _closure("oracle") == {"words", "family", "oracle"}
+
+
+def _wc_lines(modules: set[str]) -> int:
+    # What ``wc -l`` prints: the count of newline bytes.
+    return sum((PACKAGE / f"{m}.py").read_bytes().count(b"\n") for m in modules)
+
+
+def test_readme_line_counts_match_the_closures():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    trusted = re.search(r"`schema.py`, ([\d,]+) lines in all", text)
+    oracle_base = re.search(r"\(([\d,]+) lines with itself\)", text)
+    assert int(trusted[1].replace(",", "")) == _wc_lines(_closure("witness"))
+    assert int(oracle_base[1].replace(",", "")) == _wc_lines(_closure("oracle"))

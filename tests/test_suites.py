@@ -2,10 +2,11 @@
 
 import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
-from cantorproj import suites
+from cantorproj import Family, suites, words
 from cantorproj.suites import (
     FAULTS,
     RunConfig,
@@ -66,6 +67,24 @@ def test_fault_injection_breaks_convergence():
     assert not by_name["family-approximant-convergence"]["passed"]
     # word-level suites are indifferent to the corrupted generator
     assert by_name["core-boolean-laws"]["passed"]
+
+
+def test_stage_suite_catches_a_shifted_cylinder(monkeypatch):
+    # A cylinder_interval that misplaces one cylinder: the stages are cut
+    # from one another, not read off cylinder_interval, so the suite fails.
+    real = words.cylinder_interval
+
+    def shifted(word):
+        iv = real(word)
+        if word != "20":
+            return iv
+        return words.RationalInterval(iv.lo + Fraction(1, 27), iv.hi + Fraction(1, 27))
+
+    monkeypatch.setattr(words, "cylinder_interval", shifted)
+    monkeypatch.setattr(suites, "cylinder_interval", shifted)
+    result = run_suite("core-stage-cylinder-agreement", Family(), RunConfig())
+    assert result["passed"] is False
+    assert result["detail"]["failures"][0] == {"stage": 2}
 
 
 def test_unknown_fault_rejected():
