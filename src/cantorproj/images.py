@@ -144,8 +144,11 @@ def project_union(fam: Family, u: RectUnion) -> ImageSet:
 
 
 def piece_member(fam: Family, piece: ImagePiece, p: CantorPoint) -> bool:
+    """Hull membership minus removals; a piece without removals skips recognition."""
     if not piece.hull.member(p):
         return False
+    if not piece.removals:
+        return True
     for ts in piece.removals:
         if ts.with_limit and p == fam.dense_pair(ts.seq).x:
             return False

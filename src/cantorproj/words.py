@@ -44,50 +44,51 @@ def _primitive(cycle: str) -> str:
     return cycle[: (cycle + cycle).index(cycle, 1)]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CantorPoint:
     """An eventually periodic point: prefix followed by cycle repeated forever.
 
     Instances normalize on construction so that equal digit streams compare
     equal as values: the cycle is primitive, and the prefix is minimal (its
     last digit never equals the digit the cycle would produce there, so no
-    further digit can be absorbed into a rotation of the cycle).  A one-digit
-    cycle absorbs every trailing copy of its digit, and rotating it changes
-    nothing, so that strip is a single ``rstrip``; the zero padding of
-    :func:`repr_point` costs one pass, not one slice per digit.  A longer
-    cycle strips whole copies of itself, then a partial one, and rotates
-    once, so the normal form is linear in the prefix.  Points are
-    slotted: they carry no instance ``__dict__``, which keeps the many
-    representative points of a deep trace small.
+    further digit can be absorbed into a rotation of the cycle).  One pass
+    validates and normalizes the arguments, then sets each field once.  The
+    cycle ``"0"`` or ``"2"`` of every representative and approximant is
+    checked by that comparison, and its normal form is a single ``rstrip``.
+    A longer cycle is reduced to its primitive period, strips whole copies
+    of itself, then a partial one, and rotates once, so the normal form is
+    linear in the prefix.  Points are slotted: they carry no instance
+    ``__dict__``, which keeps the many representative points of a deep
+    trace small.
     """
 
-    prefix: str = ""
-    cycle: str = "0"
+    prefix: str
+    cycle: str
 
-    def __post_init__(self) -> None:
-        _check_digits(self.prefix)
-        _check_digits(self.cycle)
-        if not self.cycle:
-            raise WordError("cycle must be nonempty")
-        cyc = _primitive(self.cycle)
-        pre = self.prefix
-        if len(cyc) == 1:
-            pre = pre.rstrip(cyc)
-        elif pre.endswith(cyc[-1]):
+    def __init__(self, prefix: str = "", cycle: str = "0") -> None:
+        _check_digits(prefix)
+        if cycle != "0" and cycle != "2":
+            _check_digits(cycle)
+            if not cycle:
+                raise WordError("cycle must be nonempty")
+            cycle = _primitive(cycle)
+        if len(cycle) == 1:
+            prefix = prefix.rstrip(cycle)
+        elif prefix.endswith(cycle[-1]):
             # Strip the longest suffix of the prefix that reads the cycle
             # backwards, whole copies first and then fewer than c digits,
             # and rotate the cycle right once by the digits of the partial
             # copy.
-            c = len(cyc)
-            end = len(pre)
-            while pre.endswith(cyc, 0, end):
+            c = len(cycle)
+            end = len(prefix)
+            while prefix.endswith(cycle, 0, end):
                 end -= c
             r = 0
-            while r < end and pre[end - 1 - r] == cyc[c - 1 - r]:
+            while r < end and prefix[end - 1 - r] == cycle[c - 1 - r]:
                 r += 1
-            pre, cyc = pre[: end - r], cyc[c - r :] + cyc[: c - r]
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "cycle", cyc)
+            prefix, cycle = prefix[: end - r], cycle[c - r :] + cycle[: c - r]
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     def digit(self, k: int) -> str:
         """The k-th digit, 0-indexed."""

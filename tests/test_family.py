@@ -149,13 +149,13 @@ class TestFreshnessKey:
         # Work count, not wall clock: pairs build no point until a
         # coordinate is read, then one point per coordinate, kept.
         built = [0]
-        post_init = CantorPoint.__post_init__
+        init = CantorPoint.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built[0] += 1
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(CantorPoint, "__post_init__", counting)
+        monkeypatch.setattr(CantorPoint, "__init__", counting)
         fresh = Family()
         fresh.dense_pair(2999)
         assert built[0] == 0

@@ -180,6 +180,26 @@ class TestProjectUnion:
         assert counts["decode"] <= 2048
         assert len(fresh._recog) <= 3
 
+    @pytest.mark.parametrize(
+        "literal, kept, calls", [("ε x ε", 4096, 0), ("ε x 0", 4094, 4096)]
+    )
+    def test_recognition_only_where_a_piece_removes(self, monkeypatch, literal, kept, calls):
+        # Work count, not wall clock: a piece with no removal records answers
+        # from its hull alone, so only "ε x 0" recognizes each cylinder once
+        # (and drops the representatives of two approximants).
+        counted = [0]
+        recognize = Family.recognize
+
+        def counting(self, p):
+            counted[0] += 1
+            return recognize(self, p)
+
+        monkeypatch.setattr(Family, "recognize", counting)
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union(literal))
+        assert len(image_trace(fresh, img, 12)) == kept
+        assert counted[0] == calls
+
     def test_hull_memo_outside_value(self, fam):
         literal = "002 x 00; 02 x 2; 2 x 0"
         img = project_union(fam, parse_rect_union(literal))

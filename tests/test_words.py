@@ -1,5 +1,6 @@
 """Exact word arithmetic: points, cylinders, clopen algebra."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,61 @@ class TestNormalForm:
 
     def test_slotted(self):
         assert not hasattr(CantorPoint("02", "20"), "__dict__")
+
+    @staticmethod
+    def reference(prefix, cycle):
+        # The two-pass normal form the constructor replaced: validate both
+        # words, cut the cycle to its primitive period, then strip and rotate.
+        for word in (prefix, cycle):
+            if word.strip("02"):
+                raise WordError(f"digits must come from {{0, 2}}: {word!r}")
+        if not cycle:
+            raise WordError("cycle must be nonempty")
+        cyc = cycle[: (cycle + cycle).index(cycle, 1)]
+        pre = prefix
+        if len(cyc) == 1:
+            return pre.rstrip(cyc), cyc
+        c, end = len(cyc), len(pre)
+        while pre.endswith(cyc, 0, end):
+            end -= c
+        r = 0
+        while r < end and pre[end - 1 - r] == cyc[c - 1 - r]:
+            r += 1
+        return pre[: end - r], cyc[c - r :] + cyc[: c - r]
+
+    @COMMON
+    @given(
+        st.text(alphabet="02", max_size=12),
+        st.one_of(st.sampled_from(["0", "2"]), cycles_st),
+    )
+    def test_matches_reference_normal_form(self, prefix, cycle):
+        p = CantorPoint(prefix, cycle)
+        assert (p.prefix, p.cycle) == self.reference(prefix, cycle)
+
+    def test_frozen_value(self):
+        p = CantorPoint("20", "0")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.prefix = "2"
+        assert p == CantorPoint(prefix="2")
+        assert hash(p) == hash(CantorPoint(prefix="2"))
+        assert repr(p) == "CantorPoint(prefix='2', cycle='0')"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CantorPoint("1", "0"), "digits must come from {0, 2}: '1'"),
+            (lambda: CantorPoint("0", "1"), "digits must come from {0, 2}: '1'"),
+            (lambda: CantorPoint("0", ""), "cycle must be nonempty"),
+            (lambda: CantorPoint("1", ""), "digits must come from {0, 2}: '1'"),
+            (lambda: CantorPoint("0", "21"), "digits must come from {0, 2}: '21'"),
+            (lambda: repr_point("1"), "digits must come from {0, 2}: '1'"),
+            (lambda: parse_point("^()"), "cycle must be nonempty"),
+        ],
+    )
+    def test_error_messages(self, build, message):
+        with pytest.raises(WordError) as err:
+            build()
+        assert str(err.value) == message
 
 
 class TestDistance:
