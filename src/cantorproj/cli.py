@@ -26,11 +26,8 @@ import json
 import os
 import sys
 
-from .certify import CertificationError, decompose
 from .family import Family, FamilyError
-from .images import image_trace, project_union
 from .schema import CertificateFormatError
-from .suites import FAULTS, RunConfig, run_all
 from .witness import (
     SearchBudgetExceeded,
     falsify_restriction,
@@ -72,7 +69,9 @@ def _env_default(knob: str) -> int | None:
         raise UsageError(f"{ENV_PREFIX}{knob.upper()} must be an integer, got {raw!r}")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args: argparse.Namespace):
+    from .suites import RunConfig
+
     picked = {}
     for knob in COMMAND_KNOBS[args.command]:
         flag = getattr(args, knob)
@@ -126,11 +125,18 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_image(args: argparse.Namespace) -> int:
+    from .certify import CertificationError, decompose
+    from .images import image_trace, project_union
+
     cfg = _config(args)
     fam = Family()
     union = parse_rect_union(args.rect)
     img = project_union(fam, union)
-    dec = decompose(fam, img)
+    try:
+        dec = decompose(fam, img)
+    except CertificationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     trace = image_trace(fam, img, cfg.depth)
     doc = {
         "rect": union.as_dict(),
@@ -204,6 +210,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .suites import FAULTS, run_all
+
+    if args.inject_fault not in (None, *FAULTS):
+        raise UsageError(
+            f"unknown fault {args.inject_fault!r}; known faults: {', '.join(FAULTS)}"
+        )
     cfg = _config(args)
     report = run_all(cfg, fault=args.inject_fault)
     if args.format == "text":
@@ -249,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("check", help="run the self-check suites")
-    p.add_argument("--inject-fault", choices=FAULTS, default=None, dest="inject_fault")
+    p.add_argument("--inject-fault", default=None, dest="inject_fault", metavar="FAULT")
     _add_knobs(p, "check")
     p.set_defaults(func=cmd_check)
 
@@ -282,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except CertificationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

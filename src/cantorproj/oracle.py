@@ -162,14 +162,14 @@ def brute_rect_trace(
     y_set: ClopenSet,
     n_fibers: int,
     trace_depth: int = 6,
-    sample_depth: int = 6,
 ) -> tuple[str, ...]:
     """Trace of the truncated image, computed point by point.
 
     A sample (x, y) is in the truncated space unless one of the first
-    ``n_fibers`` columns sits at x and its base holds y.
+    ``n_fibers`` columns sits at x and its base holds y; x and y range over
+    the canonical points of the depth-``trace_depth`` cylinders.
     """
-    ys = [y for _, y in representatives(sample_depth) if y_set.member(y)]
+    ys = [y for _, y in representatives(trace_depth) if y_set.member(y)]
     fibers = removed_fibers(fam, n_fibers)
     out = []
     for w, x in representatives(trace_depth):
@@ -188,7 +188,7 @@ def brute_union_trace(
     return frozenset(
         w
         for r in union.rects
-        for w in brute_rect_trace(fam, r.x_set, r.y_set, n_fibers, trace_depth, trace_depth)
+        for w in brute_rect_trace(fam, r.x_set, r.y_set, n_fibers, trace_depth)
     )
 
 

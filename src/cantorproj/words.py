@@ -303,14 +303,12 @@ WHOLE_SPACE = ClopenSet(("",))
 
 def parse_clopen(text: str) -> ClopenSet:
     """Parse a comma-joined word list; the whole space is spelled ``ε``."""
-    if not text.strip():
-        raise WordError(f"not a clopen literal: {text!r}")
     words = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if chunk == "ε":
-            chunk = ""
-        words.append(chunk)
+        if not chunk:
+            raise WordError(f"not a clopen literal: {text!r}")
+        words.append("" if chunk == "ε" else chunk)
     return ClopenSet(tuple(words))
 
 

@@ -101,6 +101,22 @@ class TestImage:
         assert code == 2
         assert "error:" in err
 
+    def test_empty_word_is_not_the_whole_space(self, capsys):
+        code, out, err = run(capsys, "image", "0, x 00")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_certification_failure_exits_one(self, capsys, monkeypatch):
+        from cantorproj import certify
+
+        def refuse(fam, img):
+            raise certify.CertificationError("reconstruction differs")
+
+        monkeypatch.setattr(certify, "decompose", refuse)
+        code, out, err = run(capsys, "image", "0 x 00")
+        assert code == 1 and out == ""
+        assert err == "error: reconstruction differs\n"
+
 
 class TestFalsifyVerify:
     def test_roundtrip_through_file(self, tmp_path, capsys):
@@ -311,6 +327,12 @@ class TestCheck:
         assert code == 1
         assert "family-approximant-convergence: FAIL" in out
 
+    def test_unknown_fault_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--inject-fault", "bogus")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "approximant-digit" in err
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -386,3 +408,39 @@ def test_python_dash_m_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["dense_pairs"]) == 2
+
+
+# Runs ``python -m cantorproj verify <cert> --out <verdict>`` in this process,
+# then prints the package modules it loaded.
+LOADED_BY_VERIFY = """
+import runpy, sys
+sys.argv = ["cantorproj", "verify", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("cantorproj", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "cantorproj")))
+"""
+
+
+def test_verify_loads_only_its_kernel(tmp_path, capsys):
+    # The verdict trusts witness, words, family and schema; the run loads
+    # them, the command line and the package root, and nothing else.
+    cert, verdict = tmp_path / "w.json", tmp_path / "verdict.json"
+    assert run(capsys, "falsify", "2 x 0", "--samples", "3", "--out", str(cert))[0] == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_VERIFY, str(cert), str(verdict)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(verdict.read_text())["ok"] is True
+    assert done.stdout.split() == [
+        "cantorproj",
+        "cantorproj.cli",
+        "cantorproj.family",
+        "cantorproj.schema",
+        "cantorproj.witness",
+        "cantorproj.words",
+    ]

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from importlib import import_module
 from pathlib import Path
 
 import cantorproj
@@ -31,6 +32,17 @@ def test_all_is_bound_unique_and_sorted():
     assert [name for name in names if not hasattr(cantorproj, name)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_exports_resolve_to_their_owner():
+    # The root imports each name on first use from the module its table
+    # names, and that module is where the name is defined.
+    for name in cantorproj.__all__:
+        owner = import_module(f"cantorproj.{cantorproj._EXPORTS[name]}")
+        value = getattr(cantorproj, name)
+        assert value is getattr(owner, name), name
+        assert value.__module__ == owner.__name__, name
+    assert set(cantorproj.__all__) <= set(dir(cantorproj))
 
 
 def test_all_is_the_documented_api():
@@ -115,6 +127,14 @@ def test_names_are_imported_from_their_owner():
             assert source in MODULES, (module, source)
             borrowed = {n for taken in _package_imports(source).values() for n in taken}
             assert borrowed.isdisjoint(names), (module, source, borrowed & set(names))
+
+
+def test_cli_imports_each_command_s_machinery_inside_it():
+    # At module level cli.py takes only the verifier kernel, so a verify
+    # run loads no projection, certification, suite or oracle code.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert top.isdisjoint({"certify", "images", "suites", "oracle"})
 
 
 def test_verifier_kernel_trusts_words_family_schema_only():

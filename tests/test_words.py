@@ -380,6 +380,12 @@ class TestClopenAlgebra:
         assert parse_clopen("00,02").words == ("0",)
         assert str(ClopenSet(())) == "∅"
 
+    @pytest.mark.parametrize("text", ["0,", "0,,2", " , "])
+    def test_parse_clopen_rejects_an_empty_word(self, text):
+        # Only ε spells the whole space; an empty chunk is a typo.
+        with pytest.raises(WordError):
+            parse_clopen(text)
+
     def test_repr_point(self):
         assert repr_point("020") == CantorPoint("02", "0")
         assert repr_point("") == ZERO_POINT
