@@ -12,11 +12,11 @@ Exit codes: 0 success, 1 a verification or suite failed, 2 usage error or
 unreadable input (an unusable path, a certificate that does not parse),
 3 search budget exhausted.  A command takes only the integer knobs it reads:
 ``construct`` takes ``--n-max`` and ``--i-max``, ``image`` ``--depth``,
-``falsify`` ``--budget``, ``check`` all six and ``verify`` none.  Defaults
-may be set via the ``CANTORPROJ_*`` environment variables of those knobs
-(``CANTORPROJ_DEPTH`` and so on); explicit flags win.  A negative size knob
-(every knob but the seed) and a ``--samples`` below 1 are usage errors.
-All JSON output is byte-deterministic for a fixed config.
+``falsify`` ``--budget``, ``check`` all six and ``verify`` none; defaults
+come from ``CANTORPROJ_<KNOB>`` variables, and flags win.  A negative size
+knob (every knob but the seed) and a ``--samples`` below 1 are usage errors.
+The knobs make a :class:`RunConfig`, kept here so only ``check`` loads the
+suites.  All JSON output is byte-deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from .family import Family, FamilyError
 from .schema import CertificateFormatError
@@ -55,6 +56,18 @@ COMMAND_KNOBS = {
 }
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    depth: int = 3
+    n_max: int = 50
+    i_max: int = 20
+    truncation: int = 20
+    budget: int = 10_000
+    seed: int = 0
+    suite_size: int = 60
+    probes: int = 120
+
+
 class UsageError(Exception):
     pass
 
@@ -69,9 +82,7 @@ def _env_default(knob: str) -> int | None:
         raise UsageError(f"{ENV_PREFIX}{knob.upper()} must be an integer, got {raw!r}")
 
 
-def _config(args: argparse.Namespace):
-    from .suites import RunConfig
-
+def _config(args: argparse.Namespace) -> RunConfig:
     picked = {}
     for knob in COMMAND_KNOBS[args.command]:
         flag = getattr(args, knob)

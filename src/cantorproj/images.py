@@ -195,6 +195,25 @@ def settled_index(img: ImageSet, n: int, depth: int) -> int:
     )
 
 
+def canonical(fam: Family, img: ImageSet, held: frozenset[int] = frozenset()) -> ImageSet:
+    """The image with the limits of ``held`` put back, in normal form, so that equal
+    sets have equal forms.  It is one piece: the hull and, per sequence, the indices
+    up to the settled index whose approximant the hull holds and the set misses, the
+    least start of an infinite tail of them, and the limit if the set misses it."""
+    hull, removals = img.hull, []
+    for n in removal_sequences(img):
+        last, x = settled_index(img, n, 0), fam.dense_pair(n).x
+        off = [i for i in range(last + 1)
+               if hull.member(q := fam.approximant(n, i)) and not image_member(fam, img, q)]
+        start = None
+        while off and off[-1] == (last if start is None else start - 1):
+            start = off.pop()
+        with_limit = n not in held and hull.member(x) and not image_member(fam, img, x)
+        if off or start is not None or with_limit:
+            removals.append(TailSet(n, start, frozenset(off), with_limit))
+    return ImageSet((ImagePiece(hull, tuple(removals)),))
+
+
 def adjust_open(piece: ImagePiece) -> ImagePiece:
     """Remove the limit of every infinite tail, keeping the removal order.
 

@@ -4,13 +4,13 @@ Every suite draws its randomness from a private generator seeded by the run
 seed and the suite name, so a report is a pure function of its config and
 two runs produce identical bytes.
 
-A suite is a generator function of ``(fam, cfg, rng)``.  Each value it
-yields is one check: ``True`` if the check passed, or its failure record, so
-``yield ok or {...}`` builds a record only when the check fails.  A check
-that breaks two laws reports the first.  The generator may return a dict of
-extra detail keys.  :func:`run_suite` owns the report: it counts the checks,
-keeps the first five failure records and merges in the returned keys; a
-suite that raises fails with the error as its whole detail.
+A suite is a generator function of ``(fam, cfg, rng)``, ``cfg`` a
+``cli.RunConfig``.  Each value it yields is one check: ``True`` if it passed,
+or its failure record, so ``yield ok or {...}`` builds a record only when the
+check fails.  A check that breaks two laws reports the first.  The generator
+may return a dict of extra detail keys.  :func:`run_suite` owns the report: it
+counts the checks, keeps the first five failure records and merges in the
+returned keys; a suite that raises fails with the error as its whole detail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Generator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .certify import (
@@ -47,18 +47,6 @@ from .words import (
     flip,
     repr_point,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    depth: int = 3
-    n_max: int = 50
-    i_max: int = 20
-    truncation: int = 20
-    budget: int = 10_000
-    seed: int = 0
-    suite_size: int = 60
-    probes: int = 120
 
 
 FAULTS = ("approximant-digit",)
@@ -441,7 +429,7 @@ def _tally(outcomes: Generator) -> tuple[bool, dict]:
             failures.append(outcome)
 
 
-def run_suite(name: str, fam: Family, cfg: RunConfig) -> dict:
+def run_suite(name: str, fam: Family, cfg) -> dict:
     table = dict(SUITES)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}")
@@ -453,7 +441,7 @@ def run_suite(name: str, fam: Family, cfg: RunConfig) -> dict:
     return {"name": name, "passed": passed, "detail": detail}
 
 
-def run_all(cfg: RunConfig, fault: str | None = None) -> dict:
+def run_all(cfg, fault: str | None = None) -> dict:
     fam = make_family(fault)
     results = [run_suite(name, fam, cfg) for name, _ in SUITES]
     return {

@@ -7,6 +7,7 @@ randomness is drawn from generators seeded with fixed constants; tolerances
 are exact rational bounds, never floating point.
 """
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -37,6 +38,7 @@ from cantorproj.certify import (
     decomposition_member,
 )
 from cantorproj.cli import main as cli_main
+from cantorproj.images import ImagePiece, ImageSet, canonical
 from cantorproj.oracle import (
     brute_rect_trace,
     brute_split_traces,
@@ -289,6 +291,58 @@ def test_missing_index_matches_scan_from_zero(fam, rect_suite):
             assert d.missing_index == want, (str(union), d.seq)
             checked += 1
     assert checked
+
+
+def _tamper(rng, ts, kind):
+    """One seeded edit of a removal record, or None where the kind does not apply."""
+    if kind == "add":
+        fresh = [i for i in range(41 if ts.start is None else min(41, ts.start))
+                 if i not in ts.extras]
+        return dataclasses.replace(ts, extras=ts.extras | {rng.choice(fresh)}) if fresh else None
+    if kind == "drop":
+        if not ts.extras:
+            return None
+        return dataclasses.replace(ts, extras=ts.extras - {rng.choice(sorted(ts.extras))})
+    if kind == "flip":
+        return dataclasses.replace(ts, with_limit=not ts.with_limit)
+    if ts.start is None:
+        return None
+    starts = [s for s in range(max(ts.extras, default=-1) + 1, ts.start + 11) if s != ts.start]
+    return dataclasses.replace(ts, start=rng.choice(starts))
+
+
+def test_normal_forms_differ_exactly_when_points_do(fam, rect_suite):
+    """Not a numbered criterion: the seeded tampering experiment.
+
+    One removal record of an image gets a sporadic index up to 40 added or
+    dropped, its ``with_limit`` flipped or its tail start moved.  Only the
+    approximants and the limit of that record's sequence can change
+    membership, and past index 60 no start or sporadic index of either
+    record is left, so a search over those points is exhaustive.  The
+    normal forms must differ exactly when that search finds a point whose
+    membership differs.
+    """
+    rng = random.Random(SEED + 2)
+    outcomes = {True: 0, False: 0}
+    for union, img in rect_suite:
+        records = [(k, j) for k, piece in enumerate(img.pieces) for j in range(len(piece.removals))]
+        for k, j in [rng.choice(records) for _ in range(2)] if records else []:
+            piece, ts = img.pieces[k], img.pieces[k].removals[j]
+            new = _tamper(rng, ts, rng.choice(["add", "drop", "flip", "move"]))
+            if new is None:
+                continue
+            assert max([*ts.extras, *new.extras, ts.start or 0, new.start or 0]) < 59
+            removals = piece.removals[:j] + (new,) + piece.removals[j + 1:]
+            tampered = ImageSet(img.pieces[:k] + (ImagePiece(piece.hull, removals),)
+                                + img.pieces[k + 1:])
+            points = [fam.approximant(ts.seq, i) for i in range(60)]
+            points.append(fam.dense_pair(ts.seq).x)
+            differs = any(image_member(fam, img, p) != image_member(fam, tampered, p)
+                          for p in points)
+            forms_differ = canonical(fam, tampered) != canonical(fam, img)
+            assert forms_differ == differs, (str(union), new)
+            outcomes[differs] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_07_witnesses_on_basic_rectangles(fam):

@@ -10,6 +10,7 @@ from cantorproj import (
     CantorPoint,
     ClopenSet,
     Family,
+    ImageSet,
     PieceError,
     all_words,
     decompose,
@@ -28,7 +29,7 @@ from cantorproj.certify import (
     closure_split,
     decomposition_member,
 )
-from cantorproj.images import piece_member, removal_sequences
+from cantorproj.images import TailSet, piece_member, removal_sequences
 from cantorproj.suites import _random_rect_union
 from cantorproj.words import flip
 
@@ -60,8 +61,8 @@ class TestDecompose:
         assert [d.missing_index for d in dec.isolated] == [
             0, 7, 9, 73, 76, 466, 472, 470
         ]
-        assert len(fresh._approx) == 23
-        assert built[0] == 31
+        assert len(fresh._approx) == 15
+        assert built[0] == 23
         assert len(fresh._pairs) == 58311
 
     def test_whole_square_trivial(self, fam):
@@ -144,10 +145,10 @@ class TestDecompose:
         assert not decomposition_member(fam, chopped, lost)
 
     @pytest.mark.parametrize(
-        "tamper, message, check",
+        "tamper, message, check, literal",
         [
-            pytest.param(tamper, message, check, id=name + suffix)
-            for name, tamper, message in [
+            pytest.param(tamper, message, check, (image or ["0 x 00"])[0], id=name + suffix)
+            for name, tamper, message, *image in [
                 ("open-part-is-image",
                  lambda img, dec, a, b: dataclasses.replace(dec, open_part=img),
                  "isolated point of sequence 0 is in the open part"),
@@ -163,14 +164,25 @@ class TestDecompose:
                 ("dropped-point",
                  lambda img, dec, a, b: dataclasses.replace(dec, isolated=(a,)),
                  "reconstruction differs at"),
+                # The image holds approximant(2, 30), and no probe lands on it.
+                ("sporadic-removal",
+                 lambda img, dec, a, b: _first_piece_removes(dec, 2, 30),
+                 f"reconstruction differs at {Family().approximant(2, 30)}",
+                 "0 x 00; 2 x 2"),
+                # The hulls differ, at 2^ω, a point that no record removes.
+                ("dropped-piece",
+                 lambda img, dec, a, b: dataclasses.replace(
+                     dec, open_part=ImageSet(dec.open_part.pieces[:1])),
+                 f"reconstruction differs at {CantorPoint('2', '2')}",
+                 "0 x 00; 2 x 2"),
             ]
             for suffix, check in [("", "certify"), ("-lc2_valid", "lc2_valid")]
         ],
     )
-    def test_certification_rejects_tampering(self, fam, tamper, message, check):
+    def test_certification_rejects_tampering(self, fam, tamper, message, check, literal):
         # lc2_valid reruns the same recheck, so it rejects every tampering
         # that _certify_decomposition does.
-        img = img_of(fam, "0 x 00")
+        img = img_of(fam, literal)
         dec = decompose(fam, img)
         a, b = dec.isolated
         tampered = tamper(img, dec, a, b)
@@ -184,6 +196,14 @@ class TestDecompose:
 def _first_separator(dec, separator):
     first = dataclasses.replace(dec.isolated[0], separator=separator)
     return dataclasses.replace(dec, isolated=(first,) + dec.isolated[1:])
+
+
+def _first_piece_removes(dec, n, i):
+    # A sporadic removal of approximant(n, i) in the first open piece.
+    first, *rest = dec.open_part.pieces
+    removals = sorted(first.removals + (TailSet(n, None, frozenset({i})),), key=TailSet.sort_key)
+    first = dataclasses.replace(first, removals=tuple(removals))
+    return dataclasses.replace(dec, open_part=ImageSet((first, *rest)))
 
 
 class TestLC2:

@@ -410,17 +410,36 @@ def test_python_dash_m_entry_point():
     assert len(json.loads(done.stdout)["dense_pairs"]) == 2
 
 
-# Runs ``python -m cantorproj verify <cert> --out <verdict>`` in this process,
-# then prints the package modules it loaded.
-LOADED_BY_VERIFY = """
+# Runs ``python -m cantorproj <args>`` in this process, then prints the
+# package modules it loaded.
+LOADED_BY_RUN = """
 import runpy, sys
-sys.argv = ["cantorproj", "verify", sys.argv[1], "--out", sys.argv[2]]
+sys.argv = ["cantorproj", *sys.argv[1:]]
 try:
     runpy.run_module("cantorproj", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "cantorproj")))
 """
+KERNEL_RUN = [
+    "cantorproj",
+    "cantorproj.cli",
+    "cantorproj.family",
+    "cantorproj.schema",
+    "cantorproj.witness",
+    "cantorproj.words",
+]
+
+
+def _loaded_by(*args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_RUN, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def test_verify_loads_only_its_kernel(tmp_path, capsys):
@@ -428,19 +447,18 @@ def test_verify_loads_only_its_kernel(tmp_path, capsys):
     # them, the command line and the package root, and nothing else.
     cert, verdict = tmp_path / "w.json", tmp_path / "verdict.json"
     assert run(capsys, "falsify", "2 x 0", "--samples", "3", "--out", str(cert))[0] == 0
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", LOADED_BY_VERIFY, str(cert), str(verdict)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    assert _loaded_by("verify", str(cert), "--out", str(verdict)) == KERNEL_RUN
     assert json.loads(verdict.read_text())["ok"] is True
-    assert done.stdout.split() == [
-        "cantorproj",
-        "cantorproj.cli",
-        "cantorproj.family",
-        "cantorproj.schema",
-        "cantorproj.witness",
-        "cantorproj.words",
-    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["construct", "--n-max", "2"], ["falsify", "2 x 0", "--samples", "3"]],
+    ids=["construct", "falsify"],
+)
+def test_construct_and_falsify_load_only_the_kernel(tmp_path, args):
+    # Their knobs make a cli.RunConfig, so neither loads the suites nor,
+    # through them, the projection, certification or oracle code.
+    out = tmp_path / "out.json"
+    assert _loaded_by(*args, "--out", str(out)) == KERNEL_RUN
+    assert json.loads(out.read_text())

@@ -31,7 +31,7 @@ from cantorproj.family import (
 from cantorproj.oracle import decode_tag, first_fit_bases, removed_fibers, scanned_dense_pairs
 from cantorproj.words import distance, flip
 
-COMMON = settings(max_examples=80, deadline=None, derandomize=True)
+COMMON = settings(max_examples=80)
 
 
 class TestHelpers:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorproj import (
     CantorPoint,
@@ -12,6 +13,7 @@ from cantorproj import (
     PieceError,
     Rect,
     RectUnion,
+    all_words,
     decompose,
     image_member,
     image_trace,
@@ -19,10 +21,12 @@ from cantorproj import (
     project_union,
     repr_point,
 )
+from cantorproj.certify import certificate_points
 from cantorproj.images import (
     ImagePiece,
     TailSet,
     adjust_open,
+    canonical,
     fin_indices,
     piece_member,
     project_rect,
@@ -30,7 +34,7 @@ from cantorproj.images import (
     settled_index,
 )
 from cantorproj.oracle import project_rect_truncated, truncated_member
-from cantorproj.suites import _random_rect_union
+from cantorproj.suites import _random_rect_union, probe_pool
 from cantorproj.words import parse_rect
 from cantorproj.family import diag_pair
 
@@ -283,6 +287,63 @@ class TestAdjustOpen:
                 ]
                 assert adjust_open(opened) == opened
         assert tails
+
+
+# Seeded unions of 1-3 rectangles whose factors have depth at most 3.
+unions_st = st.builds(
+    lambda seed, depth: _random_rect_union(random.Random(seed), depth),
+    st.integers(0, 2**32), st.integers(1, 3),
+)
+
+
+@pytest.fixture(scope="module")
+def canonical_probes(fam):
+    pool = probe_pool(fam, random.Random(1849), 120)
+    return pool + [repr_point(w) for w in all_words(4)]
+
+
+class TestCanonical:
+    @settings(max_examples=60)
+    @given(unions_st)
+    def test_agrees_with_membership(self, fam, canonical_probes, union):
+        img = project_union(fam, union)
+        form = canonical(fam, img)
+        assert len(form.pieces) == 1 and form.hull == img.hull
+        for p in canonical_probes + certificate_points(fam, img):
+            assert image_member(fam, form, p) == image_member(fam, img, p), str(p)
+
+    @settings(max_examples=60)
+    @given(unions_st)
+    def test_idempotent(self, fam, union):
+        form = canonical(fam, project_union(fam, union))
+        assert canonical(fam, form) == form
+
+    @settings(max_examples=60)
+    @given(unions_st, st.integers(0, 2))
+    def test_split_rectangle_keeps_the_form(self, fam, union, pick):
+        # W x V and W0 x V; W2 x V are one set of pairs, so one image.
+        k = pick % len(union.rects)
+        w, v = union.rects[k].x_set, union.rects[k].y_set
+        halves = tuple(Rect(ClopenSet(tuple(x + d for x in w.words)), v) for d in "02")
+        split = RectUnion(union.rects[:k] + halves + union.rects[k + 1:])
+        assert canonical(fam, project_union(fam, split)) == canonical(
+            fam, project_union(fam, union)
+        )
+
+    def test_two_descriptions_of_one_image(self, fam):
+        a = project_union(fam, parse_rect_union("0 x 00; 2 x 2"))
+        b = project_union(fam, parse_rect_union("00 x 00; 02 x 00; 2 x 2"))
+        assert a != b
+        assert canonical(fam, a) == canonical(fam, b)
+
+    def test_held_limits_are_put_back(self, fam):
+        # The open part misses its isolated limits; holding them back in
+        # gives the image's form.
+        img = project_union(fam, parse_rect_union("0 x 00"))
+        dec = decompose(fam, img)
+        held = frozenset(d.seq for d in dec.isolated)
+        assert held and canonical(fam, dec.open_part) != canonical(fam, img)
+        assert canonical(fam, dec.open_part, held) == canonical(fam, img)
 
 
 class TestAgainstTruncatedOracle:

@@ -6,7 +6,7 @@ from importlib import import_module
 from pathlib import Path
 
 import cantorproj
-from cantorproj import certify, family, oracle, schema, suites, words
+from cantorproj import certify, cli, family, oracle, schema, suites, words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(cantorproj.__file__).resolve().parent
@@ -62,7 +62,7 @@ def test_single_use_helpers_are_gone():
     # RunConfig converts through dataclasses.asdict.
     assert not hasattr(suites, "small_clopens")
     assert not hasattr(schema, "CERTIFICATE_KINDS")
-    assert not hasattr(suites.RunConfig, "as_dict")
+    assert not hasattr(cli.RunConfig, "as_dict")
     # The oracle owns the removed columns, image_member the open-part test,
     # family the scheme pin and _normalize_words the whole normal form.
     assert not hasattr(family, "Fiber")

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from cantorproj import Family, suites, words
+from cantorproj.cli import RunConfig
 from cantorproj.suites import (
     FAULTS,
-    RunConfig,
     SUITES,
     make_family,
     run_all,

@@ -202,7 +202,7 @@ _json_values = st.recursive(
 class TestMalformedPayloads:
     """A damaged certificate is accepted, rejected or a format error, never a crash."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_verify_exit_code_total(self, fam, data):
         doc = witness_to_dict(cert_for(fam, "2 x 0", samples=2))

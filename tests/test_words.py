@@ -33,7 +33,7 @@ clopen_st = st.builds(
     st.lists(st.text(alphabet="02", max_size=6), max_size=8),
 )
 
-COMMON = settings(max_examples=120, deadline=None, derandomize=True)
+COMMON = settings(max_examples=120)
 
 
 def digit_sum_oracle(p: CantorPoint, n: int = 40) -> Fraction:
