@@ -77,16 +77,9 @@ class Decomposition:
         }
 
 
-def _missing_in(fam: Family, img: ImageSet, n: int, separator: str) -> int:
-    # The separator is a prefix of the limit, so no approximant below
-    # ``stable_index(n, len(separator))`` starts with it; the scan skips them.
-    # For an isolated n the approximant at the settled index is off the image.
-    start = stable_index(n, len(separator))
-    for i in range(start, settled_index(img, n, len(separator)) + 1):
-        q = fam.approximant(n, i)
-        if q.starts_with(separator) and not image_member(fam, img, q):
-            return i
-    raise CertificationError(f"no missing approximant found for sequence {n}")
+def _isolated_records(form: ImageSet) -> list[TailSet]:
+    """Records of a normal form that miss a tail of approximants and keep their limit."""
+    return [ts for ts in form.pieces[0].removals if ts.start is not None and not ts.with_limit]
 
 
 def decompose(fam: Family, img: ImageSet) -> Decomposition:
@@ -95,25 +88,29 @@ def decompose(fam: Family, img: ImageSet) -> Decomposition:
     Raises :class:`CertificationError` if any certificate check fails,
     which would indicate a bug rather than bad input.
     """
-    # An isolated point is a point of the image outside its open part.
-    # Adjusting keeps each piece's place in the canonical order, so the open
-    # part lists its pieces in the image's order.
+    # An isolated point is a limit the image holds while it misses a tail of
+    # that limit's approximants, read off the image's normal form.  Adjusting
+    # keeps each piece's place in the canonical order, so the open part lists
+    # its pieces in the image's order.
+    want = canonical(fam, img)
     open_part = ImageSet(tuple(adjust_open(p) for p in img.pieces))
-    points: dict[int, CantorPoint] = {}
-    for n in removal_sequences(img):
-        x = fam.dense_pair(n).x
-        if image_member(fam, img, x) and not image_member(fam, open_part, x):
-            points[n] = x
+    records = {ts.seq: ts for ts in _isolated_records(want)}
+    points = {n: fam.dense_pair(n).x for n in records}
     isolated = []
     for n, x in points.items():
         depth = 1 + max(
             (separation_depth(x, y) for m, y in points.items() if m != n),
             default=0,
         )
-        sep = x.digits(depth)
-        isolated.append(IsolatedPoint(n, x, sep, _missing_in(fam, img, n, sep)))
+        # From ``stable_index(n, depth)`` on every approximant starts with the
+        # separator; the image misses the first one that the record covers or
+        # the hull misses, at the tail start at the latest.
+        start, ts = stable_index(n, depth), records[n]
+        missing = next(i for i in range(start, max(start, ts.start) + 1)
+                       if ts.covers_index(i) or not img.hull.member(fam.approximant(n, i)))
+        isolated.append(IsolatedPoint(n, x, x.digits(depth), missing))
     dec = Decomposition(open_part, tuple(isolated))
-    _certify_decomposition(fam, img, dec)
+    _certify_decomposition(fam, img, dec, want)
     return dec
 
 
@@ -139,11 +136,12 @@ def certificate_points(fam: Family, img: ImageSet) -> list[CantorPoint]:
     return out
 
 
-def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition) -> None:
-    """Recheck the split per isolated point, then as one equality of normal forms.
-    Unequal forms mean unequal sets, which differ on the hulls at a point ending in
-    2^ω, which no record removes, or at an approximant up to a settled index or at a
-    limit; the error names the first such point, where ``image_member`` disagrees."""
+def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition, want: ImageSet) -> None:
+    """Recheck the split per isolated point, then as one equality with ``want``, the
+    image's normal form.  Unequal forms mean unequal sets, which differ on the hulls at
+    a point ending in 2^ω, which no record removes, or at an approximant up to a settled
+    index or at a limit; the error names the first such point, where ``image_member``
+    disagrees.  Equal forms leave the open part's openness to check."""
     for d in dec.isolated:
         if image_member(fam, dec.open_part, d.point):
             raise CertificationError(f"isolated point of sequence {d.seq} is in the open part")
@@ -159,16 +157,19 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition) -> No
         missing = fam.approximant(d.seq, d.missing_index)
         if not missing.starts_with(d.separator) or image_member(fam, img, missing):
             raise CertificationError(f"missing-approximant witness broken for {d.seq}")
-    got = canonical(fam, dec.open_part, frozenset(d.seq for d in dec.isolated))
-    if got == canonical(fam, img):
-        return
-    both = ImageSet(got.pieces + img.pieces)
-    points = [CantorPoint(w, "2") for w in both.hull.minus(got.hull.intersect(img.hull)).words]
-    for n in removal_sequences(both):
-        points += [fam.approximant(n, i) for i in range(settled_index(both, n, 0) + 1)]
-        points.append(fam.dense_pair(n).x)
-    p = next(p for p in points if image_member(fam, got, p) != image_member(fam, img, p))
-    raise CertificationError(f"reconstruction differs at {p}")
+    held = frozenset(d.seq for d in dec.isolated)
+    got = canonical(fam, dec.open_part, held)
+    if got != want:
+        both = ImageSet(got.pieces + img.pieces)
+        points = [CantorPoint(w, "2") for w in both.hull.minus(got.hull.intersect(img.hull)).words]
+        for n in removal_sequences(both):
+            points += [fam.approximant(n, i) for i in range(settled_index(both, n) + 1)]
+            points.append(fam.dense_pair(n).x)
+        p = next(p for p in points if image_member(fam, got, p) != image_member(fam, img, p))
+        raise CertificationError(f"reconstruction differs at {p}")
+    for ts in _isolated_records(got):  # a limit of points that the open part misses
+        if ts.seq not in held:
+            raise CertificationError(f"open part is not open at {fam.dense_pair(ts.seq).x}")
 
 
 def lc2_certificate(fam: Family, img: ImageSet) -> Decomposition:
@@ -183,7 +184,7 @@ def lc2_valid(
     """Whether the split passes :func:`decompose`'s exact recheck and, as a cross-check,
     matches the image at the depth-``probe_depth`` representatives and ``extra_points``."""
     try:
-        _certify_decomposition(fam, img, dec)
+        _certify_decomposition(fam, img, dec, canonical(fam, img))
     except CertificationError:
         return False
     probes = (*map(repr_point, all_words(probe_depth)), *extra_points)
@@ -216,7 +217,7 @@ def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
     points: list[CantorPoint] = []
     for n in removal_sequences(img):
         x = fam.dense_pair(n).x
-        stab = settled_index(img, n, f.depth)
+        stab = max(settled_index(img, n), stable_index(n, f.depth))
         for i in range(stab):
             q = fam.approximant(n, i)
             if f.member(q) and covered.member(q) and not image_member(fam, img, q):

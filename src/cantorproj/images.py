@@ -178,16 +178,15 @@ def removal_sequences(img: ImageSet) -> tuple[int, ...]:
     return tuple(sorted({ts.seq for p in img.pieces for ts in p.removals}))
 
 
-def settled_index(img: ImageSet, n: int, depth: int) -> int:
+def settled_index(img: ImageSet, n: int) -> int:
     """An index from which membership of ``approximant(n, i)`` is constant.
 
-    From ``stable_index`` of the deepest hull (and of ``depth``) on, the
-    approximants lie in exactly the hulls that hold the limit, and past every
-    tail start and sporadic index each piece removes all of them or none.
+    From ``stable_index`` of the deepest hull on, the approximants lie in
+    exactly the hulls that hold the limit, and past every tail start and
+    sporadic index each piece removes all of them or none.
     """
-    depth = max([depth] + [p.hull.depth for p in img.pieces])
     return max(
-        [stable_index(n, depth)]
+        [stable_index(n, max([0] + [p.hull.depth for p in img.pieces]))]
         + [ts.start for p in img.pieces for ts in p.removals
            if ts.seq == n and ts.start is not None]
         + [i + 1 for p in img.pieces for ts in p.removals
@@ -202,7 +201,7 @@ def canonical(fam: Family, img: ImageSet, held: frozenset[int] = frozenset()) ->
     least start of an infinite tail of them, and the limit if the set misses it."""
     hull, removals = img.hull, []
     for n in removal_sequences(img):
-        last, x = settled_index(img, n, 0), fam.dense_pair(n).x
+        last, x = settled_index(img, n), fam.dense_pair(n).x
         off = [i for i in range(last + 1)
                if hull.member(q := fam.approximant(n, i)) and not image_member(fam, img, q)]
         start = None

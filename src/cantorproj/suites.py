@@ -64,7 +64,7 @@ def make_family(fault: str | None = None) -> Family:
     if fault is None:
         return Family()
     if fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; expected one of {FAULTS}")
+        raise ValueError(f"unknown fault {fault!r}; known faults: {', '.join(FAULTS)}")
     return _FaultyFamily()
 
 

@@ -38,7 +38,7 @@ from cantorproj.certify import (
     decomposition_member,
 )
 from cantorproj.cli import main as cli_main
-from cantorproj.images import ImagePiece, ImageSet, canonical
+from cantorproj.images import ImagePiece, ImageSet, canonical, removal_sequences
 from cantorproj.oracle import (
     brute_rect_trace,
     brute_split_traces,
@@ -58,6 +58,7 @@ from cantorproj.words import distance
 SEED = 20250823
 RECT_SUITE_SHA256 = "ac121d694db113a25d6dd6084edb8ed4f9220bbf1cfe33f003142875b2eac627"
 PROBE_POOL_SHA256 = "8f394c93784348bc629254d0acf459ede00dcbee1d5a50bb3565985e6036ab04"
+ISOLATED_IN_SUITE = 431  # isolated points over the rect suite; its open parts have none
 TRIVIAL = RectUnion(())
 
 
@@ -257,6 +258,26 @@ def test_open_part_decomposes_to_itself(fam, rect_suite):
         open_part = decompose(fam, img).open_part
         again = decompose(fam, open_part)
         assert (again.isolated, again.open_part) == ((), open_part), str(union)
+
+
+def test_isolated_points_are_held_outside_the_open_part(fam, rect_suite):
+    """Not a numbered criterion: isolation against membership.
+
+    ``decompose`` reads isolation off the image's normal form.  The reference
+    reads it off membership: a limit is isolated exactly when the image holds
+    it and the open part, each piece with the limit of its every tail removed,
+    does not.  Both must agree on each image and on its open part.
+    """
+    isolated = 0
+    for union, img in rect_suite:
+        for image in (img, decompose(fam, img).open_part):
+            dec = decompose(fam, image)
+            want = [n for n in removal_sequences(image)
+                    if image_member(fam, image, x := fam.dense_pair(n).x)
+                    and not image_member(fam, dec.open_part, x)]
+            assert [d.seq for d in dec.isolated] == want, str(union)
+            isolated += len(want)
+    assert isolated == ISOLATED_IN_SUITE
 
 
 def test_closure_split_of_open_part_matches_image(fam, rect_suite):

@@ -29,7 +29,7 @@ from cantorproj.certify import (
     closure_split,
     decomposition_member,
 )
-from cantorproj.images import TailSet, piece_member, removal_sequences
+from cantorproj.images import TailSet, canonical, piece_member, removal_sequences
 from cantorproj.suites import _random_rect_union
 from cantorproj.words import flip
 
@@ -102,7 +102,7 @@ class TestDecompose:
     def test_isolation_matches_holders_rule(self, fam):
         # The reference: a limit is isolated iff some hull holds it and
         # every piece whose hull holds it removes an infinite tail of its
-        # approximants.  decompose reads the same thing off membership.
+        # approximants.  decompose reads the same thing off the normal form.
         def holders_rule(img, n):
             x = fam.dense_pair(n).x
             holders = [p for p in img.pieces if p.hull.member(x)]
@@ -175,6 +175,12 @@ class TestDecompose:
                      dec, open_part=ImageSet(dec.open_part.pieces[:1])),
                  f"reconstruction differs at {CantorPoint('2', '2')}",
                  "0 x 00; 2 x 2"),
+                # The image as its own open part: the same set, holding x_0
+                # while it misses a tail of its approximants.
+                ("open-part-not-open",
+                 lambda img, dec, a, b: dataclasses.replace(dec, open_part=img, isolated=()),
+                 f"open part is not open at {Family().dense_pair(0).x}",
+                 "0 x 00; 2 x 2"),
             ]
             for suffix, check in [("", "certify"), ("-lc2_valid", "lc2_valid")]
         ],
@@ -188,7 +194,7 @@ class TestDecompose:
         tampered = tamper(img, dec, a, b)
         if check == "certify":
             with pytest.raises(CertificationError, match=re.escape(message)):
-                _certify_decomposition(fam, img, tampered)
+                _certify_decomposition(fam, img, tampered, canonical(fam, img))
         else:
             assert not lc2_valid(fam, img, tampered)
 

@@ -406,7 +406,7 @@ class TestCliGoldenBytes:
             (["check", "--seed", "7"],
              "7c86661d231a64ea382b586113d82ff466c7695c98bb09f854a92e378301a04b"),
             (["check", "--inject-fault", "approximant-digit"],
-             "b23e3a900da2fab6835f26157cb203548eca8c43ff1d0a7cebf1e79a27480e16"),
+             "c3ed9572c8d64fd7c0fa984410949e7dbc6bebac6026b87d4ce22754759e996e"),
             (["image", "0,2 x 00; 22 x ε", "--depth", "12"],
              "09f90366ebe4af33affd5f5333da8b6b80291b2360a216bdfa08a6bd1dceeba9"),
             (["image", "ε x 0202", "--depth", "16"],

@@ -240,7 +240,7 @@ class TestSettledIndex:
             img = project_union(fam, union)
             isolated = {d.seq for d in decompose(fam, img).isolated}
             for n in removal_sequences(img):
-                start = settled_index(img, n, 0)
+                start = settled_index(img, n)
                 seen = {
                     image_member(fam, img, fam.approximant(n, i))
                     for i in range(start, start + 6)
@@ -254,7 +254,7 @@ class TestSettledIndex:
         # settle by the hull depth); hand-built descriptions do.
         for ts, settled in ((TailSet(3, 10), 10), (TailSet(3, None, frozenset({7})), 8)):
             img = ImageSet((ImagePiece(WHOLE, (ts,)),))
-            assert settled_index(img, 3, 0) == settled
+            assert settled_index(img, 3) == settled
             before = image_member(fam, img, fam.approximant(3, settled - 1))
             assert before != image_member(fam, img, fam.approximant(3, settled))
 

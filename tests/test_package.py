@@ -77,8 +77,10 @@ def test_single_use_helpers_are_gone():
     # isolated sequences inline.
     assert not hasattr(certify, "LC2Certificate")
     assert not hasattr(certify, "_isolated_seqs")
-    # Isolation is read off image membership, not off the removal records.
+    # Isolation is read off the image's normal form, not off the raw records.
     assert not hasattr(certify, "_tail_isolated")
+    # The missing index is read off the normal form's record, not rescanned.
+    assert not hasattr(certify, "_missing_in")
     assert schema.scheme_params is family.scheme_params
 
 

@@ -69,6 +69,25 @@ def test_fault_injection_breaks_convergence():
     assert by_name["core-boolean-laws"]["passed"]
 
 
+def test_fault_verdicts_apart_from_wording():
+    # Which check catches the corrupted generator first may change its error
+    # strings; which suites fail, and how many checks the counted ones ran,
+    # may not.
+    report = run_all(RunConfig(), fault="approximant-digit")
+    failed = {s["name"]: s["detail"] for s in report["suites"] if not s["passed"]}
+    assert sorted(failed) == [
+        "family-approximant-convergence",
+        "lab-decomposition-soundness",
+        "lab-lc2",
+        "lab-witness",
+        "lab-witness-mutations",
+    ]
+    assert failed["family-approximant-convergence"]["checks"] == 1071
+    assert failed["lab-decomposition-soundness"]["checks"] == 4934
+    for name in ("lab-lc2", "lab-witness", "lab-witness-mutations"):
+        assert set(failed[name]) == {"error"}, name
+
+
 def test_stage_suite_catches_a_shifted_cylinder(monkeypatch):
     # A cylinder_interval that misplaces one cylinder: the stages are cut
     # from one another, not read off cylinder_interval, so the suite fails.
@@ -88,8 +107,8 @@ def test_stage_suite_catches_a_shifted_cylinder(monkeypatch):
 
 
 def test_unknown_fault_rejected():
-    with pytest.raises(ValueError):
-        make_family("bogus-fault")
+    with pytest.raises(ValueError, match="^unknown fault 'bogus'; known faults: approximant-digit$"):
+        make_family("bogus")
     assert FAULTS == ("approximant-digit",)
 
 
