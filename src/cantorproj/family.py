@@ -14,6 +14,7 @@ a given point belongs to.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -130,8 +131,8 @@ class DensePair:
     """The n-th point of the dense family in the square.
 
     Each coordinate is kept as its (word, zero pad) head and its point
-    ``word 0^pad (20)^w`` built on first read, so the pairs a base lookup
-    walks past, reading prefixes with :func:`dense_digits`, build none.
+    ``word 0^pad (20)^w`` built on first read.  A family builds a pair only
+    when :meth:`Family.dense_pair` reads it; its scans read the heads.
     """
 
     x_head: tuple[str, int]
@@ -148,6 +149,67 @@ class DensePair:
         return CantorPoint(word + "0" * k, DENSE_CYCLE)
 
 
+class _Column:
+    """One coordinate of the dense pairs: its (word, pad) heads in pair order.
+
+    Pair t sits on diagonal s at position j (:func:`diag_pair`), with x rank
+    s - j and y rank j.  Each rank keeps the pad it last took and each root
+    the zero counts taken, so the two columns grow apart.
+    """
+
+    __slots__ = ("heads", "_ranks", "_y", "_pads", "_taken", "_s", "_j")
+
+    def __init__(self, ranks: list, y: bool) -> None:
+        self.heads: list[tuple[str, int]] = []
+        self._ranks = ranks
+        self._y = y
+        self._pads: list[int] = []
+        self._taken: defaultdict[str, set[int]] = defaultdict(set)
+        self._s, self._j = -1, 0
+
+    def head(self, n: int) -> tuple[str, int]:
+        if n >= len(self.heads):
+            self.grow(n + 1)
+        return self.heads[n]
+
+    def grow(self, count: int) -> None:
+        # Minimal zero padding >= 1 keeping the new point distinct within
+        # its column; the point stays inside the requested cylinder.  Taken
+        # sets only grow, so a rank resumes at its last pad.
+        heads, ranks, pads, taken, y = self.heads, self._ranks, self._pads, self._taken, self._y
+        s, j = self._s, self._j
+        for _ in range(count - len(heads)):
+            if j > s:
+                # Diagonal s brings rank s: its word, root and trailing
+                # zeros (pad k >= 2 keys as the root with zeros + k), and
+                # its key at pad 1, shared by both columns.
+                s, j = s + 1, 0
+                pads.append(1)
+                if s == len(ranks):
+                    word = lenlex_word(s)
+                    root = word.rstrip("0")
+                    ranks.append((word, root, len(word) - len(root), dense_key(word, 1)))
+            r = j if y else s - j
+            word, root, tz, (one_root, one_zeros) = ranks[r]
+            k = pads[r]
+            if k == 1:
+                seen = taken[one_root]
+                if one_zeros in seen:
+                    k = 2
+                else:
+                    seen.add(one_zeros)
+            if k > 1:
+                seen = taken[root]
+                zeros = tz + k
+                while zeros in seen:
+                    zeros += 1
+                seen.add(zeros)
+                k = pads[r] = zeros - tz
+            heads.append((word, k))
+            j += 1
+        self._s, self._j = s, j
+
+
 class Family:
     """Append-only memo of the generated family.
 
@@ -156,14 +218,17 @@ class Family:
     tested on :func:`dense_key`, not on built points: the head ``word 0^k``
     with its trailing ``20`` blocks stripped names the stream exactly, since
     every dense point shares the cycle ``20``, and is kept as a root word
-    and a count of trailing zeros, one set of counts per root.  Pairs
-    build their points on first read (:class:`DensePair`).
+    and a count of trailing zeros, one set of counts per root.  The two
+    coordinates share no counts, so each is a column of (word, pad) heads
+    grown as far as its readers reach: the base table walks the y column
+    alone, approximants and recognition read x heads, and a
+    :class:`DensePair` is built only for an index :meth:`dense_pair` reads.
 
     The base assignment is a greedy back and forth whose forward half is
     first fit: each word, in length-lexicographic order, goes to the least
     unassigned index whose y point starts with it.  These first-fit lookups
     go through a y-prefix index (prefix of the current word length to pair
-    indices, in increasing order), built lazily and extended pair by pair
+    indices, in increasing order), built lazily and extended head by head
     only as far as a lookup needs, so no lookup rescans from index 0.
 
     Approximants are memoised by their indices, and recognition keeps the
@@ -174,12 +239,10 @@ class Family:
     """
 
     def __init__(self) -> None:
-        self._pairs: list[DensePair] = []
-        self._rank_words: list[str] = []
-        self._x_taken: dict[str, set[int]] = {}
-        self._y_taken: dict[str, set[int]] = {}
-        self._x_pad: dict[str, int] = {}
-        self._y_pad: dict[str, int] = {}
+        ranks: list[tuple[str, str, int, tuple[str, int]]] = []
+        self._x = _Column(ranks, y=False)
+        self._y = _Column(ranks, y=True)
+        self._pairs: list[DensePair | None] = []
         self._approx: dict[tuple[int, int], CantorPoint] = {}
         self._recog: dict[CantorPoint, tuple[int, int]] = {}
         self._idx2word: dict[int, str] = {}
@@ -194,38 +257,13 @@ class Family:
     def dense_pair(self, n: int) -> DensePair:
         if n < 0:
             raise FamilyError("pair index must be a natural number")
-        while len(self._pairs) <= n:
-            xr, yr = diag_pair(len(self._pairs))
-            # Diagonal s opens with ranks (s, 0), so a new rank is the next
-            # one; each rank word is built once and read on every diagonal.
-            if xr == len(self._rank_words):
-                self._rank_words.append(lenlex_word(xr))
-            xw, yw = self._rank_words[xr], self._rank_words[yr]
-            x = xw, self._fresh(xw, self._x_taken, self._x_pad)
-            y = yw, self._fresh(yw, self._y_taken, self._y_pad)
-            self._pairs.append(DensePair(x, y))
-        return self._pairs[n]
-
-    def _fresh(
-        self, word: str, taken: dict[str, set[int]], pads: dict[str, int]
-    ) -> int:
-        # Minimal zero padding >= 1 keeping the new point distinct within
-        # its own family; the point stays inside the requested cylinder.
-        # Taken sets only grow, so the scan may resume at the last success.
-        # From k = 2 on the key keeps its root and counts k's zeros, so the
-        # scan steps one int through one set.
-        k = pads.get(word, 1)
-        root, zeros = dense_key(word, k)
-        if k == 1 and zeros in taken.get(root, ()):
-            k = 2
-            root, zeros = dense_key(word, k)
-        seen = taken.setdefault(root, set())
-        while zeros in seen:
-            k += 1
-            zeros += 1
-        seen.add(zeros)
-        pads[word] = k
-        return k
+        pairs = self._pairs
+        if n >= len(pairs):
+            pairs.extend([None] * (n + 1 - len(pairs)))
+        pair = pairs[n]
+        if pair is None:
+            pair = pairs[n] = DensePair(self._x.head(n), self._y.head(n))
+        return pair
 
     # -- approximants -----------------------------------------------------
 
@@ -236,9 +274,9 @@ class Family:
         if found is None:
             if n < 0 or i < 0:
                 raise FamilyError("approximant indices must be natural numbers")
-            x = self.dense_pair(n).x
             d = approximant_depth(n, i)
-            word = x.digits(d) + flip(x.digit(d)) + approximant_tag(n, i)
+            head = dense_digits(*self._x.head(n), d + 1)
+            word = head[:d] + flip(head[d]) + approximant_tag(n, i)
             found = self._approx[key] = CantorPoint(word, "0")
         return found
 
@@ -290,8 +328,8 @@ class Family:
             return None
         if top - 2 * n != d + 2 or s[d + 1] != "2":
             return None
-        x = self.dense_pair(n).x
-        if s.startswith(x.digits(d)) and s[d] == flip(x.digit(d)):
+        head = dense_digits(*self._x.head(n), d + 1)
+        if s.startswith(head[:d]) and s[d] == flip(head[d]):
             return n, i
         return None
 
@@ -326,7 +364,7 @@ class Family:
         if w not in self._word2idx:
             self._assign(self._first_fit(w), w)
         if t not in self._idx2word:
-            word, k = self.dense_pair(t).y_head
+            word, k = self._y.head(t)
             length = 1
             while dense_digits(word, k, length) in self._word2idx:
                 length += 1
@@ -341,23 +379,29 @@ class Family:
         # word comes up, so the index is rebuilt once per length and never
         # buckets a word already assigned.  An index assigned after it was
         # bucketed is skipped on reading.
-        if len(w) != self._prefix_len:
-            self._prefix_len, self._prefix_scanned, self._by_prefix = len(w), 0, {}
-        for n in self._by_prefix.pop(w, ()):
-            if n not in self._idx2word:
+        width = len(w)
+        if width != self._prefix_len:
+            self._prefix_len, self._prefix_scanned, self._by_prefix = width, 0, {}
+        assigned, by_prefix = self._idx2word, self._by_prefix
+        for n in by_prefix.pop(w, ()):
+            if n not in assigned:
                 return n
+        heads, n = self._y.heads, self._prefix_scanned
         while True:
-            n = self._prefix_scanned
-            self._prefix_scanned += 1
-            if n in self._idx2word:
-                continue
-            if n == len(self._pairs):
-                self.dense_pair(n)
-            pref = dense_digits(*self._pairs[n].y_head, len(w))
-            if pref == w:
-                return n
-            if pref not in self._word2idx:
-                self._by_prefix.setdefault(pref, []).append(n)
+            if n not in assigned:
+                if n == len(heads):
+                    # A diagonal's length at a time, not one call per head.
+                    self._y.grow(n + len(self._y._pads) + 1)
+                word, k = heads[n]
+                # When the word alone holds the prefix, skip the call.
+                pref = word[:width] if len(word) >= width else dense_digits(word, k, width)
+                if pref == w:
+                    break
+                if pref not in self._word2idx:
+                    by_prefix.setdefault(pref, []).append(n)
+            n += 1
+        self._prefix_scanned = n + 1
+        return n
 
     def enumeration_steps(self) -> int:
         return self._enum_step

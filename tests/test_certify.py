@@ -44,10 +44,11 @@ class TestDecompose:
     def test_deep_missing_scan_work_guard(self, monkeypatch):
         # Work counts, not wall clock: the missing scan of each isolated
         # point starts at the first approximant that can start with its
-        # separator, and base_index('02020202') materialises 58,311 pairs
-        # that build no point until a coordinate is read.  Eager pair
-        # points and a scan from 0 built 1,582 approximants and 118,204
-        # points here.
+        # separator, base_index('02020202') walks 58,311 y heads, and the
+        # limit of that sequence reads as many x heads, but only the 8
+        # pairs read are built.  Eager pair points and a scan from 0 built
+        # 1,582 approximants and 118,204 points here, and building every
+        # scanned pair built 58,311 pairs.
         built = [0]
         init = CantorPoint.__init__
 
@@ -64,6 +65,8 @@ class TestDecompose:
         assert len(fresh._approx) == 15
         assert built[0] == 23
         assert len(fresh._pairs) == 58311
+        assert sum(pair is not None for pair in fresh._pairs) == 8
+        assert len(fresh._x.heads) == len(fresh._y.heads) == 58311
 
     def test_whole_square_trivial(self, fam):
         dec = decompose(fam, img_of(fam, "ε x ε"))

@@ -34,6 +34,11 @@ from cantorproj.words import distance, flip
 COMMON = settings(max_examples=80)
 
 
+@pytest.fixture(scope="module")
+def scanned():
+    return scanned_dense_pairs(2000)
+
+
 class TestHelpers:
     def test_diag_pair_frozen(self):
         seen = [diag_pair(t) for t in range(6)]
@@ -115,6 +120,58 @@ class TestDensePairs:
             fam.dense_pair(-1)
 
 
+class TestColumnOrder:
+    """The two columns grow at different times; no order may change a result."""
+
+    STEPS = 61
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        # Every index up to 60 and every word of length <= 4 is settled
+        # within 61 steps of the back and forth.
+        return first_fit_bases(Family(), self.STEPS)
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("base_word"), st.integers(0, STEPS - 1)),
+            st.tuples(st.just("base_index"), st.text(alphabet="02", min_size=1, max_size=4)),
+            st.tuples(st.just("dense_pair"), st.integers(0, 1999)),
+            st.tuples(st.just("approximant"), st.integers(0, 400), st.integers(0, 8)),
+            st.tuples(st.just("recognize"), st.integers(0, 400), st.integers(0, 8)),
+        ),
+        max_size=10,
+    )
+
+    @settings(max_examples=60)
+    @given(OPS)
+    def test_interleavings_match_the_oracles(self, scanned, table, ops):
+        fresh = Family()
+        for op, *args in ops:
+            if op == "base_word":
+                assert fresh.base_word(args[0]) == table[args[0]]
+            elif op == "base_index":
+                assert table[fresh.base_index(args[0])] == args[0]
+            elif op == "dense_pair":
+                pair = fresh.dense_pair(args[0])
+                assert (pair.x, pair.y) == scanned[args[0]]
+            else:
+                n, i = args
+                x, d = scanned[n][0], approximant_depth(n, i)
+                body = x.digits(d) + flip(x.digit(d))
+                want = CantorPoint(body + approximant_tag(n, i), "0")
+                if op == "approximant":
+                    assert fresh.approximant(n, i) == want
+                else:
+                    assert fresh.recognize(want) == (n, i)
+                    near = CantorPoint(x.digits(d + 1) + approximant_tag(n, i), "0")
+                    assert fresh.recognize(near) is None
+        # Heads nobody read back must agree too.
+        for column, axis in ((fresh._x, 0), (fresh._y, 1)):
+            for n, (word, k) in enumerate(column.heads[: len(scanned)]):
+                assert CantorPoint(word + "0" * k, "20") == scanned[n][axis]
+        assert all(table[n] == w for n, w in fresh._idx2word.items())
+
+
 class TestFreshnessKey:
     @staticmethod
     def point(word, k):
@@ -140,8 +197,7 @@ class TestFreshnessKey:
         assert self.point(*a) == self.point(*b)
         assert dense_key(*a) == dense_key(*b)
 
-    def test_matches_point_keyed_scan(self, fam):
-        scanned = scanned_dense_pairs(2000)
+    def test_matches_point_keyed_scan(self, fam, scanned):
         for n, (x, y) in enumerate(scanned):
             assert (fam.dense_pair(n).x, fam.dense_pair(n).y) == (x, y)
 
@@ -307,6 +363,28 @@ class TestRecognition:
         assert fresh.recognize(p) is None
         assert not fresh._pairs
 
+    def test_forged_fitting_tag_reads_only_x_heads(self, monkeypatch):
+        # Work count, not wall clock: a forged "02" run that fits sequence
+        # 99,993 exactly is rejected on that sequence's x digits, read off
+        # the x column, with no pair, no point and no y head built.  The
+        # work is smaller than building each pair, but still grows with
+        # the run.
+        p = CantorPoint("2" + "02" * 100_000 + "22" + "22", "0")
+        built = [0]
+        init = CantorPoint.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CantorPoint, "__init__", counting)
+        fresh = Family()
+        assert fresh.recognize(p) is None
+        assert not fresh._pairs
+        assert not fresh._y.heads
+        assert len(fresh._x.heads) == 99_994
+        assert built[0] == 0
+
     def test_memo_holds_only_tag_shaped_points(self):
         # The memo keeps only decoded approximants, so after a depth-12
         # trace it maps every point it holds back to that point's indices.
@@ -348,6 +426,16 @@ class TestBaseEnumeration:
     def test_empty_word_rejected(self, fam):
         with pytest.raises(FamilyError):
             fam.base_index("")
+
+    def test_walks_only_the_y_column(self):
+        # Work count, not wall clock: base_word(200) reads the y heads of
+        # diagonals 0 to 200 and builds no pair and no x head.  Building
+        # both coordinates of each scanned pair built 20,301 pairs here.
+        fresh = Family()
+        assert fresh.base_word(200) == "022000000000"
+        assert not fresh._pairs
+        assert not fresh._x.heads
+        assert len(fresh._y.heads) == 20_301
 
     @COMMON
     @given(st.text(alphabet="02", min_size=1, max_size=5))

@@ -159,8 +159,9 @@ class TestProjectUnion:
     def test_trace_work_guard(self, monkeypatch):
         # Work counts, not wall clock, from a fresh Family through projection
         # and a depth-12 trace of 4,096 cylinders: one point per cylinder
-        # plus the three dense points the two steps read (dense pairs build
-        # a point only when a coordinate is read).  Since recognition tests
+        # plus the one dense point projection reads.  Recognition reads the
+        # x digits of sequences 0 and 1 off the x column; reading their
+        # points instead would build two more.  Since recognition tests
         # the tag shape before the memo, it decodes only the 2,047
         # tag-shaped points, and memoises only the three approximants among
         # them: (0, 0), (0, 1) and (1, 0).
@@ -180,7 +181,7 @@ class TestProjectUnion:
         fresh = Family()
         img = project_union(fresh, parse_rect_union("ε x 2"))
         assert len(image_trace(fresh, img, 12)) == 4096
-        assert counts["point"] == 4099
+        assert counts["point"] == 4097
         assert counts["decode"] <= 2048
         assert len(fresh._recog) <= 3
 
