@@ -19,8 +19,7 @@ _OWNERS = {
     "parse_clopen parse_point parse_rect_union repr_point",
     "family": "Family FamilyError",
     "images": "ImageSet image_member image_trace project_union",
-    "certify": "CertificationError NonMonotoneTraceError decompose lc2_certificate "
-    "lc2_valid piecewise_open_check resolvable_probe scattered_check stabilization_probe",
+    "certify": "CertificationError decompose lc2_certificate lc2_valid resolvable_probe",
     "witness": "SearchBudgetExceeded WitnessCertificate falsify_restriction "
     "verify_witness witness_from_dict witness_to_dict",
     "schema": "CertificateFormatError",

@@ -3,9 +3,7 @@
 Every image splits into an open part plus finitely many isolated limit
 points, a closed set; this module computes that split, which is the image's
 LC₂ presentation, certifies it, and probes exact closures of clopen slices
-through the image.  The scans built on the split live here too: scattered
-families, piecewise openness of a closed cover, and the split along a
-growing union of rectangles.
+through the image.
 """
 
 from __future__ import annotations
@@ -19,30 +17,14 @@ from .images import (
     adjust_open,
     canonical,
     image_member,
-    image_trace,
-    project_union,
     removal_sequences,
     settled_index,
 )
-from .words import (
-    WHOLE_SPACE,
-    CantorPoint,
-    ClopenSet,
-    PieceError,
-    Rect,
-    RectUnion,
-    all_words,
-    repr_point,
-    separation_depth,
-)
+from .words import CantorPoint, ClopenSet, PieceError, all_words, repr_point, separation_depth
 
 
 class CertificationError(RuntimeError):
     """An internally produced certificate failed its own check."""
-
-
-class NonMonotoneTraceError(RuntimeError):
-    """The open-part trace of a growing union shrank."""
 
 
 @dataclass(frozen=True)
@@ -253,167 +235,3 @@ def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
         raise PieceError("resolvability probe needs a nonempty closed set")
     core = img.hull.intersect(f).intersect(f.intersect(img.outside))
     return not f.subset(core)
-
-
-# -- scattered families ---------------------------------------------------
-
-
-def scattered_check(members: list[ClopenSet], depth: int) -> tuple[bool, dict]:
-    """Check the family is scattered using isolating sets of bounded depth.
-
-    Every nonempty subfamily must contain a member that a union of depth-d
-    cylinders isolates from the rest.  Returns the full assignment, or the
-    first subfamily with no isolated member.
-    """
-    if not 1 <= len(members) <= 12:
-        raise PieceError("family size must be between 1 and 12")
-    for j, m in enumerate(members):
-        if m.is_empty():
-            raise PieceError(f"member {j} is empty")
-        for k in range(j + 1, len(members)):
-            if not m.intersect(members[k]).is_empty():
-                raise PieceError(f"members {j} and {k} overlap")
-    words = all_words(depth)
-    meets = [
-        {w for w in words if not ClopenSet((w,)).intersect(m).is_empty()}
-        for m in members
-    ]
-    assignments = []
-    for mask in range(1, 2 ** len(members)):
-        sub = [j for j in range(len(members)) if mask >> j & 1]
-        found = None
-        for t0 in sub:
-            blocked = set().union(*(meets[j] for j in sub if j != t0))
-            isolating = ClopenSet(tuple(w for w in words if w not in blocked))
-            if members[t0].subset(isolating):
-                found = {"members": sub, "isolated": t0, "witness": list(isolating.words)}
-                break
-        if found is None:
-            return False, {"members": sub}
-        assignments.append(found)
-    return True, {"assignments": assignments}
-
-
-# -- piecewise openness ---------------------------------------------------
-
-
-def _region_rects(rect: Rect, complement: RectUnion) -> list[Rect]:
-    """The rectangle minus the complement, one rectangle per column of a common grid."""
-    dx = max([rect.x_set.depth] + [r.x_set.depth for r in complement.rects])
-    out = []
-    for wx in all_words(dx):
-        col = ClopenSet((wx,))
-        if col.intersect(rect.x_set).is_empty():
-            continue
-        ys = rect.y_set
-        for r in complement.rects:
-            if col.subset(r.x_set):
-                ys = ys.minus(r.y_set)
-        if not ys.is_empty():
-            out.append(Rect(col, ys))
-    return out
-
-
-def _pieces_disjoint(cover: list[RectUnion]) -> bool:
-    for s in range(len(cover)):
-        for t in range(s + 1, len(cover)):
-            joined = RectUnion(cover[s].rects + cover[t].rects)
-            if _region_rects(Rect(WHOLE_SPACE, WHOLE_SPACE), joined):
-                return False
-    return True
-
-
-def piecewise_open_check(
-    fam: Family, cover: list[RectUnion], depth: int, samples: int = 3
-) -> tuple[bool, dict | None]:
-    """Look for a piece and rectangle whose image trace is not relatively open.
-
-    Pieces are given by their open complements inside the square.  For each
-    piece and each basic rectangle of bounded depth, the exact image of the
-    clipped rectangle is decomposed; an isolated limit point whose dropped
-    approximants re-enter the projection of the piece is a violation and is
-    returned as a mini certificate.  A clean scan only means no violation at
-    this depth.
-    """
-    if not _pieces_disjoint(cover):
-        raise PieceError("pieces are not pairwise disjoint")
-    basics = [w for d in range(depth + 1) for w in all_words(d)]
-    for idx, complement in enumerate(cover):
-        for wx in basics:
-            for wy in basics:
-                region = _region_rects(
-                    Rect(ClopenSet((wx,)), ClopenSet((wy,))), complement
-                )
-                if not region:
-                    continue
-                img = project_union(fam, RectUnion(tuple(region)))
-                dec = decompose(fam, img)
-                for iso in dec.isolated:
-                    found = _piece_evidence(fam, img, complement, iso.seq, samples)
-                    if found:
-                        return False, {
-                            "piece": idx,
-                            "rect": {"x": wx, "y": wy},
-                            "seq": iso.seq,
-                            "limit": str(iso.point),
-                            "samples": found,
-                        }
-    return True, None
-
-
-def _piece_evidence(
-    fam: Family, img: ImageSet, complement: RectUnion, seq: int, samples: int
-) -> list[dict]:
-    """Missing approximants of the sequence that the piece still projects."""
-    base = ClopenSet((fam.base_word(seq),))
-    out: list[dict] = []
-    for i in range(samples + 30):
-        if len(out) >= samples:
-            break
-        q = fam.approximant(seq, i)
-        if image_member(fam, img, q):
-            continue
-        blocked = base
-        for r in complement.rects:
-            if r.x_set.member(q):
-                blocked = blocked.union(r.y_set)
-        free = blocked.complement()
-        if free.is_empty():
-            continue
-        y = repr_point(free.words[0])
-        out.append({"i": i, "point": str(q), "evidence": str(y)})
-    return out
-
-
-# -- stabilization --------------------------------------------------------
-
-
-def stabilization_probe(fam: Family, rects: list[Rect], depth: int) -> dict:
-    """Track the image decomposition along growing prefixes of a stream.
-
-    The open-part trace must grow monotonically; isolated points may migrate
-    into the open part as later rectangles restore their approximants.
-    """
-    steps = []
-    prev_trace: set[str] = set()
-    prev_iso: set[str] = set()
-    for k in range(1, len(rects) + 1):
-        img = project_union(fam, RectUnion(tuple(rects[:k])))
-        dec = decompose(fam, img)
-        trace = set(image_trace(fam, dec.open_part, depth))
-        iso = {str(d.point) for d in dec.isolated}
-        if not prev_trace <= trace:
-            raise NonMonotoneTraceError(
-                f"open-part trace shrank at step {k}: lost {sorted(prev_trace - trace)}"
-            )
-        steps.append(
-            {
-                "step": k,
-                "open_trace": sorted(trace),
-                "isolated": sorted(iso),
-                "arrived": sorted(iso - prev_iso),
-                "departed": sorted(prev_iso - iso),
-            }
-        )
-        prev_trace, prev_iso = trace, iso
-    return {"depth": depth, "steps": steps}

@@ -81,6 +81,11 @@ def test_single_use_helpers_are_gone():
     assert not hasattr(certify, "_tail_isolated")
     # The missing index is read off the normal form's record, not rescanned.
     assert not hasattr(certify, "_missing_in")
+    # No command read the bounded scans; falsify and verify certify the claim.
+    scans = ("scattered_check", "piecewise_open_check", "_region_rects", "_pieces_disjoint",
+             "_piece_evidence", "stabilization_probe", "NonMonotoneTraceError")
+    assert [name for name in scans if hasattr(certify, name)] == []
+    assert set(scans).isdisjoint(cantorproj.__all__)
     assert schema.scheme_params is family.scheme_params
 
 

@@ -1,4 +1,4 @@
-"""Non-openness witnesses, their verifier, and the auxiliary checks."""
+"""Non-openness witnesses and their verifier."""
 
 import contextlib
 import io
@@ -11,18 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from cantorproj import (
     ClopenSet,
-    NonMonotoneTraceError,
+    Family,
     PieceError,
     Rect,
     RectUnion,
     SearchBudgetExceeded,
     falsify_restriction,
     family,
-    parse_point,
     parse_rect_union,
-    piecewise_open_check,
-    scattered_check,
-    stabilization_probe,
     verify_witness,
     witness_from_dict,
     witness_to_dict,
@@ -89,12 +85,19 @@ class TestFalsify:
         with pytest.raises(PieceError):
             falsify_restriction(fam, overlap, rect, samples=3)
 
-    def test_nontrivial_piece(self, fam):
-        # piece = everything outside the [2] x [2] corner
-        complement = parse_rect_union("2 x 2")
-        rect = parse_rect_union("0 x 0").rects[0]
+    # Each piece is the square outside its complement.  A complement over
+    # every x, as "ε x 00" and "ε x 20" are, meets every fibre, so evidence
+    # drawn outside the rectangle's y-band could fall inside it.
+    @pytest.mark.parametrize(
+        "literal, inside", [("2 x 2", "0 x 0"), ("ε x 00", "0 x 2"), ("ε x 20", "0 x 0")]
+    )
+    def test_nontrivial_piece(self, fam, literal, inside):
+        complement = parse_rect_union(literal)
+        rect = parse_rect_union(inside).rects[0]
         cert = falsify_restriction(fam, complement, rect, samples=6)
-        ok, clause = verify_witness(fam, cert, samples=6)
+        for entry in cert.missing:
+            assert not complement.covers(entry.point, entry.evidence)
+        ok, clause = verify_witness(Family(), cert, samples=6)
         assert ok, clause
 
 
@@ -225,106 +228,3 @@ class TestMalformedPayloads:
         assert code in (0, 1, 2), (path, code)
         if code == 2:
             assert err.getvalue().startswith("error:")
-
-
-class TestScattered:
-    def test_singleton(self):
-        ok, detail = scattered_check([WHOLE], depth=1)
-        assert ok
-        assert detail["assignments"][0]["isolated"] == 0
-
-    def test_interleaved_pair_depth_sensitive(self):
-        a = ClopenSet(("00", "20"))
-        b = ClopenSet(("02", "22"))
-        ok1, detail1 = scattered_check([a, b], depth=1)
-        assert not ok1
-        assert detail1["members"] == [0, 1]
-        ok2, detail2 = scattered_check([a, b], depth=2)
-        assert ok2
-        assert len(detail2["assignments"]) == 3
-
-    def test_nested_family(self):
-        members = [ClopenSet(("00",)), ClopenSet(("02",)), ClopenSet(("2",))]
-        ok, detail = scattered_check(members, depth=2)
-        assert ok
-
-    def test_overlap_rejected(self):
-        with pytest.raises(PieceError):
-            scattered_check([WHOLE, ClopenSet(("0",))], depth=1)
-
-    def test_empty_member_rejected(self):
-        with pytest.raises(PieceError):
-            scattered_check([ClopenSet(())], depth=1)
-
-    def test_size_limits(self):
-        with pytest.raises(PieceError):
-            scattered_check([], depth=1)
-
-
-class TestPiecewiseOpen:
-    def test_full_piece_is_violated(self, fam):
-        ok, violation = piecewise_open_check(fam, [TRIVIAL], depth=1)
-        assert not ok
-        assert violation["piece"] == 0
-        assert violation["samples"]
-
-    def test_violation_cross_validates(self, fam):
-        ok, violation = piecewise_open_check(fam, [TRIVIAL], depth=1)
-        assert not ok
-        rect = Rect(
-            ClopenSet((violation["rect"]["x"],)), ClopenSet((violation["rect"]["y"],))
-        )
-        cert = falsify_restriction(fam, TRIVIAL, rect, samples=4)
-        okv, clause = verify_witness(fam, cert, samples=4)
-        assert okv, clause
-
-    def test_empty_pieces_scan_clean(self, fam):
-        covered = RectUnion((Rect(WHOLE, WHOLE),))
-        ok, violation = piecewise_open_check(fam, [covered], depth=1)
-        assert ok and violation is None
-
-    def test_overlapping_pieces_rejected(self, fam):
-        with pytest.raises(PieceError):
-            piecewise_open_check(fam, [TRIVIAL, TRIVIAL], depth=1)
-
-    # Under "ε x 20" the first free word, "2", lies in the complement, so
-    # evidence that ignored the complement would be caught here.
-    @pytest.mark.parametrize("literal", ["ε x 00", "ε x 20"])
-    def test_evidence_avoids_piece_complement(self, fam, literal):
-        complement = parse_rect_union(literal)
-        ok, violation = piecewise_open_check(fam, [complement], depth=1)
-        assert not ok and violation["samples"]
-        for sample in violation["samples"]:
-            x, y = parse_point(sample["point"]), parse_point(sample["evidence"])
-            assert fam.in_x(x, y)
-            assert not complement.covers(x, y)
-
-
-class TestStabilization:
-    def test_tail_restored_along_stream(self, fam):
-        x1 = fam.dense_pair(1).x
-        w = x1.digits(3)
-        rects = [
-            parse_rect_union(f"{w} x 00").rects[0],
-            parse_rect_union(f"{w} x 02").rects[0],
-        ]
-        report = stabilization_probe(fam, rects, depth=3)
-        steps = report["steps"]
-        assert str(x1) in steps[0]["isolated"]
-        assert str(x1) in steps[1]["departed"]
-        assert str(x1) not in steps[1]["isolated"]
-
-    def test_traces_grow(self, fam):
-        rects = [
-            parse_rect_union("0 x 0").rects[0],
-            parse_rect_union("20 x 2").rects[0],
-            parse_rect_union("22 x 00").rects[0],
-        ]
-        report = stabilization_probe(fam, rects, depth=2)
-        seen = set()
-        for step in report["steps"]:
-            assert seen <= set(step["open_trace"])
-            seen = set(step["open_trace"])
-
-    def test_error_type_exported(self):
-        assert issubclass(NonMonotoneTraceError, RuntimeError)
