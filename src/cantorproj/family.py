@@ -46,6 +46,18 @@ def lenlex_word(rank: int) -> str:
     return lenlex_nonempty(rank - 1)
 
 
+def lenlex_rank(word: str) -> int:
+    """Rank of a word in length-lexicographic order: ``lenlex_word``'s inverse.
+
+    The order is a binary tree read breadth first: the children of rank r
+    are ``u0`` at 2r + 1 and ``u2`` at 2r + 2.
+    """
+    rank = 0
+    for c in word:
+        rank = 2 * rank + (1 if c == "0" else 2)
+    return rank
+
+
 def lenlex_nonempty(rank: int) -> str:
     """The rank-th nonempty word in length-lexicographic order."""
     length, r = 1, rank
@@ -226,10 +238,9 @@ class Family:
 
     The base assignment is a greedy back and forth whose forward half is
     first fit: each word, in length-lexicographic order, goes to the least
-    unassigned index whose y point starts with it.  These first-fit lookups
-    go through a y-prefix index (prefix of the current word length to pair
-    indices, in increasing order), built lazily and extended head by head
-    only as far as a lookup needs, so no lookup rescans from index 0.
+    unassigned index whose y point starts with it.  A y rank's word either
+    extends the word or is one of its prefixes, so first fit walks the
+    diagonals over those ranks alone and reads y heads only at prefix ranks.
 
     Approximants are memoised by their indices, and recognition keeps the
     inverse map on the approximants it has decoded, and nothing else.
@@ -248,9 +259,6 @@ class Family:
         self._idx2word: dict[int, str] = {}
         self._word2idx: dict[str, int] = {}
         self._enum_step = 0
-        self._prefix_len = 0
-        self._prefix_scanned = 0
-        self._by_prefix: dict[str, list[int]] = {}
 
     # -- dense pairs ------------------------------------------------------
 
@@ -372,36 +380,40 @@ class Family:
         self._enum_step += 1
 
     def _first_fit(self, w: str) -> int:
-        # Least unassigned index whose y point starts with w.  Unassigned
-        # pairs below _prefix_scanned sit in buckets keyed by their y-prefix
-        # of length len(w), in increasing order.  Words come up in
-        # length-lexicographic order and each bucket is read once, when its
-        # word comes up, so the index is rebuilt once per length and never
-        # buckets a word already assigned.  An index assigned after it was
-        # bucketed is skipped on reading.
-        width = len(w)
-        if width != self._prefix_len:
-            self._prefix_len, self._prefix_scanned, self._by_prefix = width, 0, {}
-        assigned, by_prefix = self._idx2word, self._by_prefix
-        for n in by_prefix.pop(w, ()):
-            if n not in assigned:
-                return n
-        heads, n = self._y.heads, self._prefix_scanned
+        # Least unassigned index whose y point starts with w.  Pair T(s) + j,
+        # T(s) = s(s+1)/2, has y rank j and point lenlex_word(j) 0^pad (20)^w.
+        # It holds w when its word extends w: the ranks (R+1)2^k - 1 to
+        # (R+2)2^k - 2 for R = rank(w), k >= 0.  Or when its word is a
+        # proper prefix u of w = u 0^a r, a >= 1, r a prefix of the cycle:
+        # at pad == a if r is nonempty, at pad >= a if not.  The diagonals
+        # are walked in index order from the least such rank.  A rank's pad
+        # starts at 1 and rises on each diagonal, so it is at least s - j + 1:
+        # a head is read only when that bound leaves the test open, and a
+        # prefix with an exact a is dropped once the bound passes a.
+        top, cands = lenlex_rank(w), []
+        for i in range(len(w)):
+            r = w[i:].lstrip("0")
+            if len(r) < len(w) - i and (DENSE_CYCLE * len(r)).startswith(r):
+                cands.append((lenlex_rank(w[:i]), len(w) - i - len(r), r != ""))
+        assigned, s = self._idx2word, cands[0][0] if cands else top
         while True:
-            if n not in assigned:
-                if n == len(heads):
-                    # A diagonal's length at a time, not one call per head.
-                    self._y.grow(n + len(self._y._pads) + 1)
-                word, k = heads[n]
-                # When the word alone holds the prefix, skip the call.
-                pref = word[:width] if len(word) >= width else dense_digits(word, k, width)
-                if pref == w:
-                    break
-                if pref not in self._word2idx:
-                    by_prefix.setdefault(pref, []).append(n)
-            n += 1
-        self._prefix_scanned = n + 1
-        return n
+            base = s * (s + 1) // 2
+            for cand in [c for c in cands if c[0] <= s]:
+                j, a, exact = cand
+                n, floor = base + j, s - j + 1
+                if exact and floor > a:
+                    cands.remove(cand)
+                elif n not in assigned:
+                    pad = a if floor >= a and not exact else self._y.head(n)[1]
+                    if pad == a or pad > a and not exact:
+                        return n
+            lo, width = top, 1
+            while lo <= s:
+                for n in range(base + lo, base + min(lo + width - 1, s) + 1):
+                    if n not in assigned:
+                        return n
+                lo, width = 2 * lo + 1, 2 * width
+            s = s + 1 if cands else max(s + 1, top)
 
     def enumeration_steps(self) -> int:
         return self._enum_step

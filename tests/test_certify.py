@@ -44,9 +44,9 @@ class TestDecompose:
     def test_deep_missing_scan_work_guard(self, monkeypatch):
         # Work counts, not wall clock: the missing scan of each isolated
         # point starts at the first approximant that can start with its
-        # separator, base_index('02020202') walks 58,311 y heads, and the
-        # limit of that sequence reads as many x heads, but only the 8
-        # pairs read are built.  Eager pair points and a scan from 0 built
+        # separator.  base_index('02020202') is 58,310, and reading that
+        # sequence's pair grows both columns to 58,311 heads, but only the
+        # 8 pairs read are built.  Eager pair points and a scan from 0 built
         # 1,582 approximants and 118,204 points here, and building every
         # scanned pair built 58,311 pairs.
         built = [0]

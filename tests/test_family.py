@@ -25,6 +25,7 @@ from cantorproj.family import (
     dense_digits,
     dense_key,
     diag_pair,
+    lenlex_rank,
     lenlex_word,
     stable_index,
 )
@@ -52,6 +53,9 @@ class TestHelpers:
     def test_lenlex_frozen(self):
         got = [lenlex_word(r) for r in range(8)]
         assert got == ["", "0", "2", "00", "02", "20", "22", "000"]
+
+    def test_lenlex_rank_inverts_lenlex_word(self):
+        assert [lenlex_rank(lenlex_word(r)) for r in range(2000)] == list(range(2000))
 
     def test_lenlex_orders_by_length_then_value(self):
         words = [lenlex_word(r) for r in range(63)]
@@ -428,14 +432,63 @@ class TestBaseEnumeration:
             fam.base_index("")
 
     def test_walks_only_the_y_column(self):
-        # Work count, not wall clock: base_word(200) reads the y heads of
-        # diagonals 0 to 200 and builds no pair and no x head.  Building
-        # both coordinates of each scanned pair built 20,301 pairs here.
+        # Work count, not wall clock: base_word(200) grows the y column to
+        # 1,275 heads, since first fit reads a head only at the rank of a
+        # prefix of its word, and builds no pair and no x head.  A y-prefix
+        # scan read the 20,301 heads of diagonals 0 to 200, and building
+        # both coordinates of each scanned pair built 20,301 pairs.
         fresh = Family()
         assert fresh.base_word(200) == "022000000000"
         assert not fresh._pairs
         assert not fresh._x.heads
-        assert len(fresh._y.heads) == 20_301
+        assert len(fresh._y.heads) == 1_275
+
+    # Taken positions (diagonal, y rank) near the start, so that prefix
+    # ranks with a taken head or a pad to read come before the word's own
+    # rank.  The back and forth alone never lets a prefix rank win with an
+    # exact pad for words up to length 10.
+    TAKEN = st.sets(
+        st.tuples(st.integers(0, 40), st.integers(0, 14)).map(
+            lambda p: (p[0] + p[1]) * (p[0] + p[1] + 1) // 2 + p[1]
+        ),
+        max_size=80,
+    )
+
+    @COMMON
+    @given(st.text(alphabet="02", min_size=1, max_size=6), TAKEN)
+    def test_first_fit_matches_a_plain_scan(self, w, taken):
+        fresh = Family()
+        fresh._idx2word.update(dict.fromkeys(taken, ""))
+        n = 0
+        while n in taken or not fresh.dense_pair(n).y.starts_with(w):
+            n += 1
+        assert fresh._first_fit(w) == n
+
+    def test_first_fit_past_every_taken_run(self, scanned):
+        # With indices 0 to m - 1 taken, the answer can be any candidate of
+        # a diagonal, including the later extensions of the word.
+        fresh = Family()
+        for w in [w for d in range(1, 4) for w in all_words(d)]:
+            for m in range(600):
+                fresh._idx2word = dict.fromkeys(range(m), "")
+                n = m
+                while not scanned[n][1].starts_with(w):
+                    n += 1
+                assert fresh._first_fit(w) == n
+
+    def test_pads_rise_along_each_y_rank(self):
+        # First fit bounds a y rank's pad on diagonal s by s - rank + 1 and
+        # skips reading heads on that bound, which is sound only if every
+        # rank's pad rises from one diagonal to the next.
+        fresh = Family()
+        fresh.base_word(1600)
+        last: dict[int, int] = {}
+        for n, (_, pad) in enumerate(fresh._y.heads):
+            rank = diag_pair(n)[1]
+            assert pad > last.get(rank, 0)
+            last[rank] = pad
+        # 80,200 heads on 400 ranks: 79,800 consecutive pads compared.
+        assert len(fresh._y.heads) == 80_200 and len(last) == 400
 
     @COMMON
     @given(st.text(alphabet="02", min_size=1, max_size=5))
@@ -454,15 +507,28 @@ class TestGoldenBytes:
 
     They cover the base table, the dense pairs and the ``construct`` output,
     so any change to pairs, zero pads or the base assignment shows up here.
+    The 1,600 base words and the indices of every word up to length 9 were
+    pinned from the y-prefix scan that first fit replaced.
     """
 
     BASE_WORDS_400 = "5bee6bd865ac687250efe9b6a89002a0a9e76d5f1fc00b2d1db399483f3f8d70"
+    BASE_WORDS_1600 = "bf21a05c9f50b9fcb48745599b5a67622547c7d57727918b8d6475fb44b2db5d"
+    BASE_INDEX_9 = "21e636dddbb5c828fe3dc9468b24dabb14c6226068f3f58e4005de706e4057e0"
     DENSE_PAIRS_3000 = "c74bc22acea0d993540175557a77673db9e16f314957c131fc0ba925cc11bf9c"
     CONSTRUCT_300_5 = "b21dda9c15b2948bc3aa295dd44f400f093edd3dfd3554fa7397349c56e4bc93"
 
     def test_base_words(self, fam):
         text = "\n".join(fam.base_word(n) for n in range(400))
         assert _sha256(text) == self.BASE_WORDS_400
+
+    def test_base_words_1600(self, fam):
+        text = "\n".join(fam.base_word(n) for n in range(1600))
+        assert _sha256(text) == self.BASE_WORDS_1600
+
+    def test_base_index_up_to_length_9(self, fam):
+        words = [w for d in range(1, 10) for w in all_words(d)]
+        text = "\n".join(f"{w} {fam.base_index(w)}" for w in words)
+        assert _sha256(text) == self.BASE_INDEX_9
 
     def test_dense_pairs(self, fam):
         pairs = (fam.dense_pair(n) for n in range(3000))
