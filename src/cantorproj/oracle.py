@@ -150,6 +150,11 @@ def scan_member(s: ClopenSet, p: CantorPoint) -> bool:
     return any(lead.startswith(w) for w in s.words)
 
 
+def clopen_cover(s: ClopenSet, depth: int) -> frozenset[str]:
+    """The depth-d words with a prefix in the set, scanning every word."""
+    return frozenset(c for c in all_words(depth) if any(c.startswith(w) for w in s.words))
+
+
 @lru_cache(maxsize=None)
 def representatives(depth: int) -> tuple[tuple[str, CantorPoint], ...]:
     """Each depth-d word with its canonical representative point."""

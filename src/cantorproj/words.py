@@ -213,9 +213,9 @@ class ClopenSet:
     The normal form is canonical: two instances denote the same set of points
     iff they are equal as values.  The empty tuple denotes the empty set and
     ``("",)`` the whole space.  Construction makes one pass over the sorted
-    words, dropping extensions and merging sibling pairs; the sort is linear
-    on a normal input (every ``intersect`` and ``complement`` result) and
-    merges the two sorted runs that ``union`` concatenates.
+    words, dropping extensions and merging sibling pairs; the sort merges
+    the two sorted runs that ``union`` concatenates.  ``intersect`` and
+    ``complement`` yield normal forms themselves and skip that pass.
     """
 
     words: tuple[str, ...] = ()
@@ -224,6 +224,13 @@ class ClopenSet:
         for w in self.words:
             _check_digits(w)
         object.__setattr__(self, "words", _normalize_words(self.words))
+
+    @classmethod
+    def _normal(cls, words: tuple[str, ...]) -> "ClopenSet":
+        # For words already checked and in normal form: no second pass.
+        s = object.__new__(cls)
+        object.__setattr__(s, "words", words)
+        return s
 
     def is_empty(self) -> bool:
         return not self.words
@@ -250,30 +257,43 @@ class ClopenSet:
         return ClopenSet(self.words + other.words)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        out = []
-        for a in self.words:
-            for b in other.words:
-                if a.startswith(b):
-                    out.append(a)
-                elif b.startswith(a):
-                    out.append(b)
-        return ClopenSet(tuple(out))
+        # A merge walk: extensions sort directly after a word, so only the
+        # words the walk is on can relate.  The kept words are a normal form.
+        a, b, out = self.words, other.words, []
+        i, j, m, n = 0, 0, len(a), len(b)
+        while i < m and j < n:
+            u, v = a[i], b[j]
+            if v.startswith(u):
+                out.append(v)
+                j += 1
+            elif u.startswith(v):
+                out.append(u)
+                i += 1
+            elif u < v:
+                i += 1
+            else:
+                j += 1
+        return ClopenSet._normal(tuple(out))
 
     def complement(self) -> "ClopenSet":
         # The cylinders off the set are the children of its words' proper
-        # prefixes that are no prefix of a word themselves.
+        # prefixes that are no prefix of a word themselves: an antichain with
+        # no sibling pair, as one child of each such prefix is a prefix.
         if not self.words:
             return WHOLE_SPACE
         prefixes = {w[:k] for w in self.words for k in range(len(w) + 1)}
         inner = prefixes.difference(self.words)
-        return ClopenSet(tuple(u + c for u in inner for c in "02" if u + c not in prefixes))
+        gaps = (u + c for u in inner for c in "02" if u + c not in prefixes)
+        return ClopenSet._normal(tuple(sorted(gaps)))
 
     def minus(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
 
     def subset(self, other: "ClopenSet") -> bool:
-        # Valid on normal forms: a covered cylinder has a prefix in the cover.
-        return all(any(a.startswith(b) for b in other.words) for a in self.words)
+        # Valid on normal forms: a covered cylinder has a prefix in the cover,
+        # and only the last cover word sorting at or before it can be one.
+        c = other.words
+        return all((i := bisect_right(c, a)) and a.startswith(c[i - 1]) for a in self.words)
 
     def diam(self) -> Fraction:
         """Diameter as a subset of [0, 1]; both extremes are Cantor points."""

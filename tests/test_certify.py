@@ -21,6 +21,7 @@ from cantorproj import (
     project_union,
     repr_point,
     resolvable_probe,
+    words,
 )
 from cantorproj.certify import (
     CertificationError,
@@ -30,7 +31,7 @@ from cantorproj.certify import (
     decomposition_member,
 )
 from cantorproj.images import TailSet, canonical, piece_member, removal_sequences
-from cantorproj.suites import _random_rect_union
+from cantorproj.suites import _random_rect_union, clopen_antichains
 from cantorproj.words import flip
 
 WHOLE = ClopenSet(("",))
@@ -286,6 +287,25 @@ class TestResolvableProbe:
         for img in images:
             for f in windows:
                 assert resolvable_probe(fam, img, f)
+
+    def test_probe_skips_the_normalising_pass(self, fam, monkeypatch):
+        # Work count, not wall clock: intersect and complement build their
+        # normal forms directly.  Sending each of the 765 intersections and
+        # the one complement through the constructor's pass made 766 calls.
+        img = img_of(fam, "0 x 00; 02 x 2; 2 x 0")
+        img.hull
+        windows = clopen_antichains(3)
+        assert len(windows) == 255
+        calls = [0]
+        normalize = words._normalize_words
+
+        def counting(ws):
+            calls[0] += 1
+            return normalize(ws)
+
+        monkeypatch.setattr(words, "_normalize_words", counting)
+        assert all([resolvable_probe(fam, img, f) for f in windows])
+        assert calls[0] == 0
 
     def test_empty_window_rejected(self, fam):
         with pytest.raises(PieceError):

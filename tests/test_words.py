@@ -15,7 +15,7 @@ from cantorproj import (
     parse_point,
     repr_point,
 )
-from cantorproj.oracle import normal_point, scan_member
+from cantorproj.oracle import clopen_cover, normal_point, scan_member
 from cantorproj.words import (
     ZERO_POINT,
     cantor_stage,
@@ -33,7 +33,28 @@ clopen_st = st.builds(
     st.lists(st.text(alphabet="02", max_size=6), max_size=8),
 )
 
+# The inputs of test_normal_form_property, as the sets they build.  Each
+# has depth at most 6: a longer word there extends or is the sibling of a
+# word of a depth-6 set, and normalises away.
+sets_st = st.one_of(
+    clopen_st,
+    st.one_of(
+        st.lists(st.text(alphabet="02", max_size=5), max_size=10),
+        clopen_st.map(lambda c: list(c.words) + [w + "0" for w in c.words]),
+        clopen_st.map(lambda c: [w + d for w in c.words for d in "02"]),
+        clopen_st.map(lambda c: [w for w in c.words for _ in "02"]),
+        st.tuples(clopen_st, clopen_st).map(lambda ab: list(ab[0].words + ab[1].words)),
+    ).map(lambda ws: ClopenSet(tuple(ws))),
+)
+
 COMMON = settings(max_examples=120)
+
+
+def nested_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    """The quadratic definition: the longer word of every related pair."""
+    return ClopenSet(
+        tuple(max(u, v) for u in a.words for v in b.words if u.startswith(v) or v.startswith(u))
+    )
 
 
 def digit_sum_oracle(p: CantorPoint, n: int = 40) -> Fraction:
@@ -369,6 +390,29 @@ class TestClopenAlgebra:
             return {c for c in all_words(depth) if any(c.startswith(w) for w in words)}
 
         assert cover(out) == cover(ws)
+
+    @COMMON
+    @given(sets_st, sets_st)
+    def test_algebra_matches_the_cover_oracle(self, a, b):
+        assert a.depth <= 6 and b.depth <= 6
+        cover_a, cover_b = clopen_cover(a, 6), clopen_cover(b, 6)
+        assert clopen_cover(a.intersect(b), 6) == cover_a & cover_b
+        assert clopen_cover(a.complement(), 6) == set(all_words(6)) - cover_a
+        assert clopen_cover(a.minus(b), 6) == cover_a - cover_b
+        assert a.subset(b) == (cover_a <= cover_b)
+        assert a.intersect(b) == nested_intersect(a, b)
+
+    @COMMON
+    @given(sets_st, sets_st)
+    def test_results_keep_the_normal_form(self, a, b):
+        # intersect and complement build their results without the
+        # normalising pass, so each result must already be normal.
+        for r in (a.intersect(b), a.complement(), a.minus(b)):
+            out = r.words
+            assert ClopenSet(out).words == out
+            assert all(u < v for u, v in zip(out, out[1:]))
+            assert not any(v.startswith(u) for u in out for v in out if u != v)
+            assert not any(w and w[:-1] + flip(w[-1]) in out for w in out)
 
     def test_normal_tuple_kept_as_given(self):
         words = ("00", "020", "2")
