@@ -40,31 +40,17 @@ def diag_pair(t: int) -> tuple[int, int]:
 
 
 def lenlex_word(rank: int) -> str:
-    """The rank-th word in length-lexicographic order, starting from ''."""
-    if rank == 0:
-        return ""
-    return lenlex_nonempty(rank - 1)
+    """The rank-th word in length-lexicographic order, starting from ''.
+
+    Rank + 1 in binary is a 1 followed by the word, each 2 written as 1:
+    the children of rank r are ``u0`` at 2r + 1 and ``u2`` at 2r + 2.
+    """
+    return bin(rank + 1)[3:].replace("1", "2")
 
 
 def lenlex_rank(word: str) -> int:
-    """Rank of a word in length-lexicographic order: ``lenlex_word``'s inverse.
-
-    The order is a binary tree read breadth first: the children of rank r
-    are ``u0`` at 2r + 1 and ``u2`` at 2r + 2.
-    """
-    rank = 0
-    for c in word:
-        rank = 2 * rank + (1 if c == "0" else 2)
-    return rank
-
-
-def lenlex_nonempty(rank: int) -> str:
-    """The rank-th nonempty word in length-lexicographic order."""
-    length, r = 1, rank
-    while r >= 2**length:
-        r -= 2**length
-        length += 1
-    return format(r, f"0{length}b").replace("1", "2")
+    """Rank of a word in length-lexicographic order: ``lenlex_word``'s inverse."""
+    return int("1" + word.replace("2", "1"), 2) - 1
 
 
 def ceil_log3(m: int) -> int:
@@ -114,12 +100,8 @@ def dense_key(word: str, k: int) -> tuple[str, int]:
 
 def dense_digits(word: str, k: int, length: int) -> str:
     """First ``length`` digits of the dense stream ``word 0^k (20)^w``."""
-    if length <= len(word):
-        return word[:length]
-    if length <= len(word) + k:
-        return word + "0" * (length - len(word))
-    tail = length - len(word) - k
-    return word + "0" * k + (DENSE_CYCLE * (tail // 2 + 1))[:tail]
+    head = word + "0" * k
+    return (head + DENSE_CYCLE * ((length - len(head)) // 2 + 1))[:length]
 
 
 def scheme_params() -> dict:
@@ -237,10 +219,13 @@ class Family:
     :class:`DensePair` is built only for an index :meth:`dense_pair` reads.
 
     The base assignment is a greedy back and forth whose forward half is
-    first fit: each word, in length-lexicographic order, goes to the least
-    unassigned index whose y point starts with it.  A y rank's word either
-    extends the word or is one of its prefixes, so first fit walks the
-    diagonals over those ranks alone and reads y heads only at prefix ranks.
+    first fit: each word, in length-lexicographic order (rank + 1 in
+    binary), goes to the least unassigned index whose y point starts with
+    it.  A y rank's word either extends the word or is one of its prefixes,
+    so first fit walks the diagonals over those ranks alone and reads y
+    heads only at prefix ranks.  The backward half gives index t the
+    shortest free prefix of y_t, sliced from one stream ``word 0^k`` that
+    takes a cycle block only when a prefix runs past its end.
 
     Approximants are memoised by their indices, and recognition keeps the
     inverse map on the approximants it has decoded, and nothing else.
@@ -253,7 +238,7 @@ class Family:
         ranks: list[tuple[str, str, int, tuple[str, int]]] = []
         self._x = _Column(ranks, y=False)
         self._y = _Column(ranks, y=True)
-        self._pairs: list[DensePair | None] = []
+        self._pairs: dict[int, DensePair] = {}
         self._approx: dict[tuple[int, int], CantorPoint] = {}
         self._recog: dict[CantorPoint, tuple[int, int]] = {}
         self._idx2word: dict[int, str] = {}
@@ -263,14 +248,11 @@ class Family:
     # -- dense pairs ------------------------------------------------------
 
     def dense_pair(self, n: int) -> DensePair:
-        if n < 0:
-            raise FamilyError("pair index must be a natural number")
-        pairs = self._pairs
-        if n >= len(pairs):
-            pairs.extend([None] * (n + 1 - len(pairs)))
-        pair = pairs[n]
+        pair = self._pairs.get(n)
         if pair is None:
-            pair = pairs[n] = DensePair(self._x.head(n), self._y.head(n))
+            if n < 0:
+                raise FamilyError("pair index must be a natural number")
+            pair = self._pairs[n] = DensePair(self._x.head(n), self._y.head(n))
         return pair
 
     # -- approximants -----------------------------------------------------
@@ -282,11 +264,16 @@ class Family:
         if found is None:
             if n < 0 or i < 0:
                 raise FamilyError("approximant indices must be natural numbers")
-            d = approximant_depth(n, i)
-            head = dense_digits(*self._x.head(n), d + 1)
-            word = head[:d] + flip(head[d]) + approximant_tag(n, i)
+            word = self._lead(n, approximant_depth(n, i)) + approximant_tag(n, i)
             found = self._approx[key] = CantorPoint(word, "0")
         return found
+
+    def _lead(self, n: int, d: int) -> str:
+        # An approximant of depth d before its tag: the first d digits of
+        # x_n and its next digit flipped.  Read off the x column, never
+        # through approximant, so recognition ignores an override of it.
+        head = dense_digits(*self._x.head(n), d + 1)
+        return head[:d] + flip(head[d])
 
     def recognize(self, p: CantorPoint) -> tuple[int, int] | None:
         """Decode which approximant a point is, if any.
@@ -334,10 +321,7 @@ class Family:
                 break
         else:
             return None
-        if top - 2 * n != d + 2 or s[d + 1] != "2":
-            return None
-        head = dense_digits(*self._x.head(n), d + 1)
-        if s.startswith(head[:d]) and s[d] == flip(head[d]):
+        if top - 2 * n == d + 2 and s.startswith(self._lead(n, d) + "2"):
             return n, i
         return None
 
@@ -368,15 +352,17 @@ class Family:
         # Greedy back and forth: step t settles the t-th word and the t-th
         # index, so both directions of the table are total.
         t = self._enum_step
-        w = lenlex_nonempty(t)
+        w = lenlex_word(t + 1)
         if w not in self._word2idx:
             self._assign(self._first_fit(w), w)
         if t not in self._idx2word:
             word, k = self._y.head(t)
-            length = 1
-            while dense_digits(word, k, length) in self._word2idx:
+            stream, length = word + "0" * k, 1
+            while stream[:length] in self._word2idx:
                 length += 1
-            self._assign(t, dense_digits(word, k, length))
+                if length > len(stream):
+                    stream += DENSE_CYCLE
+            self._assign(t, stream[:length])
         self._enum_step += 1
 
     def _first_fit(self, w: str) -> int:

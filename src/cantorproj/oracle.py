@@ -15,7 +15,6 @@ from .family import (
     Family,
     approximant_depth,
     diag_pair,
-    lenlex_nonempty,
     lenlex_word,
 )
 from .words import CantorPoint, ClopenSet, RectUnion, all_words, flip, repr_point
@@ -44,7 +43,7 @@ def first_fit_bases(fam: Family, steps: int) -> dict[int, str]:
     """
     table: dict[int, str] = {}
     for t in range(steps):
-        w = lenlex_nonempty(t)
+        w = lenlex_word(t + 1)
         if w not in table.values():
             n = 0
             while n in table or not fam.dense_pair(n).y.starts_with(w):

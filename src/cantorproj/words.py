@@ -299,8 +299,8 @@ class ClopenSet:
         """Diameter as a subset of [0, 1]; both extremes are Cantor points."""
         if not self.words:
             raise WordError("diameter of the empty set")
-        spans = [cylinder_interval(w) for w in self.words]
-        return max(s.hi for s in spans) - min(s.lo for s in spans)
+        # A sorted prefix antichain over {0, 2} is in value order.
+        return cylinder_interval(self.words[-1]).hi - cylinder_interval(self.words[0]).lo
 
     def common_prefix(self) -> str:
         if not self.words:

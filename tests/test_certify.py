@@ -65,8 +65,7 @@ class TestDecompose:
         ]
         assert len(fresh._approx) == 15
         assert built[0] == 23
-        assert len(fresh._pairs) == 58311
-        assert sum(pair is not None for pair in fresh._pairs) == 8
+        assert len(fresh._pairs) == 8
         assert len(fresh._x.heads) == len(fresh._y.heads) == 58311
 
     def test_whole_square_trivial(self, fam):

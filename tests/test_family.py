@@ -58,10 +58,9 @@ class TestHelpers:
         assert [lenlex_rank(lenlex_word(r)) for r in range(2000)] == list(range(2000))
 
     def test_lenlex_orders_by_length_then_value(self):
-        words = [lenlex_word(r) for r in range(63)]
-        keyed = sorted(words, key=lambda w: (len(w), w))
-        assert words == keyed
-        assert len(set(words)) == 63
+        # Every word of length <= 12, by length and then by value.
+        expect = [w for length in range(13) for w in all_words(length)]
+        assert [lenlex_word(r) for r in range(len(expect))] == expect
 
     def test_ceil_log3(self):
         expect = {1: 0, 2: 1, 3: 1, 4: 2, 9: 2, 10: 3, 27: 3, 28: 4}
@@ -489,6 +488,21 @@ class TestBaseEnumeration:
             last[rank] = pad
         # 80,200 heads on 400 ranks: 79,800 consecutive pads compared.
         assert len(fresh._y.heads) == 80_200 and len(last) == 400
+
+    @pytest.mark.parametrize("t, cycle_digits", [(0, 1), (0, 6), (5, 3), (14, 2), (27, 5)])
+    def test_backward_step_reads_past_the_padded_head(self, t, cycle_digits):
+        # Words held elsewhere cover y_t's head word 0^k and its first cycle
+        # digits, so the backward half must read the stream past that head.
+        # No pinned input gets there: over base_word(1600) and every word of
+        # length <= 9 each backward step stops inside word 0^k.
+        fresh = Family()
+        y = fresh.dense_pair(t).y
+        word, k = fresh._y.head(t)
+        seeded = len(word) + k + cycle_digits
+        for length in range(1, seeded + 1):
+            fresh._word2idx[y.digits(length)] = -length
+        # The shortest free prefix of y_t: no earlier index holds it either.
+        assert fresh.base_word(t) == y.digits(seeded + 1)
 
     @COMMON
     @given(st.text(alphabet="02", min_size=1, max_size=5))

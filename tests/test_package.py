@@ -81,6 +81,8 @@ def test_single_use_helpers_are_gone():
     assert not hasattr(certify, "_tail_isolated")
     # The missing index is read off the normal form's record, not rescanned.
     assert not hasattr(certify, "_missing_in")
+    # The length-lex order is one closed form, lenlex_word(rank + 1).
+    assert not hasattr(family, "lenlex_nonempty")
     # No command read the bounded scans; falsify and verify certify the claim.
     scans = ("scattered_check", "piecewise_open_check", "_region_rects", "_pieces_disjoint",
              "_piece_evidence", "stabilization_probe", "NonMonotoneTraceError")

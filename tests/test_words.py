@@ -320,6 +320,17 @@ class TestClopenAlgebra:
         assert ClopenSet(("00",)).diam() == Fraction(1, 9)
         # span from the left edge of [00] to the right edge of [2]
         assert ClopenSet(("00", "2")).diam() == 1
+        # Multi-word sets against the per-word max and min: every set of
+        # depth-3 cells, whose normal forms mix depths, and deeper words.
+        cells = all_words(3)
+        sets = [
+            ClopenSet(tuple(c for j, c in enumerate(cells) if mask >> j & 1))
+            for mask in range(1, 2 ** len(cells))
+        ]
+        sets += [ClopenSet(("0000002", "02", "222220")), ClopenSet(("2000", "202", "2220"))]
+        for s in sets:
+            spans = [cylinder_interval(w) for w in s.words]
+            assert s.diam() == max(i.hi for i in spans) - min(i.lo for i in spans)
 
     @COMMON
     @given(clopen_st, clopen_st)
