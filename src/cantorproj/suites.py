@@ -170,9 +170,7 @@ def _suite_value_injective(fam, cfg, rng):
             yield True
         seen[v] = p
         m = rng.randint(1, 12)
-        partial = sum(
-            Fraction(int(d), 3 ** (k + 1)) for k, d in enumerate(p.digits(m))
-        )
+        partial = Fraction(int(p.digits(m), 3), 3**m)
         yield abs(v - partial) <= Fraction(1, 3**m) or {"point": str(p), "m": m}
 
 
@@ -228,11 +226,11 @@ def _suite_distinctness(fam, cfg, rng):
 
 def _suite_convergence(fam, cfg, rng):
     for n in range(cfg.n_max + 1):
-        x = fam.dense_pair(n).x
+        x, bound = fam.dense_pair(n).x, Fraction(1, n + 1)
         last = None
         for i in range(cfg.i_max + 1):
             d = distance(fam.approximant(n, i), x)
-            if not 0 < d < Fraction(1, n + 1):
+            if not 0 < d < bound:
                 yield {"n": n, "i": i, "distance": str(d)}
             elif last is not None and not d < last:
                 yield {"n": n, "i": i, "law": "strict_decrease"}

@@ -104,11 +104,8 @@ class CantorPoint:
         return (self.prefix + self.cycle * reps)[:n]
 
     def value(self) -> Fraction:
-        """Exact value in [0, 1]."""
-        m, c = len(self.prefix), len(self.cycle)
-        head = int(self.prefix, 3) if self.prefix else 0
-        tail = Fraction(int(self.cycle, 3), 3**c - 1)
-        return Fraction(head, 3**m) + tail / 3**m
+        """Exact value in [0, 1], one reduced fraction."""
+        return Fraction(*_ratio(self))
 
     def starts_with(self, word: str) -> bool:
         return self.digits(len(word)) == word
@@ -118,6 +115,13 @@ class CantorPoint:
 
 
 ZERO_POINT = CantorPoint("", "0")
+
+
+def _ratio(p: CantorPoint) -> tuple[int, int]:
+    # The value unreduced: (head (3^c - 1) + cycle) / ((3^c - 1) 3^m).
+    period = 3 ** len(p.cycle) - 1
+    head = int(p.prefix, 3) if p.prefix else 0
+    return head * period + int(p.cycle, 3), period * 3 ** len(p.prefix)
 
 
 def parse_point(text: str) -> CantorPoint:
@@ -130,7 +134,8 @@ def parse_point(text: str) -> CantorPoint:
 
 def distance(p: CantorPoint, q: CantorPoint) -> Fraction:
     """Distance between the real values of two points."""
-    return abs(p.value() - q.value())
+    (a, b), (c, d) = _ratio(p), _ratio(q)
+    return Fraction(abs(a * d - c * b), b * d)
 
 
 def separation_depth(p: CantorPoint, q: CantorPoint) -> int:
@@ -187,6 +192,13 @@ def cantor_stage(n: int) -> list[RationalInterval]:
 def repr_point(word: str) -> CantorPoint:
     """Canonical representative of a cylinder: the word padded with zeros."""
     return CantorPoint(word, "0")
+
+
+def _lcp(u: str, v: str) -> int:
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[k] == v[k]:
+        k += 1
+    return k
 
 
 def _normalize_words(words) -> tuple[str, ...]:
@@ -276,15 +288,20 @@ class ClopenSet:
         return ClopenSet._normal(tuple(out))
 
     def complement(self) -> "ClopenSet":
-        # The cylinders off the set are the children of its words' proper
-        # prefixes that are no prefix of a word themselves: an antichain with
-        # no sibling pair, as one child of each such prefix is a prefix.
-        if not self.words:
+        # The gaps are the other children w[:k]+d of the words' proper
+        # prefixes, no two siblings.  Words sharing a prefix are contiguous,
+        # so each is built once, from w when k passes w's common prefix with
+        # the word on its side (before for d = 0, after for d = 2).
+        words = self.words
+        if not words:
             return WHOLE_SPACE
-        prefixes = {w[:k] for w in self.words for k in range(len(w) + 1)}
-        inner = prefixes.difference(self.words)
-        gaps = (u + c for u in inner for c in "02" if u + c not in prefixes)
-        return ClopenSet._normal(tuple(sorted(gaps)))
+        shared = [_lcp(u, v) for u, v in zip(words, words[1:])]
+        gaps = []
+        for w, a, b in zip(words, [-1] + shared, shared + [-1]):
+            gaps += [w[:k] + "0" for k in range(a + 1, len(w)) if w[k] == "2"]
+            gaps += [w[:k] + "2" for k in range(b + 1, len(w)) if w[k] == "0"]
+        gaps.sort()
+        return ClopenSet._normal(tuple(gaps))
 
     def minus(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
@@ -306,11 +323,7 @@ class ClopenSet:
         if not self.words:
             raise WordError("common prefix of the empty set")
         # The words are sorted, so the first and last bound the prefix.
-        lo, hi = self.words[0], self.words[-1]
-        k = 0
-        while k < len(lo) and lo[k] == hi[k]:
-            k += 1
-        return lo[:k]
+        return self.words[0][: _lcp(self.words[0], self.words[-1])]
 
     def __str__(self) -> str:
         if not self.words:

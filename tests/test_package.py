@@ -156,6 +156,28 @@ def test_oracle_imports_no_exact_machinery():
     assert _closure("oracle") == {"words", "family", "oracle"}
 
 
+def test_no_floats():
+    # Everything is exact: no float literal, no float(), and from math only
+    # the integer functions.
+    allowed = {"isqrt", "lcm", "gcd"}
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((module, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append((module, node.lineno, "float"))
+            elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "math" for alias in node.names
+            ):
+                found.append((module, node.lineno, "import math"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                bad = [alias.name for alias in node.names if alias.name not in allowed]
+                found += [(module, node.lineno, f"math.{name}") for name in bad]
+    assert found == []
+
+
 def _wc_lines(modules: set[str]) -> int:
     # What ``wc -l`` prints: the count of newline bytes.
     return sum((PACKAGE / f"{m}.py").read_bytes().count(b"\n") for m in modules)

@@ -1,6 +1,7 @@
 """Exact word arithmetic: points, cylinders, clopen algebra."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,19 @@ def nested_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
 
 def digit_sum_oracle(p: CantorPoint, n: int = 40) -> Fraction:
     return sum(Fraction(int(d), 3 ** (k + 1)) for k, d in enumerate(p.digits(n)))
+
+
+def _digit_sum(word: str) -> Fraction:
+    return sum(Fraction(int(d), 3 ** (k + 1)) for k, d in enumerate(word))
+
+
+def exact_value_oracle(p: CantorPoint) -> Fraction:
+    """The value from the digits alone: the prefix's digit sum plus 3^-m times
+    the cycle's, summed over every repeat by the geometric series 3^c/(3^c - 1)."""
+    m, c = len(p.prefix), len(p.cycle)
+    return _digit_sum(p.prefix) + Fraction(1, 3**m) * _digit_sum(p.cycle) * Fraction(
+        3**c, 3**c - 1
+    )
 
 
 class TestPointValues:
@@ -231,6 +245,33 @@ class TestDistance:
     def test_symmetry(self, p, q):
         assert distance(p, q) == distance(q, p)
 
+    @COMMON
+    @given(
+        st.builds(CantorPoint, st.text(alphabet="02", max_size=40), cycles_st),
+        points_st,
+    )
+    def test_value_and_distance_are_exact(self, p, q):
+        assert p.value() == exact_value_oracle(p)
+        assert q.value() == exact_value_oracle(q)
+        assert distance(p, q) == abs(exact_value_oracle(p) - exact_value_oracle(q))
+
+    def test_value_and_distance_build_one_fraction_each(self, monkeypatch):
+        # Work count: each reads the unreduced ratios and normalises once.
+        built = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        p, q = CantorPoint("02", "20"), CantorPoint("2", "002")
+        v = p.value()
+        assert built == [1]
+        d = distance(p, q)
+        assert built == [2]
+        assert (v, d) == (Fraction(11, 36), abs(v - q.value()))
+
     def test_separation_depth_frozen(self):
         p = CantorPoint("", "02")  # 0.020202...
         q = CantorPoint("0", "02")  # 0.002020...
@@ -314,6 +355,21 @@ class TestClopenAlgebra:
         assert set(comp.words) == {"0" * k + "2" for k in range(3000)}
         assert comp.union(word).words == ("",)
         assert comp.intersect(word).words == ()
+
+    def test_complement_peak_memory_is_about_its_output(self):
+        # One word of length L has L gap words of lengths 1..L, so the output
+        # alone is quadratic; building it holds little beyond the output.
+        word = ClopenSet(("0" * 6000,))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            comp = word.complement()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chars = sum(map(len, comp.words))
+        assert chars == 6000 * 6001 // 2
+        assert peak <= 1.3 * chars
 
     def test_diam(self):
         assert ClopenSet(("",)).diam() == 1
