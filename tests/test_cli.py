@@ -237,6 +237,22 @@ class TestFalsifyVerify:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_exit_names_the_coarse_base(self, capsys):
+        code, out, err = run(capsys, "falsify", "2 x 0", "--budget", "1")
+        assert (code, out) == (3, "")
+        assert "the coarse base" in err
+
+    @pytest.mark.parametrize("literal", ["01^(0)", "021"])
+    def test_malformed_literal_is_format_error(self, tmp_path, capsys, literal):
+        cert_file = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "2", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc["payload"]["witness"]["x"] = literal
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert code == 2 and out == ""
+        assert "error: malformed payload field 'witness'" in err
+
     def test_rejects_rect_union(self, capsys):
         code, _, err = run(capsys, "falsify", "0 x 0; 2 x 2")
         assert code == 2

@@ -249,6 +249,11 @@ class TestDenseDigits:
 
 
 class TestApproximants:
+    @pytest.mark.parametrize("n, i", [(-1, 0), (0, -1)])
+    def test_negative_indices_rejected(self, fam, n, i):
+        with pytest.raises(FamilyError):
+            fam.approximant(n, i)
+
     def test_distinct_and_off_the_dense_family(self, fam):
         xs = {fam.dense_pair(n).x for n in range(100)}
         seen = {}
@@ -399,6 +404,10 @@ class TestRecognition:
 
 
 class TestBaseEnumeration:
+    def test_negative_index_rejected(self, fam):
+        with pytest.raises(FamilyError):
+            fam.base_word(-1)
+
     def test_every_word_is_some_base(self, fam):
         for d in range(1, 5):
             for w in all_words(d):

@@ -1,6 +1,7 @@
 """The names the package root exports, and the package's import graph."""
 
 import ast
+import dataclasses
 import re
 from importlib import import_module
 from pathlib import Path
@@ -89,6 +90,34 @@ def test_single_use_helpers_are_gone():
     assert [name for name in scans if hasattr(certify, name)] == []
     assert set(scans).isdisjoint(cantorproj.__all__)
     assert schema.scheme_params is family.scheme_params
+    # decompose is the one LC2 name, and the closure split keeps its clopen parts.
+    assert "lc2_certificate" not in cantorproj.__all__
+    fields = [field.name for field in dataclasses.fields(certify.ClosureSplit)]
+    assert fields == ["inter_hull", "diff_clopen"]
+
+
+def test_package_code_never_names_the_bench_only_names():
+    # certify.py keeps lc2_certificate and closure_split for the benchmark
+    # alone; no other module may call, import or re-export them.
+    bench_only = {"lc2_certificate", "closure_split"}
+    found = []
+    for module in MODULES:
+        if module == "certify":
+            continue
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split()  # the root's export table lists names in strings
+            else:
+                continue
+            found += [(module, node.lineno, name) for name in bench_only.intersection(names)]
+    assert found == []
 
 
 def _imports(module: str) -> list[ast.Import | ast.ImportFrom]:

@@ -190,6 +190,14 @@ class TestSerialization:
         cert = cert_for(fam, "0 x 2")
         assert witness_from_dict(witness_to_dict(cert)) == cert
 
+    @pytest.mark.parametrize("literal", ["01^(0)", "021"])
+    def test_malformed_literal_is_format_error(self, fam, literal):
+        # A string of the right type that is no point literal names its field.
+        doc = witness_to_dict(cert_for(fam, "0 x 2"))
+        doc["payload"]["witness"]["x"] = literal
+        with pytest.raises(CertificateFormatError, match="'witness'"):
+            witness_from_dict(doc)
+
     def test_envelope_rejects_wrong_kind(self, fam):
         doc = witness_to_dict(cert_for(fam, "0 x 2"))
         doc["type"] = "lc2"

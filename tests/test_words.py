@@ -349,7 +349,7 @@ class TestClopenAlgebra:
         assert ClopenSet(()).complement().words == ("",)
 
     def test_complement_of_a_long_word(self):
-        # One pass over the prefixes: a 3,000-digit word recurses nowhere.
+        # One loop over the word's digits, no recursion: 0^3000 has the 3,000 gaps 0^k 2.
         word = ClopenSet(("0" * 3000,))
         comp = word.complement()
         assert set(comp.words) == {"0" * k + "2" for k in range(3000)}
