@@ -124,6 +124,8 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition, want:
     index or at a limit; the error names the first such point, where ``image_member``
     disagrees.  Equal forms leave the open part's openness to check."""
     for d in dec.isolated:
+        if d.seq < 0 or d.missing_index < 0:
+            raise CertificationError(f"isolated entry of sequence {d.seq} has a negative index")
         if d.point != fam.dense_pair(d.seq).x:
             raise CertificationError(f"isolated point of sequence {d.seq} is not its limit")
         if image_member(fam, dec.open_part, d.point):
@@ -137,7 +139,9 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition, want:
                 raise CertificationError(
                     f"separator of {d.seq} also contains the point of {other.seq}"
                 )
-        missing = fam.approximant(d.seq, d.missing_index)
+        # Past both bounds membership and the separator test are constant.
+        bound = max(settled_index(img, d.seq), stable_index(d.seq, len(d.separator)))
+        missing = fam.approximant(d.seq, min(d.missing_index, bound))
         if not missing.starts_with(d.separator) or image_member(fam, img, missing):
             raise CertificationError(f"missing-approximant witness broken for {d.seq}")
     held = frozenset(d.seq for d in dec.isolated)

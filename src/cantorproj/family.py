@@ -240,7 +240,7 @@ class Family:
         self._y = _Column(ranks, y=True)
         self._pairs: dict[int, DensePair] = {}
         self._approx: dict[tuple[int, int], CantorPoint] = {}
-        self._recog: dict[CantorPoint, tuple[int, int]] = {}
+        self._recog: dict[str, tuple[int, int]] = {}
         self._idx2word: dict[int, str] = {}
         self._word2idx: dict[str, int] = {}
         self._enum_step = 0
@@ -284,15 +284,16 @@ class Family:
         normal form means cycle ``"0"``, and their tag ends in ``"22"``, so
         any other point is answered at once.  Points of that shape are
         decoded, and the memo keeps only those that decode to an
-        approximant, so it maps each point seen back to its indices.
+        approximant, keyed by prefix (the shape fixes the cycle, and a string
+        caches its hash), so it maps each prefix seen back to its indices.
         """
         if p.cycle != "0" or not p.prefix.endswith("22"):
             return None
-        hit = self._recog.get(p)
+        hit = self._recog.get(p.prefix)
         if hit is None:
             hit = self._decode(p)
             if hit is not None:
-                self._recog[p] = hit
+                self._recog[p.prefix] = hit
         return hit
 
     def _decode(self, p: CantorPoint) -> tuple[int, int] | None:

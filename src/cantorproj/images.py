@@ -144,14 +144,15 @@ def project_union(fam: Family, u: RectUnion) -> ImageSet:
 
 
 def piece_member(fam: Family, piece: ImagePiece, p: CantorPoint) -> bool:
-    """Hull membership minus removals; a piece without removals skips recognition."""
+    """Hull membership minus removals.  A piece without removals skips recognition;
+    otherwise approximants have cycle ``"0"`` and dense limits do not, so a point
+    is recognized or tested as a removed limit, not both."""
     if not piece.hull.member(p):
         return False
     if not piece.removals:
         return True
-    for ts in piece.removals:
-        if ts.with_limit and p == fam.dense_pair(ts.seq).x:
-            return False
+    if p.cycle != "0":
+        return not any(ts.with_limit and p == fam.dense_pair(ts.seq).x for ts in piece.removals)
     hit = fam.recognize(p)
     if hit is None:
         return True

@@ -52,9 +52,11 @@ class CantorPoint:
     equal as values: the cycle is primitive, and the prefix is minimal (its
     last digit never equals the digit the cycle would produce there, so no
     further digit can be absorbed into a rotation of the cycle).  One pass
-    validates and normalizes the arguments, then sets each field once.  The
-    cycle ``"0"`` or ``"2"`` of every representative and approximant is
-    checked by that comparison, and its normal form is a single ``rstrip``.
+    validates and normalizes the arguments, then sets each slot once through
+    its descriptor, past the frozen ``__setattr__``.  A prefix meets the
+    digit check only if ``strip`` leaves some character.  The cycle ``"0"``
+    or ``"2"`` of every representative and approximant is checked by that
+    comparison, and its normal form is a single ``rstrip``.
     A longer cycle is reduced to its primitive period, strips whole copies
     of itself, then a partial one, and rotates once, so the normal form is
     linear in the prefix.  Points are slotted: they carry no instance
@@ -66,7 +68,8 @@ class CantorPoint:
     cycle: str
 
     def __init__(self, prefix: str = "", cycle: str = "0") -> None:
-        _check_digits(prefix)
+        if prefix.strip(ALPHABET):
+            _check_digits(prefix)
         if cycle != "0" and cycle != "2":
             _check_digits(cycle)
             if not cycle:
@@ -87,8 +90,8 @@ class CantorPoint:
             while r < end and prefix[end - 1 - r] == cycle[c - 1 - r]:
                 r += 1
             prefix, cycle = prefix[: end - r], cycle[c - r :] + cycle[: c - r]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
+        _set_prefix(self, prefix)
+        _set_cycle(self, cycle)
 
     def digit(self, k: int) -> str:
         """The k-th digit, 0-indexed."""
@@ -114,6 +117,7 @@ class CantorPoint:
         return f"{self.prefix}^({self.cycle})"
 
 
+_set_prefix, _set_cycle = CantorPoint.prefix.__set__, CantorPoint.cycle.__set__
 ZERO_POINT = CantorPoint("", "0")
 
 
@@ -258,10 +262,12 @@ class ClopenSet:
     def member(self, p: CantorPoint) -> bool:
         # Only the last word sorting at or before ``lead`` can be a prefix of
         # it: every string between a prefix w of ``lead`` and ``lead`` itself
-        # starts with w, and a prefix antichain holds no extension of w.
+        # starts with w, and a prefix antichain holds no extension of w.  Any
+        # string will do, and a word no longer than the prefix starts the point
+        # iff it starts the prefix, so a prefix at least ``depth`` long is a lead.
         if not self.words:
             return False
-        lead = p.digits(self.depth)
+        lead = p.prefix if len(p.prefix) >= self.depth else p.digits(self.depth)
         i = bisect_right(self.words, lead)
         return i > 0 and lead.startswith(self.words[i - 1])
 

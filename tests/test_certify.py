@@ -34,7 +34,8 @@ from cantorproj.certify import (
     closure_split,
     decomposition_member,
 )
-from cantorproj.images import TailSet, canonical, piece_member, removal_sequences
+from cantorproj.family import stable_index
+from cantorproj.images import TailSet, canonical, piece_member, removal_sequences, settled_index
 from cantorproj.oracle import brute_union_trace
 from cantorproj.suites import _random_rect_union, clopen_antichains
 from cantorproj.words import flip
@@ -273,6 +274,48 @@ class TestLC2:
         message = "isolated point of sequence 5 is not its limit"
         with pytest.raises(CertificationError, match=message):
             _certify_decomposition(fam, img, swapped, canonical(fam, img))
+
+
+    @pytest.mark.parametrize("field", ["seq", "missing_index"])
+    def test_negative_entry_index_rejected(self, fam, field):
+        # Rejected as a broken entry, not raised as the family's FamilyError.
+        img = img_of(fam, "0 x 200")
+        dec = decompose(fam, img)
+        entry = dataclasses.replace(dec.isolated[0], **{field: -1})
+        bad = dataclasses.replace(dec, isolated=(entry, *dec.isolated[1:]))
+        assert not lc2_valid(fam, img, bad)
+        with pytest.raises(CertificationError, match="has a negative index"):
+            _certify_decomposition(fam, img, bad, canonical(fam, img))
+
+    def test_far_missing_index_checked_at_its_bound(self, monkeypatch):
+        # Past settled_index and the separator's stable index, image
+        # membership and "starts with the separator" are constant, so index
+        # 10**7 gets the verdict of that bound, and no approximant past it,
+        # whose word has that many digits, is built.
+        fresh = Family()
+        img = img_of(fresh, "0 x 200")
+        dec = decompose(fresh, img)
+        bounds = {d.seq: max(settled_index(img, d.seq), stable_index(d.seq, len(d.separator)))
+                  for d in dec.isolated}
+        for d in dec.isolated:
+            b = bounds[d.seq]
+            assert d.missing_index <= b
+            assert {fresh.approximant(d.seq, i).starts_with(d.separator)
+                    and not image_member(fresh, img, fresh.approximant(d.seq, i))
+                    for i in range(b, b + 8)} == {True}
+        asked = []
+        approximant = Family.approximant
+
+        def recording(self, n, i):
+            asked.append((n, i))
+            return approximant(self, n, i)
+
+        monkeypatch.setattr(Family, "approximant", recording)
+        far = dataclasses.replace(dec, isolated=tuple(
+            dataclasses.replace(d, missing_index=10**7) for d in dec.isolated))
+        assert lc2_valid(fresh, img, far)
+        assert {n for n, _ in asked} >= set(bounds)
+        assert all(i <= bounds[n] for n, i in asked if n in bounds)
 
 
 # Every basic rectangle W x V with |W| + |V| <= 3: 1 + 4 + 12 + 32 of them.

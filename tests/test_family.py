@@ -394,13 +394,15 @@ class TestRecognition:
         assert built[0] == 0
 
     def test_memo_holds_only_tag_shaped_points(self):
-        # The memo keeps only decoded approximants, so after a depth-12
-        # trace it maps every point it holds back to that point's indices.
+        # The memo keeps only decoded approximants, keyed by prefix, so after
+        # a depth-12 trace it maps every prefix it holds back to the indices
+        # of the point with that prefix and cycle "0".
         fresh = Family()
         img = project_union(fresh, parse_rect_union("0,2 x 00; 22 x ε"))
         image_trace(fresh, img, 12)
         assert fresh._recog
-        assert all(fresh.approximant(*fresh._recog[p]) == p for p in fresh._recog)
+        assert all(fresh.approximant(*hit) == CantorPoint(prefix, "0")
+                   for prefix, hit in fresh._recog.items())
 
 
 class TestBaseEnumeration:
@@ -595,6 +597,35 @@ class TestCliGoldenBytes:
     )
     def test_command_bytes(self, capsys, argv, digest):
         assert _sha256(self.run(capsys, *argv)) == digest
+
+    # The rest of the md5 list that CHANGES.md checks on every change.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["construct", "--n-max", "8", "--i-max", "4"],
+             "baa1b1c2aadac1ef82f9bd561756bc7d964733a9aa383abdd1ce72d39b0ac2fb"),
+            (["image", "0 x 00", "--depth", "3"],
+             "bf67f579fdb2cccf5f599d49b032f2e84d1376d5fa0aee8b0a5f3429e86f6d2e"),
+            (["image", "0,2 x 00; 22 x ε", "--depth", "3"],
+             "ddca6e91f0064340066f9c21bb1f3508ad09c0ad17293dfeb866995fce47f59b"),
+            (["image", "0 x 00; 02 x 2; 2 x 0", "--depth", "4"],
+             "8f6d044956af70557d08956b1d6949d831335f12770feff19e0d7c6b39507d24"),
+        ],
+        ids=["construct", "image-one-rect", "image-two-rects", "image-three-rects"],
+    )
+    def test_listed_command_bytes(self, capsys, argv, digest):
+        assert _sha256(self.run(capsys, *argv)) == digest
+
+    def test_listed_falsify_stdout_and_its_verdict(self, tmp_path, capsys):
+        out = self.run(capsys, "falsify", "2 x 0", "--samples", "10")
+        assert _sha256(out) == (
+            "e152a2cfda5e69964dc3280824cc74a873565ab775d38c30b0e2baf5231c37fa"
+        )
+        cert = tmp_path / "w.json"
+        cert.write_text(out.removesuffix("exit=0\n"), encoding="utf-8")
+        assert _sha256(self.run(capsys, "verify", str(cert))) == (
+            "ee339811dc8d082758ae5b368e1fbf72f4ba05aa67cbf47ee792c668132195b9"
+        )
 
     def test_certificate_file_and_its_verdict(self, tmp_path, capsys):
         cert = tmp_path / "w.json"

@@ -20,6 +20,7 @@ from cantorproj import (
     parse_rect_union,
     project_union,
     repr_point,
+    words,
 )
 from cantorproj.certify import certificate_points
 from cantorproj.images import (
@@ -345,6 +346,70 @@ class TestCanonical:
         held = frozenset(d.seq for d in dec.isolated)
         assert held and canonical(fam, dec.open_part) != canonical(fam, img)
         assert canonical(fam, dec.open_part, held) == canonical(fam, img)
+
+
+def reference_piece_member(fam, piece, p):
+    # The definition in its plain order: hull by scan, every removed limit,
+    # then recognition.
+    if not any(p.starts_with(w) for w in piece.hull.words):
+        return False
+    for ts in piece.removals:
+        if ts.with_limit and p == fam.dense_pair(ts.seq).x:
+            return False
+    hit = fam.recognize(p)
+    return hit is None or not any(
+        ts.seq == hit[0] and ts.covers_index(hit[1]) for ts in piece.removals
+    )
+
+
+random_points_st = st.lists(
+    st.builds(CantorPoint, st.text(alphabet="02", max_size=8),
+              st.text(alphabet="02", min_size=1, max_size=4)),
+    max_size=6,
+)
+
+
+class TestPieceMemberKernel:
+    @settings(max_examples=60)
+    @given(unions_st, random_points_st)
+    def test_matches_reference_order(self, fam, union, randoms):
+        # Projected and opened pieces at the representatives one digit past
+        # the hull, each removed sequence's approximants up to its settled
+        # index and its limit, and random points.  Opened pieces remove
+        # their limits, which only the removed-limit test can see.
+        for r in union.rects:
+            piece = project_rect(fam, r.x_set, r.y_set)
+            img = ImageSet((piece,))
+            points = [repr_point(w) for w in all_words(piece.hull.depth + 1)] + randoms
+            for n in removal_sequences(img):
+                points += [fam.approximant(n, i) for i in range(settled_index(img, n) + 1)]
+                points += [fam.dense_pair(n).x, fam.dense_pair(n + 1).x]
+            for q in (piece, adjust_open(piece)):
+                for p in points:
+                    assert piece_member(fam, q, p) == reference_piece_member(fam, q, p), (
+                        str(r), q.removals, str(p))
+
+    @pytest.mark.parametrize("literal, kept", [("ε x 0", 1023), ("ε x ε", 1024)])
+    def test_representatives_skip_digits_check_and_hash(self, monkeypatch, literal, kept):
+        # Work counts, not wall clock: a representative's prefix is its lead
+        # for a depth-0 hull, its digits need no check, and the recognition
+        # memo hashes its prefix, so none of these is called during a trace.
+        counts = {"digits": 0, "check": 0, "hash": 0}
+        digits, check, point_hash = CantorPoint.digits, words._check_digits, CantorPoint.__hash__
+
+        def counting(name, f):
+            def wrapped(*args):
+                counts[name] += 1
+                return f(*args)
+            return wrapped
+
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union(literal))
+        monkeypatch.setattr(CantorPoint, "digits", counting("digits", digits))
+        monkeypatch.setattr(words, "_check_digits", counting("check", check))
+        monkeypatch.setattr(CantorPoint, "__hash__", counting("hash", point_hash))
+        assert len(image_trace(fresh, img, 10)) == kept
+        assert counts == {"digits": 0, "check": 0, "hash": 0}
 
 
 class TestAgainstTruncatedOracle:

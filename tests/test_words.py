@@ -415,6 +415,20 @@ class TestClopenAlgebra:
         for q in probes:
             assert s.member(q) == scan_member(s, q), (s, q)
 
+    @COMMON
+    @given(clopen_st, st.text(alphabet="02", max_size=10), cycles_st, st.integers(0, 7))
+    def test_member_matches_prefix_test_around_the_depth(self, s, base, cycle, pick):
+        # Normal-form prefixes one shorter than the depth, equal to it and
+        # longer, so both the bisected prefix and the digits fallback are
+        # reached; the base may start with a word of the set.
+        if s.words:
+            base = s.words[pick % len(s.words)] + base
+        for n in {max(0, s.depth - 1), s.depth, s.depth + 1, s.depth + 3}:
+            head = (base + "0" * n)[: n - 1] + flip(cycle[-1]) if n else ""
+            p = CantorPoint(head, cycle)
+            assert len(p.prefix) == n
+            assert s.member(p) == any(p.starts_with(w) for w in s.words), (s, p)
+
     def test_member_empty_set(self):
         for q in (ZERO_POINT, CantorPoint("", "2"), CantorPoint("02", "20")):
             assert not ClopenSet(()).member(q)
