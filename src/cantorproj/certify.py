@@ -123,15 +123,18 @@ def _certify_decomposition(fam: Family, img: ImageSet, dec: Decomposition, want:
     a point ending in 2^ω, which no record removes, or at an approximant up to a settled
     index or at a limit; the error names the first such point, where ``image_member``
     disagrees.  Equal forms leave the open part's openness to check."""
+    removed = frozenset(removal_sequences(img))
     for d in dec.isolated:
         if d.seq < 0 or d.missing_index < 0:
             raise CertificationError(f"isolated entry of sequence {d.seq} has a negative index")
-        if d.point != fam.dense_pair(d.seq).x:
-            raise CertificationError(f"isolated point of sequence {d.seq} is not its limit")
         if image_member(fam, dec.open_part, d.point):
             raise CertificationError(f"isolated point of sequence {d.seq} is in the open part")
         if not image_member(fam, img, d.point):
             raise CertificationError(f"isolated point of sequence {d.seq} is not in the image")
+        if d.seq not in removed:  # bounds seq before its pair is read
+            raise CertificationError(f"isolated entry of sequence {d.seq} has no removal")
+        if d.point != fam.dense_pair(d.seq).x:
+            raise CertificationError(f"isolated point of sequence {d.seq} is not its limit")
         if not d.point.starts_with(d.separator):
             raise CertificationError(f"separator misses its own point ({d.seq})")
         for other in dec.isolated:

@@ -218,14 +218,18 @@ class Family:
     alone, approximants and recognition read x heads, and a
     :class:`DensePair` is built only for an index :meth:`dense_pair` reads.
 
-    The base assignment is a greedy back and forth whose forward half is
-    first fit: each word, in length-lexicographic order (rank + 1 in
-    binary), goes to the least unassigned index whose y point starts with
-    it.  A y rank's word either extends the word or is one of its prefixes,
-    so first fit walks the diagonals over those ranks alone and reads y
-    heads only at prefix ranks.  The backward half gives index t the
-    shortest free prefix of y_t, sliced from one stream ``word 0^k`` that
-    takes a cycle block only when a prefix runs past its end.
+    The base assignment is a greedy back and forth, run as one sweep over
+    the indices.  Step t makes the word of length-lexicographic rank t + 1
+    (rank + 1 in binary) pending if no index holds it, and gives index t,
+    if free, the shortest pending prefix of y_t, the word first fit would
+    give t.  Failing one, the backward half gives t the shortest prefix of
+    y_t no index holds, walking from a memo per y rank's word: the length
+    below which every prefix of ``word 0^w`` is held.  So
+    the table on indices 0..n reads y heads 0..n.  :meth:`base_index` of a
+    pending word runs first fit on the pending words up to it in rank
+    order; it walks only the diagonals of ranks whose word extends the word
+    or is one of its prefixes.  The step count is the back and forth's: a
+    pair (word, index) is known after step min(rank - 1, index).
 
     Approximants are memoised by their indices, and recognition keeps the
     inverse map on the approximants it has decoded, and nothing else.
@@ -243,6 +247,9 @@ class Family:
         self._recog: dict[str, tuple[int, int]] = {}
         self._idx2word: dict[int, str] = {}
         self._word2idx: dict[str, int] = {}
+        self._pending: dict[str, None] = {}
+        self._reach: dict[str, int] = {}
+        self._sweep = 0
         self._enum_step = 0
 
     # -- dense pairs ------------------------------------------------------
@@ -333,38 +340,61 @@ class Family:
         if n < 0:
             raise FamilyError("base index must be a natural number")
         while n not in self._idx2word:
-            self._enum_tick()
-        return self._idx2word[n]
+            self._sweep_step()
+        word = self._idx2word[n]
+        self._known(word, n)
+        return word
 
     def base_index(self, word: str) -> int:
         """Index of the sequence whose base is the given nonempty word."""
         if not word:
             raise FamilyError("the whole-space cylinder is never a base")
         _check_digits(word)
-        while word not in self._word2idx:
-            self._enum_tick()
-        return self._word2idx[word]
+        while word not in self._word2idx and word not in self._pending:
+            self._sweep_step()
+        while word in self._pending:  # first fit, in rank order, up to word
+            w = next(iter(self._pending))
+            del self._pending[w]
+            self._assign(self._first_fit(w), w)
+        n = self._word2idx[word]
+        self._known(word, n)
+        return n
 
     def _assign(self, n: int, word: str) -> None:
         self._idx2word[n] = word
         self._word2idx[word] = n
 
-    def _enum_tick(self) -> None:
-        # Greedy back and forth: step t settles the t-th word and the t-th
-        # index, so both directions of the table are total.
-        t = self._enum_step
+    def _known(self, word: str, n: int) -> None:
+        # The back and forth knows (word, n) after step min(rank - 1, n).
+        if n >= self._enum_step:
+            self._enum_step = max(self._enum_step, min(lenlex_rank(word), n + 1))
+
+    def _sweep_step(self) -> None:
+        # A pending word has rank <= t + 1: no longer than lenlex_word(t + 1).
+        t = self._sweep
+        self._sweep += 1
         w = lenlex_word(t + 1)
         if w not in self._word2idx:
-            self._assign(self._first_fit(w), w)
-        if t not in self._idx2word:
-            word, k = self._y.head(t)
-            stream, length = word + "0" * k, 1
-            while stream[:length] in self._word2idx:
-                length += 1
-                if length > len(stream):
-                    stream += DENSE_CYCLE
-            self._assign(t, stream[:length])
-        self._enum_step += 1
+            self._pending[w] = None
+        if t in self._idx2word:
+            return
+        word, k = self._y.head(t)
+        end = len(word) + k  # where the head word 0^k ends and the cycle starts
+        stream = word + "0" * k + DENSE_CYCLE * ((len(w) - end + 1) // 2)
+        for length in range(1, len(w) + 1):
+            if stream[:length] in self._pending:
+                del self._pending[stream[:length]]
+                self._assign(t, stream[:length])
+                return
+        # The backward half: the shortest prefix of y_t no index holds.
+        # Every prefix of word 0^w shorter than its reach is held already.
+        length = min(self._reach.get(word, 1), end + 1)
+        while stream[:length] in self._word2idx:
+            length += 1
+            if length > len(stream):
+                stream += DENSE_CYCLE
+        self._reach[word] = min(length, end) + 1
+        self._assign(t, stream[:length])
 
     def _first_fit(self, w: str) -> int:
         # Least unassigned index whose y point starts with w.  Pair T(s) + j,

@@ -287,6 +287,20 @@ class TestLC2:
         with pytest.raises(CertificationError, match="has a negative index"):
             _certify_decomposition(fam, img, bad, canonical(fam, img))
 
+    def test_far_entry_sequence_rejected_before_any_pair(self):
+        # An entry's sequence must carry a removal of the image, a bound
+        # known before any pair is read: seq=10**6 grows no x head.
+        fresh = Family()
+        img = img_of(fresh, "0 x 200")
+        dec = decompose(fresh, img)
+        far = dataclasses.replace(dec.isolated[0], seq=10**6)
+        bad = dataclasses.replace(dec, isolated=(far, *dec.isolated[1:]))
+        heads = len(fresh._x.heads)
+        assert not lc2_valid(fresh, img, bad)
+        assert len(fresh._x.heads) == heads
+        with pytest.raises(CertificationError, match="sequence 1000000 has no removal"):
+            _certify_decomposition(fresh, img, bad, canonical(fresh, img))
+
     def test_far_missing_index_checked_at_its_bound(self, monkeypatch):
         # Past settled_index and the separator's stable index, image
         # membership and "starts with the separator" are constant, so index

@@ -175,6 +175,48 @@ class TestColumnOrder:
         assert all(table[n] == w for n, w in fresh._idx2word.items())
 
 
+class TestSweepOrder:
+    """The sweep's answers and step count do not depend on the call order."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        # 201 steps hold every index up to 200 and every word up to rank 201;
+        # TestGoldenBytes pins the base words on to index 1,599.
+        return first_fit_bases(Family(), 201)
+
+    CALLS = st.lists(
+        st.one_of(
+            st.tuples(st.just("base_word"), st.integers(0, 300)),
+            st.tuples(st.just("base_index"), st.text(alphabet="02", min_size=1, max_size=6)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+    @staticmethod
+    def answer(fam, calls):
+        # Each call's answer and the (word, index) pair it makes known.
+        out = {}
+        for op, arg in calls:
+            got = getattr(fam, op)(arg)
+            out[op, arg] = got, ((got, arg) if op == "base_word" else (arg, got))
+        return out
+
+    @settings(max_examples=40)
+    @given(CALLS)
+    def test_reversed_calls_agree(self, table, calls):
+        drawn, reverse = Family(), Family()
+        answers = self.answer(drawn, calls)
+        assert self.answer(reverse, calls[::-1]) == answers
+        # Step min(rank - 1, index) of the back and forth knows each pair.
+        steps = max(min(lenlex_rank(w) - 1, n) for _, (w, n) in answers.values()) + 1
+        index_of = {w: n for n, w in table.items()}
+        for fam in (drawn, reverse):
+            assert fam.enumeration_steps() == steps
+            assert all(table[n] == w for n, w in fam._idx2word.items() if n in table)
+            assert all(index_of[w] == n for w, n in fam._word2idx.items() if w in index_of)
+
+
 class TestFreshnessKey:
     @staticmethod
     def point(word, k):
@@ -443,15 +485,42 @@ class TestBaseEnumeration:
 
     def test_walks_only_the_y_column(self):
         # Work count, not wall clock: base_word(200) grows the y column to
-        # 1,275 heads, since first fit reads a head only at the rank of a
-        # prefix of its word, and builds no pair and no x head.  A y-prefix
-        # scan read the 20,301 heads of diagonals 0 to 200, and building
-        # both coordinates of each scanned pair built 20,301 pairs.
+        # the 201 heads the sweep reads, and builds no pair and no x head.
+        # First fit at each forward step read 1,275 heads; a y-prefix scan
+        # read the 20,301 heads of diagonals 0 to 200, and building both
+        # coordinates of each scanned pair built 20,301 pairs.
         fresh = Family()
         assert fresh.base_word(200) == "022000000000"
         assert not fresh._pairs
         assert not fresh._x.heads
-        assert len(fresh._y.heads) == 1_275
+        assert len(fresh._y.heads) == 201
+
+    @pytest.mark.parametrize("n", [200, 1_600, 7_750])
+    def test_base_word_reads_one_y_head_per_index(self, n):
+        # The table on indices 0..n is a function of y heads 0..n.  First
+        # fit at each forward step read 80,200 heads for n = 1,600 and
+        # 1,875,016 for n = 7,750.
+        fresh = Family()
+        fresh.base_word(n)
+        assert len(fresh._y.heads) == n + 1
+        assert fresh.enumeration_steps() == n + 1
+
+    def test_backward_word_waits_for_no_first_fit(self):
+        # '0' * 800 is taken backward, at index 8,578: the sweep reaches it
+        # reading one head per index (first fit at each step read 2,299,440).
+        fresh = Family()
+        assert fresh.base_index("0" * 800) == 8_578
+        assert len(fresh._y.heads) == 8_579
+        assert fresh.enumeration_steps() == 8_579
+
+    def test_base_word_never_runs_first_fit(self, monkeypatch):
+        def refuse(self, w):
+            raise AssertionError(f"first fit ran for {w}")
+
+        monkeypatch.setattr(Family, "_first_fit", refuse)
+        fresh = Family()
+        fresh.base_word(2_000)
+        assert fresh._pending
 
     # Taken positions (diagonal, y rank) near the start, so that prefix
     # ranks with a taken head or a pad to read come before the word's own
@@ -489,9 +558,10 @@ class TestBaseEnumeration:
     def test_pads_rise_along_each_y_rank(self):
         # First fit bounds a y rank's pad on diagonal s by s - rank + 1 and
         # skips reading heads on that bound, which is sound only if every
-        # rank's pad rises from one diagonal to the next.
+        # rank's pad rises from one diagonal to the next.  base_index runs
+        # first fit on pending words, so the column is grown here directly.
         fresh = Family()
-        fresh.base_word(1600)
+        fresh._y.head(80_199)
         last: dict[int, int] = {}
         for n, (_, pad) in enumerate(fresh._y.heads):
             rank = diag_pair(n)[1]

@@ -103,30 +103,39 @@ class TestFalsify:
         assert ok, clause
 
 
-# Every basic rectangle W x V with |W| + |V| <= 4.  A closed piece with
-# interior holds one of them, so together they cover every piece down to
-# that depth.
-BASIC_RECTS = [
-    Rect(ClopenSet((wx,)), ClopenSet((wy,)))
-    for depth in range(5)
-    for dx in range(depth + 1)
-    for wx in all_words(dx)
-    for wy in all_words(depth - dx)
-]
+def basic_rects(total):
+    """Every basic rectangle W x V with |W| + |V| <= total.
+
+    A closed piece with interior holds one of them, so together they cover
+    every piece down to that depth.
+    """
+    return [
+        Rect(ClopenSet((wx,)), ClopenSet((wy,)))
+        for depth in range(total + 1)
+        for dx in range(depth + 1)
+        for wx in all_words(dx)
+        for wy in all_words(depth - dx)
+    ]
+
+
+BASIC_RECTS = basic_rects(4)
 
 
 class TestCompleteRange:
-    def test_every_basic_rectangle_to_depth_four(self):
-        # One family falsifies all 129 rectangles and a second, fresh one
+    def test_every_basic_rectangle_to_depth_five(self):
+        # One family falsifies all 321 rectangles and a second, fresh one
         # verifies every certificate.  Work count, not wall clock: the
-        # verifier reads 7,750 y heads; a y-prefix first fit read 125,249.
+        # verifier sweeps the base table to the largest n_fine, 2,078, and
+        # reads its 2,079 y heads.  To depth four, first fit at each
+        # forward step read 7,750 and a y-prefix first fit 125,249.
+        rects = basic_rects(5)
         maker, checker = Family(), Family()
-        certs = [falsify_restriction(maker, TRIVIAL, rect) for rect in BASIC_RECTS]
+        certs = [falsify_restriction(maker, TRIVIAL, rect) for rect in rects]
         verdicts = [verify_witness(checker, c, samples=len(c.missing)) for c in certs]
-        assert len(BASIC_RECTS) == 129
-        assert verdicts == [(True, None)] * 129
-        assert max(cert.n_fine for cert in certs) == 526
-        assert len(checker._y.heads) == 7_750
+        assert len(rects) == 321
+        assert verdicts == [(True, None)] * 321
+        assert max(cert.n_fine for cert in certs) == 2_078
+        assert len(checker._y.heads) == 2_079
 
     @settings(max_examples=25)
     @given(st.sampled_from(BASIC_RECTS))
