@@ -219,17 +219,17 @@ class Family:
     :class:`DensePair` is built only for an index :meth:`dense_pair` reads.
 
     The base assignment is a greedy back and forth, run as one sweep over
-    the indices.  Step t makes the word of length-lexicographic rank t + 1
-    (rank + 1 in binary) pending if no index holds it, and gives index t,
-    if free, the shortest pending prefix of y_t, the word first fit would
-    give t.  Failing one, the backward half gives t the shortest prefix of
-    y_t no index holds, walking from a memo per y rank's word: the length
-    below which every prefix of ``word 0^w`` is held.  So
-    the table on indices 0..n reads y heads 0..n.  :meth:`base_index` of a
-    pending word runs first fit on the pending words up to it in rank
-    order; it walks only the diagonals of ranks whose word extends the word
-    or is one of its prefixes.  The step count is the back and forth's: a
-    pair (word, index) is known after step min(rank - 1, index).
+    the indices.  Step t gives index t, if free, the shortest prefix of y_t
+    no index holds, walking from a memo per y rank's word: the length below
+    which every prefix of ``word 0^w`` is held.  When that prefix has
+    length-lexicographic rank <= t + 1, it is the word first fit would give
+    t; so the table on indices 0..n reads y heads 0..n.  A word of rank at
+    most the sweep that no index holds waits, and :meth:`base_index` of it
+    runs first fit on its waiting prefixes, shortest first, then on the
+    word: only they can take an index whose y point starts with it.  First
+    fit walks only the diagonals of ranks whose word extends the word or is
+    one of its prefixes.  The step count is the back and forth's: a pair
+    (word, index) is known after step min(rank - 1, index).
 
     Approximants are memoised by their indices, and recognition keeps the
     inverse map on the approximants it has decoded, and nothing else.
@@ -247,7 +247,6 @@ class Family:
         self._recog: dict[str, tuple[int, int]] = {}
         self._idx2word: dict[int, str] = {}
         self._word2idx: dict[str, int] = {}
-        self._pending: dict[str, None] = {}
         self._reach: dict[str, int] = {}
         self._sweep = 0
         self._enum_step = 0
@@ -350,12 +349,15 @@ class Family:
         if not word:
             raise FamilyError("the whole-space cylinder is never a base")
         _check_digits(word)
-        while word not in self._word2idx and word not in self._pending:
+        rank = lenlex_rank(word)
+        while word not in self._word2idx and self._sweep < rank:
             self._sweep_step()
-        while word in self._pending:  # first fit, in rank order, up to word
-            w = next(iter(self._pending))
-            del self._pending[w]
-            self._assign(self._first_fit(w), w)
+        # Of the waiting words below it, only a prefix can take an index it
+        # needs: those first fit, shortest first, and then the word itself.
+        for length in range(1, len(word) + 1):
+            prefix = word[:length]
+            if prefix not in self._word2idx:
+                self._assign(self._first_fit(prefix), prefix)
         n = self._word2idx[word]
         self._known(word, n)
         return n
@@ -370,24 +372,15 @@ class Family:
             self._enum_step = max(self._enum_step, min(lenlex_rank(word), n + 1))
 
     def _sweep_step(self) -> None:
-        # A pending word has rank <= t + 1: no longer than lenlex_word(t + 1).
+        # Index t, if free, takes the shortest prefix of y_t no index holds.
+        # Every prefix of word 0^w shorter than its reach is held already.
         t = self._sweep
         self._sweep += 1
-        w = lenlex_word(t + 1)
-        if w not in self._word2idx:
-            self._pending[w] = None
         if t in self._idx2word:
             return
         word, k = self._y.head(t)
         end = len(word) + k  # where the head word 0^k ends and the cycle starts
-        stream = word + "0" * k + DENSE_CYCLE * ((len(w) - end + 1) // 2)
-        for length in range(1, len(w) + 1):
-            if stream[:length] in self._pending:
-                del self._pending[stream[:length]]
-                self._assign(t, stream[:length])
-                return
-        # The backward half: the shortest prefix of y_t no index holds.
-        # Every prefix of word 0^w shorter than its reach is held already.
+        stream = word + "0" * k + DENSE_CYCLE
         length = min(self._reach.get(word, 1), end + 1)
         while stream[:length] in self._word2idx:
             length += 1

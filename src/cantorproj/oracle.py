@@ -19,6 +19,11 @@ from .family import (
 )
 from .words import CantorPoint, ClopenSet, RectUnion, all_words, flip, repr_point
 
+# Depth of the cylinders whose canonical points the brute traces sample.
+# Every approximant word has at least 8 digits, so none of these points is
+# an approximant and no sample is removed from a piece's clopen parts.
+TRACE_DEPTH = 6
+
 
 def removed_fibers(fam: Family, count: int) -> list[tuple[CantorPoint, str]]:
     """First ``count`` removed columns, in ``diag_pair`` order.
@@ -165,18 +170,17 @@ def brute_rect_trace(
     x_set: ClopenSet,
     y_set: ClopenSet,
     n_fibers: int,
-    trace_depth: int = 6,
 ) -> tuple[str, ...]:
     """Trace of the truncated image, computed point by point.
 
     A sample (x, y) is in the truncated space unless one of the first
     ``n_fibers`` columns sits at x and its base holds y; x and y range over
-    the canonical points of the depth-``trace_depth`` cylinders.
+    the canonical points of the depth-``TRACE_DEPTH`` cylinders.
     """
-    ys = [y for _, y in representatives(trace_depth) if y_set.member(y)]
+    ys = [y for _, y in representatives(TRACE_DEPTH) if y_set.member(y)]
     fibers = removed_fibers(fam, n_fibers)
     out = []
-    for w, x in representatives(trace_depth):
+    for w, x in representatives(TRACE_DEPTH):
         if not x_set.member(x):
             continue
         bases = [base for point, base in fibers if point == x]
@@ -185,27 +189,24 @@ def brute_rect_trace(
     return tuple(out)
 
 
-def brute_union_trace(
-    fam: Family, union: RectUnion, n_fibers: int, trace_depth: int = 6
-) -> frozenset[str]:
+def brute_union_trace(fam: Family, union: RectUnion, n_fibers: int) -> frozenset[str]:
     """Trace of a truncated union image: its rectangles' brute traces joined."""
     return frozenset(
         w
         for r in union.rects
-        for w in brute_rect_trace(fam, r.x_set, r.y_set, n_fibers, trace_depth)
+        for w in brute_rect_trace(fam, r.x_set, r.y_set, n_fibers)
     )
 
 
 def brute_split_traces(
-    trace: frozenset[str], f: ClopenSet, trace_depth: int = 6
+    trace: frozenset[str], f: ClopenSet
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Traces of F intersect image and F minus image, given the image trace.
 
-    Every approximant word has at least 8 digits, so at a smaller depth no
-    representative point is removed from its piece, and these traces equal
-    those of the two clopen parts of the closure split.
+    No representative point at ``TRACE_DEPTH`` is an approximant, so these
+    traces equal those of the two clopen parts of the closure split.
     """
-    in_f = [w for w, p in representatives(trace_depth) if f.member(p)]
+    in_f = [w for w, p in representatives(TRACE_DEPTH) if f.member(p)]
     return (
         tuple(w for w in in_f if w in trace),
         tuple(w for w in in_f if w not in trace),

@@ -31,7 +31,7 @@ from .certify import (
 )
 from .family import Family
 from .images import image_member, image_trace, project_union
-from .oracle import brute_rect_trace
+from .oracle import TRACE_DEPTH, brute_rect_trace
 from .witness import WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
     WHOLE_SPACE,
@@ -74,9 +74,8 @@ def _random_word(rng: random.Random, depth: int) -> str:
     return "".join(rng.choice("02") for _ in range(rng.randint(0, depth)))
 
 
-def _random_clopen(rng: random.Random, depth: int, max_words: int = 2) -> ClopenSet:
-    count = rng.randint(1, max_words)
-    return ClopenSet(tuple(_random_word(rng, depth) for _ in range(count)))
+def _random_clopen(rng: random.Random, depth: int) -> ClopenSet:
+    return ClopenSet(tuple(_random_word(rng, depth) for _ in range(rng.randint(1, 2))))
 
 
 def _random_point(rng: random.Random, pre_len: int = 6, cyc_len: int = 3) -> CantorPoint:
@@ -271,8 +270,8 @@ def _suite_oracle_equivalence(fam, cfg, rng):
     jobs += [pairs[i] for i in picks]
     for w_set, v_set in jobs:
         img = project_union(fam, RectUnion((Rect(w_set, v_set),)))
-        exact = image_trace(fam, img, 6)
-        brute = brute_rect_trace(fam, w_set, v_set, cfg.truncation, trace_depth=6)
+        exact = image_trace(fam, img, TRACE_DEPTH)
+        brute = brute_rect_trace(fam, w_set, v_set, cfg.truncation)
         yield exact == brute or {"w": str(w_set), "v": str(v_set)}
 
 

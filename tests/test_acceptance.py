@@ -39,6 +39,7 @@ from cantorproj.certify import (
 from cantorproj.cli import main as cli_main
 from cantorproj.images import ImagePiece, ImageSet, canonical, removal_sequences
 from cantorproj.oracle import (
+    TRACE_DEPTH,
     brute_rect_trace,
     brute_split_traces,
     brute_union_trace,
@@ -157,8 +158,8 @@ def test_03_exact_trace_equals_brute_trace(fam):
     for w_set in sets:
         for v_set in sets:
             img = project_union(fam, RectUnion((Rect(w_set, v_set),)))
-            exact = image_trace(fam, img, 6)
-            brute = brute_rect_trace(fam, w_set, v_set, 20, trace_depth=6)
+            exact = image_trace(fam, img, TRACE_DEPTH)
+            brute = brute_rect_trace(fam, w_set, v_set, 20)
             ok &= exact == brute
     elapsed = time.monotonic() - t0
     verdict(
@@ -225,7 +226,7 @@ def test_closure_split_clopen_parts_match_brute_traces(fam, rect_suite):
         for f in windows:
             split = closure_split(fam, img, f)
             got = tuple(
-                tuple(w for w, p in representatives(6) if part.member(p))
+                tuple(w for w, p in representatives(TRACE_DEPTH) if part.member(p))
                 for part in (split.inter_hull, split.diff_clopen)
             )
             assert got == brute_split_traces(trace, f), (str(union), str(f))

@@ -36,7 +36,7 @@ from cantorproj.certify import (
 )
 from cantorproj.family import stable_index
 from cantorproj.images import TailSet, canonical, piece_member, removal_sequences, settled_index
-from cantorproj.oracle import brute_union_trace
+from cantorproj.oracle import TRACE_DEPTH, brute_union_trace
 from cantorproj.suites import _random_rect_union, clopen_antichains
 from cantorproj.words import flip
 
@@ -364,7 +364,8 @@ class TestCompleteRange:
         images = [project_union(fam, u) for u in unions]
         assert self._isolated_counts(fam, images) == (530, 646, 1192)
         for u, img in zip(unions, images):
-            assert frozenset(image_trace(fam, img, 6)) == brute_union_trace(fam, u, 20, 6), str(u)
+            trace = frozenset(image_trace(fam, img, TRACE_DEPTH))
+            assert trace == brute_union_trace(fam, u, 20), str(u)
 
 
 class TestClosureSplit:

@@ -187,7 +187,7 @@ class TestSweepOrder:
     CALLS = st.lists(
         st.one_of(
             st.tuples(st.just("base_word"), st.integers(0, 300)),
-            st.tuples(st.just("base_index"), st.text(alphabet="02", min_size=1, max_size=6)),
+            st.tuples(st.just("base_index"), st.text(alphabet="02", min_size=1, max_size=9)),
         ),
         min_size=1,
         max_size=12,
@@ -520,7 +520,20 @@ class TestBaseEnumeration:
         monkeypatch.setattr(Family, "_first_fit", refuse)
         fresh = Family()
         fresh.base_word(2_000)
-        assert fresh._pending
+        # Some word the sweep has passed still waits for its index.
+        assert any(lenlex_word(r) not in fresh._word2idx for r in range(1, fresh._sweep + 1))
+
+    @pytest.mark.parametrize(
+        "word, n, heads", [("2" * 10, 2_096_127, 2_046), ("02020202", 58_310, 340)]
+    )
+    def test_base_index_first_fits_only_its_prefixes(self, word, n, heads):
+        # Work count: first fit runs on the word's waiting prefixes alone,
+        # and the y column grows to the sweep plus their diagonals.  First
+        # fit on every waiting word below its rank read 130,305 heads for
+        # '2' * 10 and 3,570 for '02020202'.
+        fresh = Family()
+        assert fresh.base_index(word) == n
+        assert len(fresh._y.heads) == heads
 
     # Taken positions (diagonal, y rank) near the start, so that prefix
     # ranks with a taken head or a pad to read come before the word's own
@@ -558,8 +571,8 @@ class TestBaseEnumeration:
     def test_pads_rise_along_each_y_rank(self):
         # First fit bounds a y rank's pad on diagonal s by s - rank + 1 and
         # skips reading heads on that bound, which is sound only if every
-        # rank's pad rises from one diagonal to the next.  base_index runs
-        # first fit on pending words, so the column is grown here directly.
+        # rank's pad rises from one diagonal to the next.  The sweep reads
+        # one head per index, so the column is grown here directly.
         fresh = Family()
         fresh._y.head(80_199)
         last: dict[int, int] = {}
@@ -680,8 +693,16 @@ class TestCliGoldenBytes:
              "ddca6e91f0064340066f9c21bb1f3508ad09c0ad17293dfeb866995fce47f59b"),
             (["image", "0 x 00; 02 x 2; 2 x 0", "--depth", "4"],
              "8f6d044956af70557d08956b1d6949d831335f12770feff19e0d7c6b39507d24"),
+            # Their base chains first fit past the sweep, out of rank order.
+            (["image", "0 x 02020202", "--depth", "3"],
+             "36b83f0d7965d4290038448aef70a0b1536cf4b7481f14cf65b06e14662db5e2"),
+            (["image", "2 x 22222222", "--depth", "3"],
+             "2e50250a1f9fbad8a16c148f7c5f5224ff8d2873f61c64d31177e30bc2c7a73e"),
         ],
-        ids=["construct", "image-one-rect", "image-two-rects", "image-three-rects"],
+        ids=[
+            "construct", "image-one-rect", "image-two-rects", "image-three-rects",
+            "image-deep-base-0", "image-deep-base-2",
+        ],
     )
     def test_listed_command_bytes(self, capsys, argv, digest):
         assert _sha256(self.run(capsys, *argv)) == digest
