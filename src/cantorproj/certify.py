@@ -2,7 +2,9 @@
 
 Every image splits into an open part plus finitely many isolated limit
 points, a closed set; this module computes that split, which is the image's
-LC₂ presentation, certifies it, and tests clopen windows for resolvability.
+LC₂ presentation, and certifies it.  For a clopen window F it also splits
+the closures of F & E and F - E into their clopen parts, whose core decides
+whether F is resolvable.
 """
 
 from __future__ import annotations
@@ -183,36 +185,23 @@ def lc2_valid(
     return all(decomposition_member(fam, dec, p) == image_member(fam, img, p) for p in probes)
 
 
-@dataclass(frozen=True)
-class ClosureSplit:
-    """The clopen parts of the closures of F intersect E and F minus E, for clopen F."""
-
-    inter_hull: ClopenSet
-    diff_clopen: ClopenSet
-
-
-def closure_split(fam: Family, img: ImageSet, f: ClopenSet) -> ClosureSplit:
-    # Kept for the benchmark's ``certify.closure_splits`` counter (``bench/run.py``).
-    # Each piece is dense in its hull, so the closure of F & E is hull & F, and
-    # F - E adds only countably many points to F & outside.
-    return ClosureSplit(img.hull.intersect(f), f.intersect(img.outside))
+def closure_split(img: ImageSet, f: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
+    """The clopen parts of cl(F & E) and cl(F - E) for clopen F, as ``(inter_hull,
+    diff_clopen)``.  Each piece is dense in its hull, so the closure of F & E is
+    hull & F, and F - E adds only countably many points to F & outside."""
+    return img.hull.intersect(f), f.intersect(img.outside)
 
 
 def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
-    """True iff cl(F and E) intersect cl(F minus E) is not all of F.
+    """True iff cl(F & E) intersect cl(F - E) is not all of F.
 
-    The intersection is a clopen core plus countably many points; a nonempty
-    clopen set is uncountable, so the intersection exhausts F exactly when F
-    already sits inside the clopen core.
-
-    The core is ``inter_hull & (F - hull)``, the two clopen parts of
-    :func:`closure_split`, with ``F - hull`` taken as F intersect the
-    complement the image keeps.  It is empty: ``inter_hull``, the union of
-    ``piece.hull & F``, lies inside the image hull, and ``F - hull`` lies
-    outside it.  The intersection of the closures is therefore countable,
-    never all of a nonempty F, and every image is resolvable.
+    That intersection is the clopen core of the two parts of
+    :func:`closure_split` plus countably many points, and a nonempty clopen
+    set is uncountable, so it exhausts F exactly when F sits inside the core.
+    The core is empty, since ``inter_hull`` lies inside the image hull and
+    ``diff_clopen`` outside it: every image is resolvable.
     """
     if f.is_empty():
         raise PieceError("resolvability probe needs a nonempty closed set")
-    core = img.hull.intersect(f).intersect(f.intersect(img.outside))
-    return not f.subset(core)
+    inter_hull, diff_clopen = closure_split(img, f)
+    return not f.subset(inter_hull.intersect(diff_clopen))

@@ -217,17 +217,16 @@ def test_06_resolvability_bulk_law(fam, rect_suite):
 def test_closure_split_clopen_parts_match_brute_traces(fam, rect_suite):
     """Not a numbered criterion: the oracle cross-check behind criterion 06.
 
-    At depth 6 the traces of ``inter_hull`` and ``diff_clopen`` must equal
+    At depth 6 the traces of the split's two clopen parts must equal
     the brute-force traces of F intersect image and F minus image.
     """
     windows = [ClopenSet(("",))] + [ClopenSet((w,)) for w in all_words(3)]
     for union, img in rect_suite:
         trace = brute_union_trace(fam, union, n_fibers=20)
         for f in windows:
-            split = closure_split(fam, img, f)
             got = tuple(
                 tuple(w for w, p in representatives(TRACE_DEPTH) if part.member(p))
-                for part in (split.inter_hull, split.diff_clopen)
+                for part in closure_split(img, f)
             )
             assert got == brute_split_traces(trace, f), (str(union), str(f))
 

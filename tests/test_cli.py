@@ -106,6 +106,11 @@ class TestImage:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_empty_literal(self, capsys):
+        code, out, err = run(capsys, "image", "")
+        assert code == 2 and out == ""
+        assert err == "error: empty rectangle union literal\n"
+
     def test_certification_failure_exits_one(self, capsys, monkeypatch):
         from cantorproj import certify
 
@@ -144,6 +149,15 @@ class TestFalsifyVerify:
         code, out, _ = run(capsys, "falsify", "0 x 0", "--samples", "3", "--verify-only")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_self_verification_failure_exits_one(self, capsys, monkeypatch):
+        def refuse(fam, cert, samples):
+            return False, "base_words_match"
+
+        monkeypatch.setattr(cli, "verify_witness", refuse)
+        code, out, _ = run(capsys, "falsify", "2 x 0", "--samples", "2")
+        assert code == 1
+        assert out == "self-verification failed at base_words_match\n"
 
     def test_tampered_certificate_fails(self, tmp_path, capsys):
         cert_file = tmp_path / "w.json"

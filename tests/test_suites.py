@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from cantorproj import Family, suites, words
+from cantorproj import Family, Rect, RectUnion, certify, suites, words
 from cantorproj.cli import RunConfig
 from cantorproj.suites import (
     FAULTS,
     SUITES,
     make_family,
+    mutate_witness,
     run_all,
     run_suite,
 )
+from cantorproj.witness import falsify_restriction
+from cantorproj.words import WHOLE_SPACE
 
 
 def test_suite_names_are_stable():
@@ -104,6 +107,21 @@ def test_stage_suite_catches_a_shifted_cylinder(monkeypatch):
     result = run_suite("core-stage-cylinder-agreement", Family(), RunConfig())
     assert result["passed"] is False
     assert result["detail"]["failures"][0] == {"stage": 2}
+
+
+def test_resolvability_suite_catches_a_wrong_closure_split(fam, monkeypatch):
+    # The core is empty only while the split is right: with both clopen parts
+    # the whole window, the core is F and no window is resolvable.
+    monkeypatch.setattr(certify, "closure_split", lambda img, f: (f, f))
+    result = run_suite("lab-resolvability", fam, RunConfig())
+    assert result["passed"] is False
+    assert result["detail"]["checks"] == 180
+
+
+def test_unknown_mutation_rejected(fam):
+    cert = falsify_restriction(fam, RectUnion(()), Rect(WHOLE_SPACE, WHOLE_SPACE), samples=2)
+    with pytest.raises(ValueError, match="^unknown mutation 'bogus'$"):
+        mutate_witness(fam, cert, "bogus")
 
 
 def test_unknown_fault_rejected():

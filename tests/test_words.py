@@ -10,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 from cantorproj import (
     CantorPoint,
     ClopenSet,
+    PieceError,
     WordError,
     all_words,
     parse_clopen,
     parse_point,
+    parse_rect_union,
     repr_point,
 )
 from cantorproj.oracle import clopen_cover, normal_point, scan_member
 from cantorproj.words import (
     ZERO_POINT,
+    RationalInterval,
     cantor_stage,
     cylinder_interval,
     distance,
@@ -226,6 +229,11 @@ class TestNormalForm:
             (lambda: CantorPoint("0", "21"), "digits must come from {0, 2}: '21'"),
             (lambda: repr_point("1"), "digits must come from {0, 2}: '1'"),
             (lambda: parse_point("^()"), "cycle must be nonempty"),
+            (lambda: flip("1"), "not a digit: '1'"),
+            (lambda: RationalInterval(Fraction(1), Fraction(0)), "empty interval: [1, 0]"),
+            (lambda: cantor_stage(-1), "stage index must be a natural number"),
+            (lambda: ClopenSet(()).diam(), "diameter of the empty set"),
+            (lambda: ClopenSet(()).common_prefix(), "common prefix of the empty set"),
         ],
     )
     def test_error_messages(self, build, message):
@@ -510,6 +518,10 @@ class TestClopenAlgebra:
         # Only ε spells the whole space; an empty chunk is a typo.
         with pytest.raises(WordError):
             parse_clopen(text)
+
+    def test_parse_rect_union_rejects_an_empty_literal(self):
+        with pytest.raises(PieceError, match="^empty rectangle union literal$"):
+            parse_rect_union(" ")
 
     def test_repr_point(self):
         assert repr_point("020") == CantorPoint("02", "0")
