@@ -275,9 +275,16 @@ class ClopenSet:
         return ClopenSet(self.words + other.words)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        # A merge walk: extensions sort directly after a word, so only the
-        # words the walk is on can relate.  The kept words are a normal form.
-        a, b, out = self.words, other.words, []
+        # The identities first: an empty operand or the whole space gives an
+        # operand back as it is.  Otherwise a merge walk: extensions sort
+        # directly after a word, so only the words the walk is on can relate.
+        # The kept words are a normal form.
+        a, b = self.words, other.words
+        if not a or b == ("",):
+            return self
+        if not b or a == ("",):
+            return other
+        out = []
         i, j, m, n = 0, 0, len(a), len(b)
         while i < m and j < n:
             u, v = a[i], b[j]
@@ -316,6 +323,8 @@ class ClopenSet:
         # Valid on normal forms: a covered cylinder has a prefix in the cover,
         # and only the last cover word sorting at or before it can be one.
         c = other.words
+        if not c:
+            return not self.words
         return all((i := bisect_right(c, a)) and a.startswith(c[i - 1]) for a in self.words)
 
     def diam(self) -> Fraction:

@@ -403,23 +403,42 @@ class TestResolvableProbe:
                 assert resolvable_probe(fam, img, f)
 
     def test_probe_skips_the_normalising_pass(self, fam, monkeypatch):
-        # Work count, not wall clock: intersect and complement build their
-        # normal forms directly.  Sending each of the 765 intersections and
-        # the one complement through the constructor's pass made 766 calls.
-        img = img_of(fam, "0 x 00; 02 x 2; 2 x 0")
-        img.hull
+        # Work counts, not wall clock, over the 255 depth-3 windows.
+        # intersect and complement build their normal forms directly:
+        # sending each of the 765 intersections and the one complement
+        # through the constructor's pass made 766 calls.  An image whose
+        # hull is the whole space has an empty outside, and intersect hands
+        # back an operand on both, so its probe builds no set.  A partial
+        # hull still walks.  When every intersection walked, each of the
+        # three images built 765 sets, three per window.
         windows = clopen_antichains(3)
         assert len(windows) == 255
-        calls = [0]
-        normalize = words._normalize_words
+        calls = {"normalize": 0, "built": 0}
+        normalize, normal, init = words._normalize_words, ClopenSet._normal, ClopenSet.__init__
 
-        def counting(ws):
-            calls[0] += 1
+        def counting_normalize(ws):
+            calls["normalize"] += 1
             return normalize(ws)
 
-        monkeypatch.setattr(words, "_normalize_words", counting)
-        assert all([resolvable_probe(fam, img, f) for f in windows])
-        assert calls[0] == 0
+        def counting_normal(cls, ws):
+            calls["built"] += 1
+            return normal(ws)
+
+        def counting_init(self, *args, **kwargs):
+            calls["built"] += 1
+            init(self, *args, **kwargs)
+
+        pins = {"ε x 0": 0, "0 x 00; 02 x 2; 2 x 0": 0, "0 x 00": 733}
+        images = {literal: img_of(fam, literal) for literal in pins}
+        for img in images.values():
+            img.outside
+        monkeypatch.setattr(words, "_normalize_words", counting_normalize)
+        monkeypatch.setattr(ClopenSet, "_normal", classmethod(counting_normal))
+        monkeypatch.setattr(ClopenSet, "__init__", counting_init)
+        for literal, built in pins.items():
+            calls.update(normalize=0, built=0)
+            assert all([resolvable_probe(fam, images[literal], f) for f in windows])
+            assert calls == {"normalize": 0, "built": built}, literal
 
     def test_empty_window_rejected(self, fam):
         with pytest.raises(PieceError):

@@ -19,6 +19,7 @@ from cantorproj import (
     repr_point,
 )
 from cantorproj.oracle import clopen_cover, normal_point, scan_member
+from cantorproj.suites import clopen_antichains
 from cantorproj.words import (
     ZERO_POINT,
     RationalInterval,
@@ -59,6 +60,14 @@ def nested_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     return ClopenSet(
         tuple(max(u, v) for u in a.words for v in b.words if u.startswith(v) or v.startswith(u))
     )
+
+
+def assert_normal_form(out: tuple[str, ...]) -> None:
+    """Sorted, a prefix antichain with no sibling pair, and kept by the pass."""
+    assert ClopenSet(out).words == out
+    assert all(u < v for u, v in zip(out, out[1:]))
+    assert not any(v.startswith(u) for u in out for v in out if u != v)
+    assert not any(w and w[:-1] + flip(w[-1]) in out for w in out)
 
 
 def digit_sum_oracle(p: CantorPoint, n: int = 40) -> Fraction:
@@ -497,11 +506,30 @@ class TestClopenAlgebra:
         # intersect and complement build their results without the
         # normalising pass, so each result must already be normal.
         for r in (a.intersect(b), a.complement(), a.minus(b)):
-            out = r.words
-            assert ClopenSet(out).words == out
-            assert all(u < v for u, v in zip(out, out[1:]))
-            assert not any(v.startswith(u) for u in out for v in out if u != v)
-            assert not any(w and w[:-1] + flip(w[-1]) in out for w in out)
+            assert_normal_form(r.words)
+
+    def test_identities_match_the_cover_oracle(self):
+        # Every set of depth at most 3, and the empty set, against the empty
+        # set and the whole space in both orders.  On these intersect hands
+        # back one of its operands, with no walk and no new set.
+        empty, whole = ClopenSet(()), ClopenSet(("",))
+        cells = frozenset(all_words(3))
+        for a in clopen_antichains(3) + [empty]:
+            cover_a = clopen_cover(a, 3)
+            for e, cover_e in ((empty, frozenset()), (whole, cells)):
+                for x, y, cx, cy in ((a, e, cover_a, cover_e), (e, a, cover_e, cover_a)):
+                    meet = x.intersect(y)
+                    assert meet is x or meet is y, (x, y)
+                    results = (
+                        (meet, cx & cy),
+                        (x.union(y), cx | cy),
+                        (x.minus(y), cx - cy),
+                        (x.complement(), cells - cx),
+                    )
+                    for r, cover in results:
+                        assert clopen_cover(r, 3) == cover, (x, y, r)
+                        assert_normal_form(r.words)
+                    assert x.subset(y) == (cx <= cy), (x, y)
 
     def test_normal_tuple_kept_as_given(self):
         words = ("00", "020", "2")
