@@ -231,8 +231,13 @@ class Family:
     one of its prefixes.  The step count is the back and forth's: a pair
     (word, index) is known after step min(rank - 1, index).
 
-    Approximants are memoised by their indices, and recognition keeps the
-    inverse map on the approximants it has decoded, and nothing else.
+    Approximants are memoised by their indices.  Recognition decodes a tag
+    in closed form: its last ``22`` but one is at ``top``, the run after it
+    fixes i, and sequence n leaves d + 2 digits before its n-run, so
+    2n + ceil_log3(n + 1) = top - i - 4 fixes n, the left side rising
+    strictly.  One comparison checks the n-run before any x head is read.
+    It keeps the inverse map on the approximants it has decoded, and
+    nothing else.
 
     Deterministic: two instances always produce identical output.  The memo
     is not thread safe; give each thread its own instance.
@@ -304,31 +309,26 @@ class Family:
 
     def _decode(self, p: CantorPoint) -> tuple[int, int] | None:
         # Called on tag-shaped points only: cycle "0" and a prefix ending in
-        # "22", so the tag sits at the very end of the prefix and the
-        # backward scan is aligned.  The scan moves an end index over the
-        # prefix and slices nothing, so it is linear in its length.
+        # "22".  The i-run holds no "22", so the separator is the last "22"
+        # before the final one, at top, and the run after it fixes i.  A tag
+        # has a "2" before its separator: testing it first is a cheap reject.
         s = p.prefix
-        end = len(s) - 2
-        i = 0
-        while s.endswith("02", 0, end):
-            end -= 2
-            i += 1
-        if not s.endswith("22", 0, end):
+        top = s.rfind("22", 0, -2)
+        run = s[top + 2 : -2]
+        i = len(run) >> 1
+        t = top - i - 4
+        if t < 0 or s[top - 1] != "2" or run != "02" * i:
             return None
-        top = end = end - 2
-        while s.endswith("02", 0, end):
-            end -= 2
-        # Sequence n leaves the rest s[:top - 2n] for its depth digits, the
-        # flipped digit and a "2".  The rest shrinks as n grows and the
-        # depth does not, so only the largest n whose rest is long enough
-        # can fit, and only if its rest is exactly that long.
-        for n in range((top - end) // 2, -1, -1):
-            d = approximant_depth(n, i)
-            if top - 2 * n >= d + 2:
-                break
-        else:
+        # Sequence n leaves d + 2 digits before its n-run, d its depth: the
+        # depth digits, the flipped digit and a "2".  So 2n + ceil_log3(n + 1)
+        # = t, whose left side rises strictly in n.  As n <= t / 2, its
+        # ceil_log3 is c or c - 1 for c = ceil_log3(t // 2 + 1), and the
+        # parity of t - c picks which.
+        n = (t - ceil_log3(t // 2 + 1) + 1) // 2
+        d = top - 2 * n - 2
+        if s[d + 2 : top] != "02" * n or ceil_log3(n + 1) != t - 2 * n:
             return None
-        if top - 2 * n == d + 2 and s.startswith(self._lead(n, d) + "2"):
+        if s.startswith(self._lead(n, d) + "2"):
             return n, i
         return None
 

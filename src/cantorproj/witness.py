@@ -26,6 +26,7 @@ from .words import (
     PieceError,
     Rect,
     RectUnion,
+    _has_prefix,
     parse_point,
     repr_point,
 )
@@ -95,10 +96,13 @@ def falsify_restriction(
     if not rect_outside(piece_complement, rect):
         raise PieceError("rectangle leaves the piece")
 
+    # The base word is tested first, against the y factor's words, so a
+    # pair is built only for an index whose cylinder fits inside it.
     n_coarse = None
     for n in range(budget):
-        word = fam.base_word(n)
-        if rect.x_set.member(fam.dense_pair(n).x) and ClopenSet((word,)).subset(rect.y_set):
+        if _has_prefix(rect.y_set.words, fam.base_word(n)) and rect.x_set.member(
+            fam.dense_pair(n).x
+        ):
             n_coarse = n
             break
     if n_coarse is None:

@@ -222,6 +222,15 @@ def _normalize_words(words) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _has_prefix(words: tuple[str, ...], s: str) -> bool:
+    # Whether some word of a sorted prefix antichain is a prefix of s.  Only
+    # the last word sorting at or before s can be: every string between a
+    # prefix w of s and s itself starts with w, and the antichain holds no
+    # extension of w.
+    i = bisect_right(words, s)
+    return i > 0 and s.startswith(words[i - 1])
+
+
 @dataclass(frozen=True)
 class ClopenSet:
     """A finite union of cylinders, kept as a sorted prefix antichain.
@@ -260,16 +269,12 @@ class ClopenSet:
         return max(map(len, self.words), default=0)
 
     def member(self, p: CantorPoint) -> bool:
-        # Only the last word sorting at or before ``lead`` can be a prefix of
-        # it: every string between a prefix w of ``lead`` and ``lead`` itself
-        # starts with w, and a prefix antichain holds no extension of w.  Any
-        # string will do, and a word no longer than the prefix starts the point
-        # iff it starts the prefix, so a prefix at least ``depth`` long is a lead.
+        # A word no longer than the prefix starts the point iff it starts the
+        # prefix, so a prefix at least ``depth`` long is a lead.
         if not self.words:
             return False
         lead = p.prefix if len(p.prefix) >= self.depth else p.digits(self.depth)
-        i = bisect_right(self.words, lead)
-        return i > 0 and lead.startswith(self.words[i - 1])
+        return _has_prefix(self.words, lead)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet(self.words + other.words)
@@ -320,19 +325,23 @@ class ClopenSet:
         return self.intersect(other.complement())
 
     def subset(self, other: "ClopenSet") -> bool:
-        # Valid on normal forms: a covered cylinder has a prefix in the cover,
-        # and only the last cover word sorting at or before it can be one.
+        # Valid on normal forms: a covered cylinder has a prefix in the cover.
         c = other.words
         if not c:
             return not self.words
-        return all((i := bisect_right(c, a)) and a.startswith(c[i - 1]) for a in self.words)
+        return all(_has_prefix(c, a) for a in self.words)
 
     def diam(self) -> Fraction:
         """Diameter as a subset of [0, 1]; both extremes are Cantor points."""
         if not self.words:
             raise WordError("diameter of the empty set")
-        # A sorted prefix antichain over {0, 2} is in value order.
-        return cylinder_interval(self.words[-1]).hi - cylinder_interval(self.words[0]).lo
+        # A sorted prefix antichain over {0, 2} is in value order, so the
+        # span runs from the first cylinder's left end to the last one's
+        # right end, both read as integers over 3**m.
+        u, v = self.words[0], self.words[-1]
+        m = max(len(u), len(v))
+        hi = (int(v or "0", 3) + 1) * 3 ** (m - len(v))
+        return Fraction(hi - int(u or "0", 3) * 3 ** (m - len(u)), 3 ** m)
 
     def common_prefix(self) -> str:
         if not self.words:

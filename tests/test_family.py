@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -387,9 +388,9 @@ class TestRecognition:
             tag = tag[:-1] if run else "2" + runs[0] + "2" + runs[1] + "22"
         return CantorPoint(body + tag, "0")
 
-    @COMMON
+    @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(min_value=0, max_value=59),
+        st.integers(min_value=0, max_value=4_999),
         st.integers(min_value=0, max_value=19),
         st.sampled_from(["none", "drop", "extra", "flip", "cut"]),
         st.integers(min_value=0, max_value=200),
@@ -404,6 +405,38 @@ class TestRecognition:
         if p.cycle == "0" and p.prefix.endswith("22"):
             assert fam._decode(p) == want
         assert fam.recognize(p) == want
+
+    @COMMON
+    @given(st.lists(st.sampled_from(["0", "2", "02", "22"]), max_size=40))
+    def test_decoder_matches_slicing_oracle_on_block_words(self, fam, blocks):
+        # Any word ending in "22", not only a damaged tag: blocks of "02"
+        # and "22" make runs and separators in every place, so each reject
+        # path of the decoder meets words the oracle slices apart.
+        p = CantorPoint("".join(blocks) + "22", "0")
+        assert fam._decode(p) == decode_tag(fam, p)
+
+    def test_decode_work_is_bounded(self):
+        # Work count, not wall clock: every line event while _decode runs,
+        # in its own frame and in what it calls, on an approximant of
+        # sequence 30,000 whose x column is already grown.  The closed form
+        # runs 85; only ceil_log3's loop grows, by one step per power of 3.
+        # A walk over the n-run takes one step per block, over 60,000.
+        fam = Family()
+        p = fam.approximant(30_000, 7)
+        lines = [0]
+
+        def local(frame, event, arg):
+            lines[0] += event == "line"
+            return local
+
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local)
+        try:
+            got = fam._decode(p)
+        finally:
+            sys.settrace(outer)
+        assert got == (30_000, 7)
+        assert lines[0] <= 100
 
     def test_forged_tag_point_rejected(self):
         # 400k "02" blocks where sequence n's count goes: no n fits the

@@ -137,6 +137,32 @@ class TestCompleteRange:
         assert max(cert.n_fine for cert in certs) == 2_078
         assert len(checker._y.heads) == 2_079
 
+    def test_every_basic_rectangle_to_depth_six(self):
+        # The same range to depth six, 769 rectangles.  The verifier sweeps
+        # the base table to the largest n_fine, 8,254, and reads its 8,255
+        # y heads.
+        rects = basic_rects(6)
+        maker, checker = Family(), Family()
+        certs = [falsify_restriction(maker, TRIVIAL, rect) for rect in rects]
+        verdicts = [verify_witness(checker, c, samples=len(c.missing)) for c in certs]
+        assert len(rects) == 769
+        assert verdicts == [(True, None)] * 769
+        assert max(cert.n_fine for cert in certs) == 8_254
+        assert len(checker._y.heads) == 8_255
+
+    def test_pairs_are_built_only_where_the_base_fits(self):
+        # Work count: the coarse search tests each base word against the y
+        # factor before it reads a dense pair, and the fine search keeps to
+        # words inside the coarse base, so every pair a fresh family builds
+        # has its base word inside the y factor.
+        for rect in BASIC_RECTS:
+            fresh = Family()
+            cert = falsify_restriction(fresh, TRIVIAL, rect)
+            assert cert.n_fine in fresh._pairs
+            assert all(
+                ClopenSet((fresh.base_word(n),)).subset(rect.y_set) for n in fresh._pairs
+            ), rect
+
     @settings(max_examples=25)
     @given(st.sampled_from(BASIC_RECTS))
     def test_shared_family_certificate_is_the_fresh_one(self, fam, rect):
