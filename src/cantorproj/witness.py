@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .family import Family
+from .family import Family, stable_index
 from .schema import CertificateFormatError, unwrap, wrap
 from .words import (
     CantorPoint,
@@ -80,6 +80,18 @@ def rect_outside(complement: RectUnion, rect: Rect) -> bool:
     )
 
 
+def _first_index(
+    fam: Family, x_set: ClopenSet, words: tuple[str, ...], start: int, budget: int, stage: str
+) -> int:
+    # The least n in [start, budget) whose base word has a prefix in words
+    # and whose x point lies in x_set.  The base word is tested first, so a
+    # pair is built only for an index whose base fits.
+    for n in range(start, budget):
+        if _has_prefix(words, fam.base_word(n)) and x_set.member(fam.dense_pair(n).x):
+            return n
+    raise SearchBudgetExceeded(stage, budget)
+
+
 def falsify_restriction(
     fam: Family,
     piece_complement: RectUnion,
@@ -96,39 +108,19 @@ def falsify_restriction(
     if not rect_outside(piece_complement, rect):
         raise PieceError("rectangle leaves the piece")
 
-    # The base word is tested first, against the y factor's words, so a
-    # pair is built only for an index whose cylinder fits inside it.
-    n_coarse = None
-    for n in range(budget):
-        if _has_prefix(rect.y_set.words, fam.base_word(n)) and rect.x_set.member(
-            fam.dense_pair(n).x
-        ):
-            n_coarse = n
-            break
-    if n_coarse is None:
-        raise SearchBudgetExceeded("the coarse base", budget)
-
+    n_coarse = _first_index(fam, rect.x_set, rect.y_set.words, 0, budget, "the coarse base")
     coarse = fam.base_word(n_coarse)
-    n_fine = None
-    for n in range(n_coarse + 1, budget):
-        word = fam.base_word(n)
-        if (
-            len(word) > len(coarse)
-            and word.startswith(coarse)
-            and rect.x_set.member(fam.dense_pair(n).x)
-        ):
-            n_fine = n
-            break
-    if n_fine is None:
-        raise SearchBudgetExceeded("the fine base", budget)
-
+    # Each nonempty word is the base of one index only, so a base past
+    # n_coarse that starts with the coarse word refines it strictly.
+    n_fine = _first_index(fam, rect.x_set, (coarse,), n_coarse + 1, budget, "the fine base")
     fine = fam.base_word(n_fine)
     band = ClopenSet((coarse,)).minus(ClopenSet((fine,)))
     evidence = repr_point(band.words[0])
-    missing = []
-    i = 0
+    # From stable_index on, every approximant agrees with x_fine to the x
+    # factor's depth and so lies in it: only a corrupted family gets here.
+    missing, i, bound = [], 0, stable_index(n_fine, rect.x_set.depth) + samples
     while len(missing) < samples:
-        if i > 1000 + 10 * samples:
+        if i >= bound:
             raise SearchBudgetExceeded("missing approximants", budget)
         q = fam.approximant(n_fine, i)
         if rect.x_set.member(q):

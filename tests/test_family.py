@@ -499,9 +499,11 @@ class TestBaseEnumeration:
         for n in range(200):
             assert fam.dense_pair(n).y.starts_with(fam.base_word(n))
 
-    def test_bases_injective(self, fam):
-        words = [fam.base_word(n) for n in range(200)]
-        assert len(set(words)) == 200
+    def test_bases_injective(self):
+        # The fine witness search relies on it up to the default budget.
+        fam = Family()
+        words = [fam.base_word(n) for n in range(10_000)]
+        assert len(set(words)) == 10_000
 
     def test_matches_first_fit_oracle(self, fam):
         # The table after 201 steps holds every index n <= 200 (the range

@@ -1,6 +1,7 @@
 """Non-openness witnesses and their verifier."""
 
 import contextlib
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -26,7 +27,7 @@ from cantorproj import (
 )
 from cantorproj.cli import main as cli_main
 from cantorproj.schema import CertificateFormatError
-from cantorproj.suites import WITNESS_MUTATIONS, mutate_witness
+from cantorproj.suites import WITNESS_MUTATIONS, make_family, mutate_witness
 from cantorproj.witness import witness_dumps
 
 WHOLE = ClopenSet(("",))
@@ -74,6 +75,19 @@ class TestFalsify:
         with pytest.raises(SearchBudgetExceeded) as err:
             falsify_restriction(fam, TRIVIAL, rect, budget=1, samples=3)
         assert err.value.budget == 1
+
+    def test_sample_scan_stops_at_its_bound(self, monkeypatch):
+        # Work guard: with every approximant's first digit flipped none lies
+        # in the x factor, and the scan gives up after stable_index(n_fine,
+        # depth) + samples builds, 10 here.
+        fam = make_family("approximant-digit")
+        calls, build = [], fam.approximant
+        monkeypatch.setattr(fam, "approximant", lambda n, i: calls.append(n) or build(n, i))
+        rect = parse_rect_union("2 x 0").rects[0]
+        with pytest.raises(SearchBudgetExceeded) as err:
+            falsify_restriction(fam, TRIVIAL, rect, samples=10)
+        assert err.value.stage == "missing approximants"
+        assert len(calls) <= family.stable_index(calls[0], 1) + 10 == 10
 
     def test_empty_rect_rejected(self, fam):
         with pytest.raises(PieceError):
@@ -136,6 +150,11 @@ class TestCompleteRange:
         assert verdicts == [(True, None)] * 321
         assert max(cert.n_fine for cert in certs) == 2_078
         assert len(checker._y.heads) == 2_079
+        # Every byte of the 321 certificates, not only the two the CLI pins.
+        dumps = "\n".join(map(witness_dumps, certs)).encode()
+        assert hashlib.sha256(dumps).hexdigest() == (
+            "7292e2db7d373845b3ddb3812404d448b33e44e4bb3dcde2d7ccd4d27f5f39e5"
+        )
 
     def test_every_basic_rectangle_to_depth_six(self):
         # The same range to depth six, 769 rectangles.  The verifier sweeps
