@@ -55,13 +55,13 @@ class CantorPoint:
     validates and normalizes the arguments, then sets each slot once through
     its descriptor, past the frozen ``__setattr__``.  A prefix meets the
     digit check only if ``strip`` leaves some character.  The cycle ``"0"``
-    or ``"2"`` of every representative and approximant is checked by that
-    comparison, and its normal form is a single ``rstrip``.
-    A longer cycle is reduced to its primitive period, strips whole copies
-    of itself, then a partial one, and rotates once, so the normal form is
-    linear in the prefix.  Points are slotted: they carry no instance
-    ``__dict__``, which keeps the many representative points of a deep
-    trace small.
+    or ``"2"`` of every representative and approximant takes its own
+    branch: the comparison checks it, and its normal form is a single
+    ``rstrip``.  Any other cycle is reduced to its primitive period, strips
+    whole copies of itself, then a partial one, and rotates once, so the
+    normal form is linear in the prefix.  Points are slotted: they carry no
+    instance ``__dict__``, which keeps the many representative points of a
+    deep trace small.
     """
 
     prefix: str
@@ -70,11 +70,14 @@ class CantorPoint:
     def __init__(self, prefix: str = "", cycle: str = "0") -> None:
         if prefix.strip(ALPHABET):
             _check_digits(prefix)
-        if cycle != "0" and cycle != "2":
-            _check_digits(cycle)
-            if not cycle:
-                raise WordError("cycle must be nonempty")
-            cycle = _primitive(cycle)
+        if cycle == "0" or cycle == "2":
+            _set_prefix(self, prefix.rstrip(cycle))
+            _set_cycle(self, cycle)
+            return
+        _check_digits(cycle)
+        if not cycle:
+            raise WordError("cycle must be nonempty")
+        cycle = _primitive(cycle)
         if len(cycle) == 1:
             prefix = prefix.rstrip(cycle)
         elif prefix.endswith(cycle[-1]):
@@ -269,11 +272,16 @@ class ClopenSet:
         return max(map(len, self.words), default=0)
 
     def member(self, p: CantorPoint) -> bool:
-        # A word no longer than the prefix starts the point iff it starts the
-        # prefix, so a prefix at least ``depth`` long is a lead.
-        if not self.words:
-            return False
-        lead = p.prefix if len(p.prefix) >= self.depth else p.digits(self.depth)
+        # The identities first, by value, as in ``intersect``: only ∅ and
+        # the whole space have depth 0, and ∅ holds no point, the whole
+        # space every point.  The depth is read anyway, where a test of the
+        # words against ``("",)`` would cost every other set a comparison.
+        # Otherwise a word no longer than the prefix starts the point iff it
+        # starts the prefix, so a prefix at least ``depth`` long is a lead.
+        depth = self.depth
+        if not depth:
+            return bool(self.words)
+        lead = p.prefix if len(p.prefix) >= depth else p.digits(depth)
         return _has_prefix(self.words, lead)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":

@@ -165,9 +165,10 @@ class TestProjectUnion:
         # points instead would build two more.  Since recognition tests
         # the tag shape before the memo, it decodes only the 2,047
         # tag-shaped points, and memoises only the three approximants among
-        # them: (0, 0), (0, 1) and (1, 0).
-        counts = {"decode": 0, "point": 0}
-        decode, init = Family._decode, CantorPoint.__init__
+        # them: (0, 0), (0, 1) and (1, 0).  The hull is the whole space, which
+        # answers membership by value, so no point reaches the bisect.
+        counts = {"decode": 0, "point": 0, "bisect": 0}
+        decode, init, has_prefix = Family._decode, CantorPoint.__init__, words._has_prefix
 
         def counting_decode(self, p):
             counts["decode"] += 1
@@ -177,14 +178,36 @@ class TestProjectUnion:
             counts["point"] += 1
             init(self, *args, **kwargs)
 
+        def counting_has_prefix(ws, lead):
+            counts["bisect"] += 1
+            return has_prefix(ws, lead)
+
         monkeypatch.setattr(Family, "_decode", counting_decode)
         monkeypatch.setattr(CantorPoint, "__init__", counting_init)
+        monkeypatch.setattr(words, "_has_prefix", counting_has_prefix)
         fresh = Family()
         img = project_union(fresh, parse_rect_union("ε x 2"))
         assert len(image_trace(fresh, img, 12)) == 4096
         assert counts["point"] == 4097
         assert counts["decode"] <= 2048
+        assert counts["bisect"] == 0
         assert len(fresh._recog) <= 3
+
+    def test_a_partial_hull_still_bisects(self, monkeypatch):
+        # Work count: the whole-space identity does not widen to other hulls;
+        # each of the 64 depth-6 representatives is bisected against "0".
+        counted = [0]
+        has_prefix = words._has_prefix
+
+        def counting(ws, lead):
+            counted[0] += 1
+            return has_prefix(ws, lead)
+
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union("0 x 2"))
+        monkeypatch.setattr(words, "_has_prefix", counting)
+        assert len(image_trace(fresh, img, 6)) == 32
+        assert counted[0] == 64
 
     @pytest.mark.parametrize(
         "literal, kept, calls", [("ε x ε", 4096, 0), ("ε x 0", 4094, 4096)]

@@ -17,11 +17,13 @@ from cantorproj import (
     parse_clopen,
     parse_point,
     parse_rect_union,
+    project_union,
     repr_point,
 )
-from cantorproj.oracle import clopen_cover, normal_point, scan_member
-from cantorproj.suites import clopen_antichains
+from cantorproj.oracle import clopen_cover, normal_point, representatives, scan_member
+from cantorproj.suites import clopen_antichains, probe_pool
 from cantorproj.words import (
+    WHOLE_SPACE,
     ZERO_POINT,
     RationalInterval,
     cantor_stage,
@@ -54,6 +56,18 @@ sets_st = st.one_of(
 )
 
 COMMON = settings(max_examples=120)
+# Parser fuzz: any text over the literals' characters plus "1" and a space,
+# or text shaped like a literal, so that both the parses and the rejections
+# are reached.
+LITERAL_TEXT = st.text(alphabet="02^()x;,ε1 ", max_size=16)
+POINT_TEXT = st.builds("{}^({})".format, st.text("021 ", max_size=5), st.text("02", max_size=4))
+_CLOPEN_TEXT = st.lists(
+    st.sampled_from(["ε", "0", "2", "20", " 02 ", "1", ""]), min_size=1, max_size=2
+)
+UNION_TEXT = st.lists(
+    st.builds("{}x{}".format, _CLOPEN_TEXT.map(",".join), _CLOPEN_TEXT.map(",".join)),
+    min_size=1, max_size=2,
+).map(";".join)
 
 
 def nested_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
@@ -470,6 +484,17 @@ class TestClopenAlgebra:
             assert not ClopenSet(()).member(q)
             assert not scan_member(ClopenSet(()), q)
 
+    def test_member_whole_space_by_value(self, fam):
+        # The identity tests the words, not the object: an image hull is a
+        # set of its own, equal to the whole space but not the same object,
+        # and it holds every point, as the scan finds too.
+        hull = project_union(fam, parse_rect_union("0 x ε; 2 x ε")).hull
+        assert hull == ClopenSet(("",)) and hull is not WHOLE_SPACE
+        probes = probe_pool(fam, random.Random(34), 60)
+        probes += [q for _, q in representatives(6)]
+        for q in probes:
+            assert hull.member(q) and scan_member(hull, q), q
+
     def test_depth_is_lazy_and_kept(self):
         s = ClopenSet(("00", "020", "2"))
         assert "depth" not in vars(s)
@@ -573,3 +598,30 @@ class TestClopenAlgebra:
     def test_repr_point(self):
         assert repr_point("020") == CantorPoint("02", "0")
         assert repr_point("") == ZERO_POINT
+
+
+class TestParserFuzz:
+    # Every text either parses to a valid value that prints back to itself,
+    # or raises the parser's own error, never another exception.
+
+    @settings(max_examples=200)
+    @given(st.one_of(LITERAL_TEXT, POINT_TEXT))
+    def test_parse_point_parses_or_raises_word_error(self, text):
+        try:
+            p = parse_point(text)
+        except WordError:
+            return
+        assert not (p.prefix + p.cycle).strip("02") and p.cycle
+        assert parse_point(str(p)) == p
+
+    @settings(max_examples=200)
+    @given(st.one_of(LITERAL_TEXT, UNION_TEXT))
+    def test_parse_rect_union_parses_or_raises_its_errors(self, text):
+        try:
+            u = parse_rect_union(text)
+        except (WordError, PieceError):
+            return
+        assert u.rects and not "".join(
+            w for r in u.rects for w in r.x_set.words + r.y_set.words
+        ).strip("02")
+        assert parse_rect_union(str(u)) == u
