@@ -15,8 +15,9 @@ unreadable input (an unusable path, a certificate that does not parse),
 ``falsify`` ``--budget``, ``check`` all six and ``verify`` none; defaults
 come from ``CANTORPROJ_<KNOB>`` variables, and flags win.  A negative size
 knob (every knob but the seed) and a ``--samples`` below 1 are usage errors.
-The knobs make a :class:`RunConfig`, kept here so only ``check`` loads the
-suites.  All JSON output is byte-deterministic for a fixed config.
+The six knobs are the fields of a :class:`RunConfig`, kept here so only
+``check`` loads the suites.  All JSON output is byte-deterministic for a
+fixed config.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .family import Family, FamilyError
 from .schema import CertificateFormatError
@@ -39,7 +40,20 @@ from .witness import (
 from .words import PieceError, RectUnion, WordError, parse_rect_union
 
 ENV_PREFIX = "CANTORPROJ_"
-INT_KNOBS = ("depth", "n_max", "i_max", "truncation", "budget", "seed")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    depth: int = 3
+    n_max: int = 50
+    i_max: int = 20
+    truncation: int = 20
+    budget: int = 10_000
+    seed: int = 0
+
+
+INT_KNOBS = tuple(f.name for f in fields(RunConfig))
+
 KNOB_HELP = {
     "depth": "trace and cell depth",
     "truncation": "fibers kept by brute oracles",
@@ -54,18 +68,6 @@ COMMAND_KNOBS = {
     "verify": (),
     "check": INT_KNOBS,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    depth: int = 3
-    n_max: int = 50
-    i_max: int = 20
-    truncation: int = 20
-    budget: int = 10_000
-    seed: int = 0
-    suite_size: int = 60
-    probes: int = 120
 
 
 class UsageError(Exception):

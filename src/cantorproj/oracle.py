@@ -1,13 +1,15 @@
 """Brute-force oracles over truncations of the punctured square.
 
 Everything here works from first principles: representative points, the raw
-membership predicate restricted to finitely many removed columns, and
-nothing from the image machinery.  Used to cross-check the exact projection
-code on finite windows.
+membership predicate restricted to finitely many removed columns, the
+middle-thirds stages, and nothing from the image machinery.  Used to
+cross-check the exact projection code on finite windows, and the digit
+model against the middle-thirds construction.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .family import (
@@ -17,7 +19,7 @@ from .family import (
     diag_pair,
     lenlex_word,
 )
-from .words import CantorPoint, ClopenSet, RectUnion, all_words, flip, repr_point
+from .words import CantorPoint, ClopenSet, RectUnion, WordError, all_words, flip, repr_point
 
 # Depth of the cylinders whose canonical points the brute traces sample.
 # Every approximant word has at least 8 digits, so none of these points is
@@ -146,6 +148,20 @@ def normal_point(prefix: str, cycle: str) -> tuple[str, str]:
         pre = pre[:-1]
         cyc = cyc[-1] + cyc[:-1]
     return pre, cyc
+
+
+def cantor_stage(n: int) -> list[tuple[Fraction, Fraction]]:
+    """End points of the 2**n intervals of the n-th middle-thirds stage.
+
+    Each stage is cut from the last, never read off a digit word.
+    """
+    if n < 0:
+        raise WordError("stage index must be a natural number")
+    ends = [(Fraction(0), Fraction(1))]
+    for _ in range(n):
+        ends = [cut for lo, hi in ends
+                for cut in ((lo, (2 * lo + hi) / 3), ((lo + 2 * hi) / 3, hi))]
+    return ends
 
 
 def scan_member(s: ClopenSet, p: CantorPoint) -> bool:

@@ -31,7 +31,7 @@ from .certify import (
 )
 from .family import Family
 from .images import image_member, image_trace, project_union
-from .oracle import TRACE_DEPTH, brute_rect_trace
+from .oracle import TRACE_DEPTH, brute_rect_trace, cantor_stage
 from .witness import WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
     WHOLE_SPACE,
@@ -40,8 +40,6 @@ from .words import (
     Rect,
     RectUnion,
     all_words,
-    cantor_stage,
-    cylinder_interval,
     distance,
     flip,
     repr_point,
@@ -49,6 +47,10 @@ from .words import (
 
 
 FAULTS = ("approximant-digit",)
+# The decomposition suite's fixed trial count and probe pool size; no flag
+# sets them, and ``run_all`` reports them beside the run config.
+SUITE_SIZE = 60
+PROBES = 120
 
 
 class _FaultyFamily(Family):
@@ -172,20 +174,23 @@ def _suite_value_injective(fam, cfg, rng):
         yield abs(v - partial) <= Fraction(1, 3**m) or {"point": str(p), "m": m}
 
 
+def _cylinder_ends(word: str) -> tuple[Fraction, Fraction]:
+    # A cylinder's interval runs from its least point, the word padded with
+    # 0s, to its greatest, the word padded with 2s.
+    return CantorPoint(word, "0").value(), CantorPoint(word, "2").value()
+
+
 def _suite_stage_agreement(fam, cfg, rng):
-    key = lambda iv: (iv.lo, iv.hi)
     for n in range(cfg.depth + 3):
-        stage = cantor_stage(n)
-        cells = sorted((cylinder_interval(w) for w in all_words(n)), key=key)
-        yield sorted(stage, key=key) == cells or {"stage": n}
-        for iv in cells:
-            yield iv.length() == Fraction(1, 3**n) or {"stage": n, "interval": str(iv)}
+        cells = sorted(map(_cylinder_ends, all_words(n)))
+        yield sorted(cantor_stage(n)) == cells or {"stage": n}
+        for lo, hi in cells:
+            yield hi - lo == Fraction(1, 3**n) or {"stage": n, "interval": f"[{lo}, {hi}]"}
     for _ in range(60):
         w = _random_word(rng, cfg.depth + 3)
         p = _random_point(rng)
-        iv = cylinder_interval(w)
-        inside = iv.lo <= p.value() <= iv.hi
-        yield inside or not p.starts_with(w) or {"word": w, "point": str(p)}
+        lo, hi = _cylinder_ends(w)
+        yield lo <= p.value() <= hi or not p.starts_with(w) or {"word": w, "point": str(p)}
 
 
 def _suite_diam_law(fam, cfg, rng):
@@ -276,8 +281,8 @@ def _suite_oracle_equivalence(fam, cfg, rng):
 
 
 def _suite_decomposition(fam, cfg, rng):
-    pool = probe_pool(fam, rng, cfg.probes)
-    for t in range(cfg.suite_size):
+    pool = probe_pool(fam, rng, PROBES)
+    for t in range(SUITE_SIZE):
         union = _random_rect_union(rng, cfg.depth)
         img = project_union(fam, union)
         try:
@@ -441,7 +446,7 @@ def run_all(cfg, fault: str | None = None) -> dict:
     fam = make_family(fault)
     results = [run_suite(name, fam, cfg) for name, _ in SUITES]
     return {
-        "config": asdict(cfg),
+        "config": {**asdict(cfg), "suite_size": SUITE_SIZE, "probes": PROBES},
         "fault": fault,
         "suites": results,
         "all_pass": all(r["passed"] for r in results),

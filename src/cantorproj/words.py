@@ -3,10 +3,10 @@
 Points of the set are infinite words over the digit alphabet {0, 2}; the word
 (d1, d2, ...) denotes the real number sum_k dk * 3**-k in [0, 1].  This module
 implements the eventually periodic points, cylinders and finite unions of
-cylinders in a canonical antichain normal form, and exact interval metrics
-over `fractions.Fraction`.  No floating point is used anywhere in the package.
-Clopen rectangles and their finite unions close the module, so the verifier
-kernel reads certificates without the projection code.
+cylinders in a canonical antichain normal form, and exact values, distances
+and diameters over `fractions.Fraction`.  No floating point is used anywhere
+in the package.  Clopen rectangles and their finite unions close the module,
+so the verifier kernel reads certificates without the projection code.
 """
 
 from __future__ import annotations
@@ -157,43 +157,9 @@ def separation_depth(p: CantorPoint, q: CantorPoint) -> int:
     raise AssertionError("unequal normal forms must differ within the bound")
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """Closed interval with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise WordError(f"empty interval: [{self.lo}, {self.hi}]")
-
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def cylinder_interval(word: str) -> RationalInterval:
-    """Convex hull of a cylinder inside [0, 1]."""
-    _check_digits(word)
-    lo = Fraction(int(word, 3) if word else 0, 3 ** len(word))
-    return RationalInterval(lo, lo + Fraction(1, 3 ** len(word)))
-
-
 def all_words(depth: int) -> tuple[str, ...]:
     """All digit words of the given length, in increasing value order."""
     return tuple("".join(t) for t in itertools.product(ALPHABET, repeat=depth))
-
-
-def cantor_stage(n: int) -> list[RationalInterval]:
-    """The 2**n intervals of the n-th stage of the middle-thirds removal,
-    each stage cut from the last rather than read off :func:`cylinder_interval`."""
-    if n < 0:
-        raise WordError("stage index must be a natural number")
-    ends = [(Fraction(0), Fraction(1))]
-    for _ in range(n):
-        ends = [cut for lo, hi in ends
-                for cut in ((lo, (2 * lo + hi) / 3), ((lo + 2 * hi) / 3, hi))]
-    return [RationalInterval(lo, hi) for lo, hi in ends]
 
 
 def repr_point(word: str) -> CantorPoint:

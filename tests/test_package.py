@@ -2,6 +2,7 @@
 
 import ast
 import re
+from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
@@ -92,6 +93,14 @@ def test_single_use_helpers_are_gone():
     # decompose is the one LC2 name, and the closure split is a pair of clopen parts.
     assert "lc2_certificate" not in cantorproj.__all__
     assert not hasattr(certify, "ClosureSplit")
+    # A cylinder's interval is read off its end points, and the stages are
+    # cut in the oracle.
+    assert [n for n in ("RationalInterval", "cylinder_interval", "cantor_stage")
+            if hasattr(words, n)] == []
+    # RunConfig is the six flag knobs; the suites own their fixed sizes.
+    assert [n for n in ("suite_size", "probes") if hasattr(cli.RunConfig, n)] == []
+    assert cli.INT_KNOBS == tuple(f.name for f in fields(cli.RunConfig))
+    assert len(cli.INT_KNOBS) == 6
 
 
 def test_package_code_never_names_the_bench_only_names():

@@ -17,7 +17,7 @@ from cantorproj.suites import (
     run_suite,
 )
 from cantorproj.witness import falsify_restriction
-from cantorproj.words import WHOLE_SPACE
+from cantorproj.words import WHOLE_SPACE, ClopenSet
 
 
 def test_suite_names_are_stable():
@@ -91,22 +91,62 @@ def test_fault_verdicts_apart_from_wording():
         assert set(failed[name]) == {"error"}, name
 
 
-def test_stage_suite_catches_a_shifted_cylinder(monkeypatch):
-    # A cylinder_interval that misplaces one cylinder: the stages are cut
-    # from one another, not read off cylinder_interval, so the suite fails.
-    real = words.cylinder_interval
+def _primitive_unreduced(monkeypatch):
+    monkeypatch.setattr(words, "_primitive", lambda cycle: cycle)
+
+
+def _complement_drops_last_gap(monkeypatch):
+    real = ClopenSet.complement
+    monkeypatch.setattr(ClopenSet, "complement", lambda s: ClopenSet._normal(real(s).words[:-1]))
+
+
+def _ratio_drops_cycle_term(monkeypatch):
+    real = words._ratio
+    monkeypatch.setattr(words, "_ratio", lambda p: (real(p)[0] - int(p.cycle, 3), real(p)[1]))
+
+
+def _diam_tripled(monkeypatch):
+    real = ClopenSet.diam
+    monkeypatch.setattr(ClopenSet, "diam", lambda s: 3 * real(s))
+
+
+def _cylinder_20_shifted(monkeypatch):
+    # The stages are cut from one another, not read off a digit word, so a
+    # misplaced cylinder shows.
+    real = suites._cylinder_ends
 
     def shifted(word):
-        iv = real(word)
+        lo, hi = real(word)
         if word != "20":
-            return iv
-        return words.RationalInterval(iv.lo + Fraction(1, 27), iv.hi + Fraction(1, 27))
+            return lo, hi
+        return lo + Fraction(1, 27), hi + Fraction(1, 27)
 
-    monkeypatch.setattr(words, "cylinder_interval", shifted)
-    monkeypatch.setattr(suites, "cylinder_interval", shifted)
-    result = run_suite("core-stage-cylinder-agreement", Family(), RunConfig())
+    monkeypatch.setattr(suites, "_cylinder_ends", shifted)
+
+
+# One corruption per suite, and the first failure record it draws.
+FAULT_TABLE = [
+    ("core-normal-form-canonicity", _primitive_unreduced, {"p": "^(00)", "q": "^(0)"}),
+    (
+        "core-boolean-laws",
+        _complement_drops_last_gap,
+        {"law": "double_complement", "a": "ε", "b": "ε", "c": "202"},
+    ),
+    ("core-point-value-injective", _ratio_drops_cycle_term, {"point": "22^(20)", "m": 10}),
+    ("core-stage-cylinder-agreement", _cylinder_20_shifted, {"stage": 2}),
+    ("core-diam-law", _diam_tripled, {"word": ""}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, first", FAULT_TABLE, ids=[name for name, _, _ in FAULT_TABLE]
+)
+def test_a_corruption_fails_its_suite(monkeypatch, name, corrupt, first):
+    assert run_suite(name, Family(), RunConfig())["passed"]
+    corrupt(monkeypatch)
+    result = run_suite(name, Family(), RunConfig())
     assert result["passed"] is False
-    assert result["detail"]["failures"][0] == {"stage": 2}
+    assert result["detail"]["failures"][0] == first
 
 
 def test_resolvability_suite_catches_a_wrong_closure_split(fam, monkeypatch):

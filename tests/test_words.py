@@ -20,14 +20,17 @@ from cantorproj import (
     project_union,
     repr_point,
 )
-from cantorproj.oracle import clopen_cover, normal_point, representatives, scan_member
+from cantorproj.oracle import (
+    cantor_stage,
+    clopen_cover,
+    normal_point,
+    representatives,
+    scan_member,
+)
 from cantorproj.suites import clopen_antichains, probe_pool
 from cantorproj.words import (
     WHOLE_SPACE,
     ZERO_POINT,
-    RationalInterval,
-    cantor_stage,
-    cylinder_interval,
     distance,
     flip,
     separation_depth,
@@ -254,7 +257,6 @@ class TestNormalForm:
             (lambda: repr_point("1"), "digits must come from {0, 2}: '1'"),
             (lambda: parse_point("^()"), "cycle must be nonempty"),
             (lambda: flip("1"), "not a digit: '1'"),
-            (lambda: RationalInterval(Fraction(1), Fraction(0)), "empty interval: [1, 0]"),
             (lambda: cantor_stage(-1), "stage index must be a natural number"),
             (lambda: ClopenSet(()).diam(), "diameter of the empty set"),
             (lambda: ClopenSet(()).common_prefix(), "common prefix of the empty set"),
@@ -323,44 +325,45 @@ class TestDistance:
             assert p.digits(k) == q.digits(k) and p.digit(k) != q.digit(k)
 
 
+def cylinder_ends(word):
+    # A cylinder's interval in [0, 1]: its least and greatest points' values.
+    return CantorPoint(word, "0").value(), CantorPoint(word, "2").value()
+
+
 class TestCylinders:
     def test_interval_oracles(self):
-        assert cylinder_interval("").lo == 0 and cylinder_interval("").hi == 1
-        assert cylinder_interval("0").hi == Fraction(1, 3)
-        assert cylinder_interval("2").lo == Fraction(2, 3)
-        assert cylinder_interval("00").hi == Fraction(1, 9)
-        assert cylinder_interval("20") == cylinder_interval("20")
-        assert (cylinder_interval("20").lo, cylinder_interval("20").hi) == (
-            Fraction(2, 3),
-            Fraction(7, 9),
-        )
+        assert cylinder_ends("") == (0, 1)
+        assert cylinder_ends("0")[1] == Fraction(1, 3)
+        assert cylinder_ends("2")[0] == Fraction(2, 3)
+        assert cylinder_ends("00")[1] == Fraction(1, 9)
+        assert cylinder_ends("20") == (Fraction(2, 3), Fraction(7, 9))
 
     @COMMON
     @given(st.text(alphabet="02", max_size=10))
     def test_interval_length(self, w):
-        iv = cylinder_interval(w)
-        assert iv.length() == Fraction(1, 3 ** len(w))
+        lo, hi = cylinder_ends(w)
+        assert hi - lo == Fraction(1, 3 ** len(w))
 
     @COMMON
     @given(points_st, st.text(alphabet="02", max_size=6))
     def test_membership_matches_interval(self, p, w):
-        iv = cylinder_interval(w)
-        assert p.starts_with(w) == (iv.lo <= p.value() <= iv.hi)
+        lo, hi = cylinder_ends(w)
+        assert p.starts_with(w) == (lo <= p.value() <= hi)
 
     def test_stage_two_frozen(self):
-        stages = {(iv.lo, iv.hi) for iv in cantor_stage(2)}
-        assert stages == {
+        assert cantor_stage(2) == [
             (Fraction(0), Fraction(1, 9)),
             (Fraction(2, 9), Fraction(1, 3)),
             (Fraction(2, 3), Fraction(7, 9)),
             (Fraction(8, 9), Fraction(1)),
-        }
+        ]
+        assert cantor_stage(2) == [cylinder_ends(w) for w in all_words(2)]
 
     def test_stage_nesting(self):
         for n in range(4):
             outer = cantor_stage(n)
-            for iv in cantor_stage(n + 1):
-                assert any(o.lo <= iv.lo and iv.hi <= o.hi for o in outer)
+            for lo, hi in cantor_stage(n + 1):
+                assert any(a <= lo and hi <= b for a, b in outer)
 
     def test_all_words(self):
         assert all_words(0) == ("",)
@@ -417,16 +420,16 @@ class TestClopenAlgebra:
         ]
         sets += [ClopenSet(("0000002", "02", "222220")), ClopenSet(("2000", "202", "2220"))]
         for s in sets:
-            spans = [cylinder_interval(w) for w in s.words]
-            assert s.diam() == max(i.hi for i in spans) - min(i.lo for i in spans)
+            spans = [cylinder_ends(w) for w in s.words]
+            assert s.diam() == max(hi for _, hi in spans) - min(lo for lo, _ in spans)
 
     def test_diam_is_the_span_of_its_end_cylinders(self):
         # The law diam reads off integers: from the left end of the first
-        # word's cylinder to the right end of the last word's.  Every set of
-        # depth 3, then seeded pairs of words up to 2,000 digits, whose
-        # ends are far apart in length.
+        # word's cylinder to the right end of the last word's, both read
+        # here as point values.  Every set of depth 3, then seeded pairs of
+        # words up to 2,000 digits, whose ends are far apart in length.
         def law(s):
-            return cylinder_interval(s.words[-1]).hi - cylinder_interval(s.words[0]).lo
+            return cylinder_ends(s.words[-1])[1] - cylinder_ends(s.words[0])[0]
 
         for s in clopen_antichains(3):
             assert s.diam() == law(s), s
