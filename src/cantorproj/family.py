@@ -279,11 +279,15 @@ class Family:
             found = self._approx[key] = CantorPoint(word, "0")
         return found
 
+    def x_digits(self, n: int, length: int) -> str:
+        """The first ``length`` digits of x_n, read off its head: no pair is built."""
+        return dense_digits(*self._x.head(n), length)
+
     def _lead(self, n: int, d: int) -> str:
         # An approximant of depth d before its tag: the first d digits of
         # x_n and its next digit flipped.  Read off the x column, never
         # through approximant, so recognition ignores an override of it.
-        head = dense_digits(*self._x.head(n), d + 1)
+        head = self.x_digits(n, d + 1)
         return head[:d] + flip(head[d])
 
     def recognize(self, p: CantorPoint) -> tuple[int, int] | None:

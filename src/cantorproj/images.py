@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import filterfalse, product
 
-from .family import Family, stable_index
-from .words import CantorPoint, ClopenSet, PieceError, RectUnion, all_words, repr_point
+from .family import Family, approximant_depth, approximant_tag, stable_index
+from .words import ALPHABET, CantorPoint, ClopenSet, PieceError, RectUnion, repr_point
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,37 @@ def image_member(fam: Family, img: ImageSet, p: CantorPoint) -> bool:
 
 
 def image_trace(fam: Family, img: ImageSet, depth: int) -> tuple[str, ...]:
-    """Depth-d cylinders whose canonical representative lies in the image."""
-    return tuple(
-        w for w in all_words(depth) if image_member(fam, img, repr_point(w))
-    )
+    """Depth-d cylinders whose canonical representative lies in the image.
+
+    Read off the structure: the hull's depth-d cover less the few words
+    whose representative ``w 0^ω`` the image misses.  Only an approximant of
+    a removed sequence can be missed, since dense limits end in ``(20)^ω``;
+    approximant (n, i) has a prefix of 3i + 2n + ceil_log3(n + 1) + 8
+    digits, so only those of at most d digits are tested.  They are spelled
+    as recognition reads them, the x column's lead and the tag, not through
+    ``fam.approximant``.  The cover is streamed, never listed.
+    """
+    dropped = set()
+    for n in removal_sequences(img):
+        i = 0
+        while (d := approximant_depth(n, i)) + 2 * (n + i) + 6 <= depth:
+            w = (fam._lead(n, d) + approximant_tag(n, i)).ljust(depth, "0")
+            if not image_member(fam, img, repr_point(w)):
+                dropped.add(w)
+            i += 1
+    return tuple(filterfalse(dropped.__contains__, _cover(img.hull, depth)))
+
+
+def _cover(hull: ClopenSet, depth: int):
+    # The depth-d words whose representative the hull holds, in order: every
+    # extension of a word u with |u| <= d, and u[:d] for a longer u whose
+    # digits past d are all zeros.  The hull is a sorted antichain, so the
+    # blocks come out sorted and disjoint.
+    for u in hull.words:
+        if len(u) <= depth:
+            yield from map(u.__add__, map("".join, product(ALPHABET, repeat=depth - len(u))))
+        elif not u[depth:].strip("0"):
+            yield u[:depth]
 
 
 def removal_sequences(img: ImageSet) -> tuple[int, ...]:

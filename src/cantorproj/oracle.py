@@ -191,15 +191,18 @@ def brute_rect_trace(
 
     A sample (x, y) is in the truncated space unless one of the first
     ``n_fibers`` columns sits at x and its base holds y; x and y range over
-    the canonical points of the depth-``TRACE_DEPTH`` cylinders.
+    the canonical points of the depth-``TRACE_DEPTH`` cylinders.  The
+    columns are grouped by point once, so each x looks its bases up.
     """
     ys = [y for _, y in representatives(TRACE_DEPTH) if y_set.member(y)]
-    fibers = removed_fibers(fam, n_fibers)
+    bases_at: dict[CantorPoint, list[str]] = {}
+    for point, base in removed_fibers(fam, n_fibers):
+        bases_at.setdefault(point, []).append(base)
     out = []
     for w, x in representatives(TRACE_DEPTH):
         if not x_set.member(x):
             continue
-        bases = [base for point, base in fibers if point == x]
+        bases = bases_at.get(x, ())
         if any(not any(y.starts_with(b) for b in bases) for y in ys):
             out.append(w)
     return tuple(out)

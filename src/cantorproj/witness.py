@@ -84,10 +84,13 @@ def _first_index(
     fam: Family, x_set: ClopenSet, words: tuple[str, ...], start: int, budget: int, stage: str
 ) -> int:
     # The least n in [start, budget) whose base word has a prefix in words
-    # and whose x point lies in x_set.  The base word is tested first, so a
-    # pair is built only for an index whose base fits.
+    # and whose x point lies in x_set.  The base word is tested first, then
+    # the x head's digits to the set's depth: no pair or point is built.
+    depth = x_set.depth
     for n in range(start, budget):
-        if _has_prefix(words, fam.base_word(n)) and x_set.member(fam.dense_pair(n).x):
+        if _has_prefix(words, fam.base_word(n)) and _has_prefix(
+            x_set.words, fam.x_digits(n, depth)
+        ):
             return n
     raise SearchBudgetExceeded(stage, budget)
 

@@ -34,12 +34,25 @@ from cantorproj.images import (
     removal_sequences,
     settled_index,
 )
-from cantorproj.oracle import project_rect_truncated, truncated_member
-from cantorproj.suites import _random_rect_union, probe_pool
+from cantorproj import oracle
+from cantorproj.oracle import (
+    TRACE_DEPTH,
+    brute_rect_trace,
+    project_rect_truncated,
+    truncated_member,
+)
+from cantorproj.suites import _FaultyFamily, _random_rect_union, probe_pool
 from cantorproj.words import parse_rect
 from cantorproj.family import diag_pair
 
 WHOLE = ClopenSet(("",))
+
+
+def point_trace(fam, img, depth):
+    # The trace by its definition: every depth-d representative through
+    # image_member.  The reference for the structural image_trace, and the
+    # per-point kernel whose work the guards below count.
+    return tuple(w for w in all_words(depth) if image_member(fam, img, repr_point(w)))
 
 
 class TestRectLiterals:
@@ -159,7 +172,7 @@ class TestProjectUnion:
 
     def test_trace_work_guard(self, monkeypatch):
         # Work counts, not wall clock, from a fresh Family through projection
-        # and a depth-12 trace of 4,096 cylinders: one point per cylinder
+        # and a depth-12 point trace of 4,096 cylinders: one point per cylinder
         # plus the one dense point projection reads.  Recognition reads the
         # x digits of sequences 0 and 1 off the x column; reading their
         # points instead would build two more.  Since recognition tests
@@ -187,7 +200,7 @@ class TestProjectUnion:
         monkeypatch.setattr(words, "_has_prefix", counting_has_prefix)
         fresh = Family()
         img = project_union(fresh, parse_rect_union("ε x 2"))
-        assert len(image_trace(fresh, img, 12)) == 4096
+        assert len(point_trace(fresh, img, 12)) == 4096
         assert counts["point"] == 4097
         assert counts["decode"] <= 2048
         assert counts["bisect"] == 0
@@ -195,7 +208,8 @@ class TestProjectUnion:
 
     def test_a_partial_hull_still_bisects(self, monkeypatch):
         # Work count: the whole-space identity does not widen to other hulls;
-        # each of the 64 depth-6 representatives is bisected against "0".
+        # in the point trace each of the 64 depth-6 representatives is
+        # bisected against "0".
         counted = [0]
         has_prefix = words._has_prefix
 
@@ -206,16 +220,17 @@ class TestProjectUnion:
         fresh = Family()
         img = project_union(fresh, parse_rect_union("0 x 2"))
         monkeypatch.setattr(words, "_has_prefix", counting)
-        assert len(image_trace(fresh, img, 6)) == 32
+        assert len(point_trace(fresh, img, 6)) == 32
         assert counted[0] == 64
 
     @pytest.mark.parametrize(
         "literal, kept, calls", [("ε x ε", 4096, 0), ("ε x 0", 4094, 4096)]
     )
     def test_recognition_only_where_a_piece_removes(self, monkeypatch, literal, kept, calls):
-        # Work count, not wall clock: a piece with no removal records answers
-        # from its hull alone, so only "ε x 0" recognizes each cylinder once
-        # (and drops the representatives of two approximants).
+        # Work count, not wall clock: in the point trace a piece with no
+        # removal records answers from its hull alone, so only "ε x 0"
+        # recognizes each cylinder once (and drops the representatives of
+        # two approximants).
         counted = [0]
         recognize = Family.recognize
 
@@ -226,8 +241,31 @@ class TestProjectUnion:
         monkeypatch.setattr(Family, "recognize", counting)
         fresh = Family()
         img = project_union(fresh, parse_rect_union(literal))
-        assert len(image_trace(fresh, img, 12)) == kept
+        assert len(point_trace(fresh, img, 12)) == kept
         assert counted[0] == calls
+
+    def test_structural_trace_builds_only_suspects(self, monkeypatch):
+        # Work counts, not wall clock: on "ε x 0" sequence 0 is the one
+        # removed sequence, and only its approximants 0 and 1 have at most
+        # 12 digits (8 and 11).  The trace builds and recognises those two
+        # representatives and no other point; the cover gives the rest.
+        counts = {"point": 0, "recognize": 0}
+        init, recognize = CantorPoint.__init__, Family.recognize
+
+        def counting_init(self, *args, **kwargs):
+            counts["point"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_recognize(self, p):
+            counts["recognize"] += 1
+            return recognize(self, p)
+
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union("ε x 0"))
+        monkeypatch.setattr(CantorPoint, "__init__", counting_init)
+        monkeypatch.setattr(Family, "recognize", counting_recognize)
+        assert len(image_trace(fresh, img, 12)) == 4094
+        assert counts == {"point": 2, "recognize": 2}
 
     def test_hull_memo_outside_value(self, fam):
         literal = "002 x 00; 02 x 2; 2 x 0"
@@ -392,6 +430,54 @@ random_points_st = st.lists(
 )
 
 
+def _widened(union, rng):
+    # Each rectangle's first factor widened to the whole space or kept, by a coin.
+    return RectUnion(tuple(
+        Rect(WHOLE, r.y_set) if rng.random() < 0.5 else r for r in union.rects
+    ))
+
+
+@pytest.fixture(scope="module")
+def faulty():
+    return _FaultyFamily()
+
+
+class TestStructuralTrace:
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.sampled_from(("", "0", "00")),
+           st.booleans(), st.booleans())
+    def test_equals_the_point_loop(self, fam, faulty, seed, depth, base, opened, corrupt):
+        # Unions with whole-space first factors, their adjust_open pieces, on
+        # the family and on one whose approximant generator recognition ignores.
+        # A second factor of "0" or "00" lies in the bases of sequences 0 and
+        # 1, the only ones with approximants of at most 10 digits.
+        f = faulty if corrupt else fam
+        rng = random.Random(seed)
+        union = _widened(_random_rect_union(rng, depth), rng)
+        if base:
+            union = RectUnion((Rect(WHOLE, ClopenSet((base,))),) + union.rects[1:])
+        img = project_union(f, union)
+        if opened:
+            img = ImageSet(tuple(adjust_open(p) for p in img.pieces))
+        for d in range(11):
+            assert image_trace(f, img, d) == point_trace(f, img, d), (d, img)
+
+    def test_a_removed_suspect_is_dropped(self, fam):
+        img = project_union(fam, parse_rect_union("ε x 0"))
+        trace = image_trace(fam, img, 12)
+        missed = {fam.approximant(0, i).prefix.ljust(12, "0") for i in (0, 1)}
+        assert len(trace) == 4094
+        assert set(all_words(12)) - set(trace) == missed
+        assert trace == point_trace(fam, img, 12)
+
+    def test_another_piece_keeps_a_suspect(self, fam):
+        # "ε x 2" removes only sequence 5, whose approximants are longer
+        # than 12 digits, so it keeps both suspects of "ε x 0".
+        img = project_union(fam, parse_rect_union("ε x 0; ε x 2"))
+        assert removal_sequences(img) == (0, 5)
+        assert image_trace(fam, img, 12) == all_words(12)
+
+
 class TestPieceMemberKernel:
     @settings(max_examples=60)
     @given(unions_st, random_points_st)
@@ -416,7 +502,8 @@ class TestPieceMemberKernel:
     def test_representatives_skip_digits_check_and_hash(self, monkeypatch, literal, kept):
         # Work counts, not wall clock: a representative's prefix is its lead
         # for a depth-0 hull, its digits need no check, and the recognition
-        # memo hashes its prefix, so none of these is called during a trace.
+        # memo hashes its prefix, so none of these is called during a point
+        # trace.
         counts = {"digits": 0, "check": 0, "hash": 0}
         digits, check, point_hash = CantorPoint.digits, words._check_digits, CantorPoint.__hash__
 
@@ -431,8 +518,33 @@ class TestPieceMemberKernel:
         monkeypatch.setattr(CantorPoint, "digits", counting("digits", digits))
         monkeypatch.setattr(words, "_check_digits", counting("check", check))
         monkeypatch.setattr(CantorPoint, "__hash__", counting("hash", point_hash))
-        assert len(image_trace(fresh, img, 10)) == kept
+        assert len(point_trace(fresh, img, 10)) == kept
         assert counts == {"digits": 0, "check": 0, "hash": 0}
+
+
+class TestBruteTraceLookup:
+    def test_a_fiber_at_a_representative_is_looked_up(self, fam, monkeypatch):
+        # No depth-6 representative is an approximant, so the real columns
+        # never meet the brute trace's points.  Columns put at the
+        # representative of "002000" drop it exactly when every y of the
+        # second factor lies in one of their bases.
+        real, x = oracle.removed_fibers, repr_point("002000")
+        assert x not in {point for point, _ in real(fam, 20)}
+        full = all_words(TRACE_DEPTH)
+        without = tuple(w for w in full if w != "002000")
+        cases = [
+            ([], WHOLE, full),
+            ([(x, "0")], ClopenSet(("0",)), without),
+            ([(x, "0")], ClopenSet(("00",)), without),
+            ([(x, "0")], WHOLE, full),
+            ([(x, "00")], ClopenSet(("0",)), full),
+            ([(x, "0"), (x, "2")], WHOLE, without),
+        ]
+        for extra, y_set, want in cases:
+            monkeypatch.setattr(
+                oracle, "removed_fibers", lambda f, c, extra=extra: real(f, c) + extra
+            )
+            assert brute_rect_trace(fam, WHOLE, y_set, 20) == want, (extra, y_set)
 
 
 class TestAgainstTruncatedOracle:
