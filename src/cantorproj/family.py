@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .words import CantorPoint, ZERO_POINT, _check_digits, flip
+from .words import CantorPoint, check_digits, flip
 
 DENSE_CYCLE = "20"
 
@@ -120,6 +120,11 @@ def approximant_tag(n: int, i: int) -> str:
     return "2" + "02" * n + "22" + "02" * i + "22"
 
 
+def _dense_point(head: tuple[str, int]) -> CantorPoint:
+    word, k = head
+    return CantorPoint(word + "0" * k, DENSE_CYCLE)
+
+
 @dataclass(frozen=True)
 class DensePair:
     """The n-th point of the dense family in the square.
@@ -131,16 +136,8 @@ class DensePair:
 
     x_head: tuple[str, int]
     y_head: tuple[str, int]
-
-    @cached_property
-    def x(self) -> CantorPoint:
-        word, k = self.x_head
-        return CantorPoint(word + "0" * k, DENSE_CYCLE)
-
-    @cached_property
-    def y(self) -> CantorPoint:
-        word, k = self.y_head
-        return CantorPoint(word + "0" * k, DENSE_CYCLE)
+    x = cached_property(lambda pair: _dense_point(pair.x_head))
+    y = cached_property(lambda pair: _dense_point(pair.y_head))
 
 
 class _Column:
@@ -270,23 +267,24 @@ class Family:
 
     def approximant(self, n: int, i: int) -> CantorPoint:
         """The i-th approximant of the x-coordinate of dense pair n."""
-        key = (n, i)
-        found = self._approx.get(key)
+        found = self._approx.get((n, i))
         if found is None:
-            if n < 0 or i < 0:
-                raise FamilyError("approximant indices must be natural numbers")
-            word = self._lead(n, approximant_depth(n, i)) + approximant_tag(n, i)
-            found = self._approx[key] = CantorPoint(word, "0")
+            found = self._approx[n, i] = CantorPoint(self.approximant_word(n, i), "0")
         return found
+
+    def approximant_word(self, n: int, i: int) -> str:
+        """Approximant (n, i) before its zero tail: lead and tag, as recognition reads them."""
+        if n < 0 or i < 0:
+            raise FamilyError("approximant indices must be natural numbers")
+        return self._lead(n, approximant_depth(n, i)) + approximant_tag(n, i)
 
     def x_digits(self, n: int, length: int) -> str:
         """The first ``length`` digits of x_n, read off its head: no pair is built."""
         return dense_digits(*self._x.head(n), length)
 
     def _lead(self, n: int, d: int) -> str:
-        # An approximant of depth d before its tag: the first d digits of
-        # x_n and its next digit flipped.  Read off the x column, never
-        # through approximant, so recognition ignores an override of it.
+        # The first d digits of x_n and its next digit flipped, read off the
+        # x column, so an override of approximant changes no lead.
         head = self.x_digits(n, d + 1)
         return head[:d] + flip(head[d])
 
@@ -352,7 +350,7 @@ class Family:
         """Index of the sequence whose base is the given nonempty word."""
         if not word:
             raise FamilyError("the whole-space cylinder is never a base")
-        _check_digits(word)
+        check_digits(word)
         rank = lenlex_rank(word)
         while word not in self._word2idx and self._sweep < rank:
             self._sweep_step()
@@ -440,14 +438,6 @@ class Family:
         if hit is None:
             return True
         return not y.starts_with(self.base_word(hit[0]))
-
-    def fiber_witness(self, x: CantorPoint) -> CantorPoint:
-        """A y with (x, y) inside the space, valid for every x."""
-        hit = self.recognize(x)
-        if hit is None:
-            return ZERO_POINT
-        word = self.base_word(hit[0])
-        return CantorPoint(flip(word[0]), "0")
 
     # -- export -----------------------------------------------------------
 

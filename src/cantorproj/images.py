@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import filterfalse, product
 
-from .family import Family, approximant_depth, approximant_tag, stable_index
+from .family import Family, stable_index
 from .words import ALPHABET, CantorPoint, ClopenSet, PieceError, RectUnion, repr_point
 
 
@@ -128,12 +128,13 @@ def project_rect(fam: Family, x_set: ClopenSet, y_set: ClopenSet) -> ImagePiece:
     removals = []
     for n in fin_indices(fam, y_set):
         # Beyond this index the approximant agrees with its limit to the
-        # full depth of the hull, so membership stabilizes.
+        # full depth of the hull, so membership stabilizes.  The limit is
+        # tested on its head's digits to that depth: no pair is built.
         start_min = stable_index(n, depth)
         extras = frozenset(
             i for i in range(start_min) if x_set.member(fam.approximant(n, i))
         )
-        if x_set.member(fam.dense_pair(n).x):
+        if x_set.holds_word(fam.x_digits(n, depth)):
             removals.append(TailSet(n, start_min, extras))
         elif extras:
             removals.append(TailSet(n, None, extras))
@@ -174,16 +175,15 @@ def image_trace(fam: Family, img: ImageSet, depth: int) -> tuple[str, ...]:
     Read off the structure: the hull's depth-d cover less the few words
     whose representative ``w 0^ω`` the image misses.  Only an approximant of
     a removed sequence can be missed, since dense limits end in ``(20)^ω``;
-    approximant (n, i) has a prefix of 3i + 2n + ceil_log3(n + 1) + 8
-    digits, so only those of at most d digits are tested.  They are spelled
-    as recognition reads them, the x column's lead and the tag, not through
-    ``fam.approximant``.  The cover is streamed, never listed.
+    approximant (n, i) has a word of 3i + 2n + ceil_log3(n + 1) + 8 digits,
+    so only those of at most d digits are tested, spelled as recognition
+    reads them (``fam.approximant_word``).  The cover is streamed, never listed.
     """
     dropped = set()
     for n in removal_sequences(img):
         i = 0
-        while (d := approximant_depth(n, i)) + 2 * (n + i) + 6 <= depth:
-            w = (fam._lead(n, d) + approximant_tag(n, i)).ljust(depth, "0")
+        while len(w := fam.approximant_word(n, i)) <= depth:
+            w = w.ljust(depth, "0")
             if not image_member(fam, img, repr_point(w)):
                 dropped.add(w)
             i += 1

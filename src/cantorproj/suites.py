@@ -53,12 +53,15 @@ SUITE_SIZE = 60
 PROBES = 120
 
 
+def _first_digit_flipped(p: CantorPoint) -> CantorPoint:
+    return CantorPoint(flip(p.prefix[0]) + p.prefix[1:], p.cycle)
+
+
 class _FaultyFamily(Family):
     """Family with a deliberately corrupted approximant generator."""
 
     def approximant(self, n, i):
-        prefix = super().approximant(n, i).prefix
-        return CantorPoint(flip(prefix[0]) + prefix[1:], "0")
+        return _first_digit_flipped(super().approximant(n, i))
 
 
 def make_family(fault: str | None = None) -> Family:
@@ -329,54 +332,39 @@ def _suite_witness(fam, cfg, rng):
         yield 2 * fine.diam() < coarse.diam() or {"rect": str(rect), "law": "diameter"}
 
 
-WITNESS_MUTATIONS: list[tuple[str, str]] = [
-    ("swap-order", "n_fine_gt_n_coarse"),
-    ("detached-y-factor", "coarse_base_inside_y_factor"),
-    ("fat-coarse", "diameter_gap"),
-    ("detached-fine", "bases_nested"),
-    ("complement-swallows-rect", "rect_inside_piece"),
-    ("witness-not-in-x", "witness_in_x"),
-    ("witness-borrowed", "witness_is_dense_pair"),
-    ("truncated-missing", "missing_count"),
-    ("forged-approximant", "[i=0] missing_identity"),
-    ("evidence-in-fine", "[i=0] evidence_outside_fine_base"),
-]
+def _first_missing(cert: WitnessCertificate, **changes) -> WitnessCertificate:
+    return replace(cert, missing=(replace(cert.missing[0], **changes),) + cert.missing[1:])
+
+
+# Each mutation of a valid certificate: the one clause it breaks, and how.
+_MUTATIONS = {
+    "swap-order": ("n_fine_gt_n_coarse", lambda fam, c: replace(
+        c, n_coarse=c.n_fine, n_fine=c.n_coarse)),
+    "detached-y-factor": ("coarse_base_inside_y_factor", lambda fam, c: replace(
+        c, rect=Rect(c.rect.x_set, ClopenSet((c.base_coarse,)).complement()))),
+    "fat-coarse": ("diameter_gap", lambda fam, c: replace(c, base_coarse=c.base_fine)),
+    "detached-fine": ("bases_nested", lambda fam, c: replace(
+        c, base_fine=flip(c.base_fine[0]) + c.base_fine[1:])),
+    "complement-swallows-rect": ("rect_inside_piece", lambda fam, c: replace(
+        c, piece_complement=RectUnion((c.rect,)))),
+    "witness-not-in-x": ("witness_in_x", lambda fam, c: replace(
+        c, witness_x=c.missing[0].point, witness_y=repr_point(c.base_fine))),
+    "witness-borrowed": ("witness_is_dense_pair", lambda fam, c: replace(
+        c, witness_x=fam.dense_pair(c.n_coarse).x)),
+    "truncated-missing": ("missing_count", lambda fam, c: replace(c, missing=c.missing[:-1])),
+    "forged-approximant": ("[i=0] missing_identity", lambda fam, c: _first_missing(
+        c, point=_first_digit_flipped(c.missing[0].point))),
+    "evidence-in-fine": ("[i=0] evidence_outside_fine_base", lambda fam, c: _first_missing(
+        c, evidence=repr_point(c.base_fine))),
+}
+WITNESS_MUTATIONS: list[tuple[str, str]] = [(kind, m[0]) for kind, m in _MUTATIONS.items()]
 
 
 def mutate_witness(fam: Family, cert: WitnessCertificate, kind: str) -> WitnessCertificate:
     """Break exactly one clause of a valid certificate, by name."""
-    if kind == "swap-order":
-        return replace(cert, n_coarse=cert.n_fine, n_fine=cert.n_coarse)
-    if kind == "detached-y-factor":
-        off = ClopenSet((cert.base_coarse,)).complement()
-        return replace(cert, rect=Rect(cert.rect.x_set, off))
-    if kind == "fat-coarse":
-        return replace(cert, base_coarse=cert.base_fine)
-    if kind == "detached-fine":
-        w = cert.base_fine
-        return replace(cert, base_fine=flip(w[0]) + w[1:])
-    if kind == "complement-swallows-rect":
-        return replace(cert, piece_complement=RectUnion((cert.rect,)))
-    if kind == "witness-not-in-x":
-        return replace(
-            cert,
-            witness_x=cert.missing[0].point,
-            witness_y=repr_point(cert.base_fine),
-        )
-    if kind == "witness-borrowed":
-        return replace(cert, witness_x=fam.dense_pair(cert.n_coarse).x)
-    if kind == "truncated-missing":
-        return replace(cert, missing=cert.missing[:-1])
-    if kind == "forged-approximant":
-        first = cert.missing[0]
-        p = first.point.prefix
-        bad = CantorPoint(flip(p[0]) + p[1:], "0")
-        return replace(cert, missing=(replace(first, point=bad),) + cert.missing[1:])
-    if kind == "evidence-in-fine":
-        first = cert.missing[0]
-        forged = replace(first, evidence=repr_point(cert.base_fine))
-        return replace(cert, missing=(forged,) + cert.missing[1:])
-    raise ValueError(f"unknown mutation {kind!r}")
+    if kind not in _MUTATIONS:
+        raise ValueError(f"unknown mutation {kind!r}")
+    return _MUTATIONS[kind][1](fam, cert)
 
 
 def _suite_witness_mutations(fam, cfg, rng):

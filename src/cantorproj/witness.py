@@ -26,7 +26,6 @@ from .words import (
     PieceError,
     Rect,
     RectUnion,
-    _has_prefix,
     parse_point,
     repr_point,
 )
@@ -81,16 +80,14 @@ def rect_outside(complement: RectUnion, rect: Rect) -> bool:
 
 
 def _first_index(
-    fam: Family, x_set: ClopenSet, words: tuple[str, ...], start: int, budget: int, stage: str
+    fam: Family, x_set: ClopenSet, bases: ClopenSet, start: int, budget: int, stage: str
 ) -> int:
-    # The least n in [start, budget) whose base word has a prefix in words
-    # and whose x point lies in x_set.  The base word is tested first, then
-    # the x head's digits to the set's depth: no pair or point is built.
+    # The least n in [start, budget) whose base cylinder lies in bases and
+    # whose x point lies in x_set.  The base word is tested first, then the
+    # x head's digits to the set's depth: no pair or point is built.
     depth = x_set.depth
     for n in range(start, budget):
-        if _has_prefix(words, fam.base_word(n)) and _has_prefix(
-            x_set.words, fam.x_digits(n, depth)
-        ):
+        if bases.holds_word(fam.base_word(n)) and x_set.holds_word(fam.x_digits(n, depth)):
             return n
     raise SearchBudgetExceeded(stage, budget)
 
@@ -111,13 +108,14 @@ def falsify_restriction(
     if not rect_outside(piece_complement, rect):
         raise PieceError("rectangle leaves the piece")
 
-    n_coarse = _first_index(fam, rect.x_set, rect.y_set.words, 0, budget, "the coarse base")
+    n_coarse = _first_index(fam, rect.x_set, rect.y_set, 0, budget, "the coarse base")
     coarse = fam.base_word(n_coarse)
+    coarse_set = ClopenSet((coarse,))
     # Each nonempty word is the base of one index only, so a base past
     # n_coarse that starts with the coarse word refines it strictly.
-    n_fine = _first_index(fam, rect.x_set, (coarse,), n_coarse + 1, budget, "the fine base")
+    n_fine = _first_index(fam, rect.x_set, coarse_set, n_coarse + 1, budget, "the fine base")
     fine = fam.base_word(n_fine)
-    band = ClopenSet((coarse,)).minus(ClopenSet((fine,)))
+    band = coarse_set.minus(ClopenSet((fine,)))
     evidence = repr_point(band.words[0])
     # From stable_index on, every approximant agrees with x_fine to the x
     # factor's depth and so lies in it: only a corrupted family gets here.

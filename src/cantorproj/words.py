@@ -25,7 +25,8 @@ class WordError(ValueError):
     """Malformed digit word or an illegal set operation."""
 
 
-def _check_digits(word: str) -> None:
+def check_digits(word: str) -> None:
+    """Raise ``WordError`` unless every character is a digit 0 or 2."""
     if word.strip(ALPHABET):
         raise WordError(f"digits must come from {{0, 2}}: {word!r}")
 
@@ -69,12 +70,12 @@ class CantorPoint:
 
     def __init__(self, prefix: str = "", cycle: str = "0") -> None:
         if prefix.strip(ALPHABET):
-            _check_digits(prefix)
+            check_digits(prefix)
         if cycle == "0" or cycle == "2":
             _set_prefix(self, prefix.rstrip(cycle))
             _set_cycle(self, cycle)
             return
-        _check_digits(cycle)
+        check_digits(cycle)
         if not cycle:
             raise WordError("cycle must be nonempty")
         cycle = _primitive(cycle)
@@ -121,7 +122,6 @@ class CantorPoint:
 
 
 _set_prefix, _set_cycle = CantorPoint.prefix.__set__, CantorPoint.cycle.__set__
-ZERO_POINT = CantorPoint("", "0")
 
 
 def _ratio(p: CantorPoint) -> tuple[int, int]:
@@ -151,10 +151,7 @@ def separation_depth(p: CantorPoint, q: CantorPoint) -> int:
         raise WordError("points are equal; no separating digit")
     # Eventually periodic words that agree this far are equal.
     bound = max(len(p.prefix), len(q.prefix)) + lcm(len(p.cycle), len(q.cycle))
-    for k in range(bound):
-        if p.digit(k) != q.digit(k):
-            return k
-    raise AssertionError("unequal normal forms must differ within the bound")
+    return _lcp(p.digits(bound), q.digits(bound))
 
 
 def all_words(depth: int) -> tuple[str, ...]:
@@ -216,7 +213,7 @@ class ClopenSet:
 
     def __post_init__(self) -> None:
         for w in self.words:
-            _check_digits(w)
+            check_digits(w)
         object.__setattr__(self, "words", _normalize_words(self.words))
 
     @classmethod
@@ -249,6 +246,13 @@ class ClopenSet:
             return bool(self.words)
         lead = p.prefix if len(p.prefix) >= depth else p.digits(depth)
         return _has_prefix(self.words, lead)
+
+    def holds_word(self, s: str) -> bool:
+        """Whether the cylinder of ``s`` lies in the set; ∅ and Ω by value, as ``member``."""
+        words = self.words
+        if not words or words == ("",):
+            return bool(words)
+        return _has_prefix(words, s)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet(self.words + other.words)
@@ -300,6 +304,7 @@ class ClopenSet:
 
     def subset(self, other: "ClopenSet") -> bool:
         # Valid on normal forms: a covered cylinder has a prefix in the cover.
+        # Bisected here, not through ``holds_word``, to spare a frame per word.
         c = other.words
         if not c:
             return not self.words

@@ -31,6 +31,7 @@ from cantorproj.family import (
     stable_index,
 )
 from cantorproj.oracle import decode_tag, first_fit_bases, removed_fibers, scanned_dense_pairs
+from cantorproj.suites import _FaultyFamily
 from cantorproj.words import distance, flip
 
 COMMON = settings(max_examples=80)
@@ -39,6 +40,11 @@ COMMON = settings(max_examples=80)
 @pytest.fixture(scope="module")
 def scanned():
     return scanned_dense_pairs(2000)
+
+
+@pytest.fixture(scope="module")
+def faulty():
+    return _FaultyFamily()
 
 
 class TestHelpers:
@@ -296,6 +302,8 @@ class TestApproximants:
     def test_negative_indices_rejected(self, fam, n, i):
         with pytest.raises(FamilyError):
             fam.approximant(n, i)
+        with pytest.raises(FamilyError):
+            fam.approximant_word(n, i)
 
     def test_distinct_and_off_the_dense_family(self, fam):
         xs = {fam.dense_pair(n).x for n in range(100)}
@@ -324,6 +332,18 @@ class TestApproximants:
             for i in range(8):
                 d = distance(fam.approximant(n, i), fam.dense_pair(n).x)
                 assert d <= Fraction(1, 3 ** approximant_depth(n, i))
+
+    @COMMON
+    @given(st.integers(0, 60), st.integers(0, 30))
+    def test_word_is_the_point_s_prefix_as_recognition_reads_it(self, fam, faulty, n, i):
+        # The family owns the spelling: the approximant's prefix, of
+        # 3i + 2n + ceil_log3(n + 1) + 8 digits, that recognition decodes on
+        # both families; an override of approximant changes no word.
+        w = fam.approximant_word(n, i)
+        assert w == Family().approximant(n, i).prefix
+        assert len(w) == 3 * i + 2 * n + ceil_log3(n + 1) + 8
+        assert faulty.approximant_word(n, i) == w != faulty.approximant(n, i).prefix
+        assert fam.recognize(repr_point(w)) == faulty.recognize(repr_point(w)) == (n, i)
 
     def test_word_shape(self, fam):
         q = fam.approximant(1, 0)
@@ -786,7 +806,11 @@ class TestPuncturedSpace:
         points += [fam.approximant(n, i) for n in range(10) for i in range(5)]
         points += [CantorPoint("02", "20"), CantorPoint("", "2")]
         for x in points:
-            assert fam.in_x(x, fam.fiber_witness(x))
+            # The zero point off the removed columns; on the column of
+            # sequence n, the point of the cylinder beside its base's first digit.
+            hit = fam.recognize(x)
+            y = repr_point("" if hit is None else flip(fam.base_word(hit[0])[0]))
+            assert fam.in_x(x, y)
 
     def test_removed_fibers_diag_order(self, fam):
         fibers = removed_fibers(fam, 10)

@@ -160,6 +160,14 @@ class TestProjectUnion:
         assert not image_member(fam, img1, q)
         assert image_member(fam, img2, q)
 
+    def test_projection_builds_no_pair(self):
+        # Work count: each removed sequence's limit is tested against the x
+        # factor on its x head's digits, so no pair or dense point is built.
+        fresh = Family()
+        img = project_union(fresh, parse_rect_union("0 x 00; 02 x 2; ε x 2"))
+        assert removal_sequences(img) == (0, 1, 5)
+        assert not fresh._pairs
+
     def test_trace_matches_membership(self, fam):
         img = project_union(fam, parse_rect_union("0 x 00"))
         trace = image_trace(fam, img, 3)
@@ -172,8 +180,9 @@ class TestProjectUnion:
 
     def test_trace_work_guard(self, monkeypatch):
         # Work counts, not wall clock, from a fresh Family through projection
-        # and a depth-12 point trace of 4,096 cylinders: one point per cylinder
-        # plus the one dense point projection reads.  Recognition reads the
+        # and a depth-12 point trace of 4,096 cylinders: one point per cylinder,
+        # since projection tests the limit on its x head's digits and builds
+        # no dense point.  Recognition reads the
         # x digits of sequences 0 and 1 off the x column; reading their
         # points instead would build two more.  Since recognition tests
         # the tag shape before the memo, it decodes only the 2,047
@@ -201,7 +210,7 @@ class TestProjectUnion:
         fresh = Family()
         img = project_union(fresh, parse_rect_union("ε x 2"))
         assert len(point_trace(fresh, img, 12)) == 4096
-        assert counts["point"] == 4097
+        assert counts["point"] == 4096
         assert counts["decode"] <= 2048
         assert counts["bisect"] == 0
         assert len(fresh._recog) <= 3
@@ -505,7 +514,7 @@ class TestPieceMemberKernel:
         # memo hashes its prefix, so none of these is called during a point
         # trace.
         counts = {"digits": 0, "check": 0, "hash": 0}
-        digits, check, point_hash = CantorPoint.digits, words._check_digits, CantorPoint.__hash__
+        digits, check, point_hash = CantorPoint.digits, words.check_digits, CantorPoint.__hash__
 
         def counting(name, f):
             def wrapped(*args):
@@ -516,7 +525,7 @@ class TestPieceMemberKernel:
         fresh = Family()
         img = project_union(fresh, parse_rect_union(literal))
         monkeypatch.setattr(CantorPoint, "digits", counting("digits", digits))
-        monkeypatch.setattr(words, "_check_digits", counting("check", check))
+        monkeypatch.setattr(words, "check_digits", counting("check", check))
         monkeypatch.setattr(CantorPoint, "__hash__", counting("hash", point_hash))
         assert len(point_trace(fresh, img, 10)) == kept
         assert counts == {"digits": 0, "check": 0, "hash": 0}

@@ -97,6 +97,10 @@ def test_single_use_helpers_are_gone():
     # cut in the oracle.
     assert [n for n in ("RationalInterval", "cylinder_interval", "cantor_stage")
             if hasattr(words, n)] == []
+    # Tests build a fiber's witness y inline, and the zero point is
+    # repr_point("").
+    assert not hasattr(family.Family, "fiber_witness")
+    assert not hasattr(words, "ZERO_POINT")
     # RunConfig is the six flag knobs; the suites own their fixed sizes.
     assert [n for n in ("suite_size", "probes") if hasattr(cli.RunConfig, n)] == []
     assert cli.INT_KNOBS == tuple(f.name for f in fields(cli.RunConfig))
@@ -125,6 +129,31 @@ def test_package_code_never_names_the_bench_only_names():
                 continue
             found += [(module, node.lineno, name) for name in bench_only.intersection(names)]
     assert found == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_module_s_private_names():
+    # Each rule has one owner, read through a public name: no module imports
+    # a sibling's underscore name, or reads an underscore attribute of an
+    # object other than self, cls or a class it defines.  The digit check
+    # that family shares is public, though not exported from the root.
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        own = {"self", "cls"} | {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [(module, node.lineno, a.name) for a in node.names if _private(a.name)]
+            elif isinstance(node, ast.Attribute) and _private(node.attr) and not (
+                isinstance(node.value, ast.Name) and node.value.id in own
+            ):
+                found.append((module, node.lineno, node.attr))
+    assert found == []
+    assert hasattr(words, "check_digits") and not hasattr(words, "_check_digits")
+    assert "check_digits" not in cantorproj.__all__
 
 
 def _imports(module: str) -> list[ast.Import | ast.ImportFrom]:

@@ -2,11 +2,12 @@
 
 import inspect
 import json
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from cantorproj import Family, Rect, RectUnion, certify, suites, words
+from cantorproj import Family, Rect, RectUnion, certify, family, suites, words
 from cantorproj.cli import RunConfig
 from cantorproj.suites import (
     FAULTS,
@@ -124,6 +125,37 @@ def _cylinder_20_shifted(monkeypatch):
     monkeypatch.setattr(suites, "_cylinder_ends", shifted)
 
 
+def _pads_taken_across_families(monkeypatch):
+    # A column memo hoisted out of the instance: the second family's columns
+    # find the first one's pads taken, so the two exports differ.
+    init, shared = family._Column.__init__, {False: defaultdict(set), True: defaultdict(set)}
+
+    def hoisted(column, ranks, y):
+        init(column, ranks, y)
+        column._taken = shared[y]
+
+    monkeypatch.setattr(family._Column, "__init__", hoisted)
+
+
+def _raw_freshness_key(monkeypatch):
+    # The key is not canonical: "" at pad 2 and "0" at pad 1 are one stream,
+    # 00(20)^ω, yet get two keys, so a column repeats a point.
+    monkeypatch.setattr(family, "dense_key", lambda word, k: (word, k))
+
+
+def _first_fit_one_index_late(monkeypatch):
+    real = family.Family._first_fit
+    monkeypatch.setattr(family.Family, "_first_fit", lambda fam, w: real(fam, w) + 1)
+
+
+def _rank_table_drops_22(monkeypatch):
+    # No x word starts with 22, and a pad of zeros cannot make one.
+    real = family.lenlex_word
+    monkeypatch.setattr(
+        family, "lenlex_word", lambda r: "20" + w[2:] if (w := real(r)).startswith("22") else w
+    )
+
+
 # One corruption per suite, and the first failure record it draws.
 FAULT_TABLE = [
     ("core-normal-form-canonicity", _primitive_unreduced, {"p": "^(00)", "q": "^(0)"}),
@@ -135,6 +167,10 @@ FAULT_TABLE = [
     ("core-point-value-injective", _ratio_drops_cycle_term, {"point": "22^(20)", "m": 10}),
     ("core-stage-cylinder-agreement", _cylinder_20_shifted, {"stage": 2}),
     ("core-diam-law", _diam_tripled, {"word": ""}),
+    ("family-determinism", _pads_taken_across_families, {"law": "export_bytes"}),
+    ("family-distinctness", _raw_freshness_key, {"axis": "x", "n": 2, "clash": 1}),
+    ("family-enumeration-totality", _first_fit_one_index_late, {"n": 6, "law": "anchor_in_base"}),
+    ("family-density", _rank_table_drops_22, {"word": "220"}),
 ]
 
 

@@ -28,13 +28,15 @@ from cantorproj.oracle import (
     scan_member,
 )
 from cantorproj.suites import clopen_antichains, probe_pool
+from cantorproj import words
 from cantorproj.words import (
     WHOLE_SPACE,
-    ZERO_POINT,
     distance,
     flip,
     separation_depth,
 )
+
+ZERO = CantorPoint("", "0")
 
 words_st = st.text(alphabet="02", max_size=8)
 cycles_st = st.text(alphabet="02", min_size=1, max_size=4)
@@ -115,8 +117,8 @@ class TestPointValues:
         assert CantorPoint("02", "0").value() == Fraction(2, 9)
 
     def test_zero_point(self):
-        assert ZERO_POINT == CantorPoint("", "0")
-        assert ZERO_POINT.value() == 0
+        assert ZERO.value() == 0
+        assert CantorPoint("000", "0") == ZERO == parse_point("^(0)") == repr_point("")
 
     @COMMON
     @given(points_st)
@@ -272,7 +274,7 @@ class TestDistance:
     def test_zero_iff_equal(self):
         p = CantorPoint("02", "20")
         assert distance(p, p) == 0
-        assert distance(p, ZERO_POINT) > 0
+        assert distance(p, ZERO) > 0
 
     @COMMON
     @given(points_st, points_st)
@@ -323,6 +325,16 @@ class TestDistance:
         else:
             k = separation_depth(p, q)
             assert p.digits(k) == q.digits(k) and p.digit(k) != q.digit(k)
+
+    @COMMON
+    @given(points_st, points_st)
+    def test_separation_depth_is_the_first_differing_digit(self, p, q):
+        # The common-prefix length of the two digit words against a plain
+        # digit loop; unequal points differ within their prefixes and a
+        # common period.
+        if p != q:
+            k = next(k for k in range(100) if p.digit(k) != q.digit(k))
+            assert separation_depth(p, q) == k
 
 
 def cylinder_ends(word):
@@ -460,7 +472,7 @@ class TestClopenAlgebra:
     @given(clopen_st, points_st)
     def test_member_matches_scan(self, s, p):
         # Probes whose lead equals a word, extends it, or sits beside it.
-        probes = [p, ZERO_POINT, CantorPoint("", "2")]
+        probes = [p, ZERO, CantorPoint("", "2")]
         for w in s.words:
             probes += [repr_point(w), CantorPoint(w, "2"), repr_point(w[:-1])]
             if w:
@@ -483,7 +495,7 @@ class TestClopenAlgebra:
             assert s.member(p) == any(p.starts_with(w) for w in s.words), (s, p)
 
     def test_member_empty_set(self):
-        for q in (ZERO_POINT, CantorPoint("", "2"), CantorPoint("02", "20")):
+        for q in (ZERO, CantorPoint("", "2"), CantorPoint("02", "20")):
             assert not ClopenSet(()).member(q)
             assert not scan_member(ClopenSet(()), q)
 
@@ -508,6 +520,26 @@ class TestClopenAlgebra:
     @given(clopen_st, clopen_st)
     def test_subset_is_minus_empty(self, a, b):
         assert a.subset(b) == a.minus(b).is_empty()
+
+    @COMMON
+    @given(st.one_of(clopen_st, st.sampled_from((ClopenSet(()), WHOLE_SPACE))),
+           st.text(alphabet="02", max_size=8))
+    def test_holds_word_is_cylinder_containment(self, s, w):
+        # Words that are a word of the set, extend one, or sit beside one.
+        probes = [w, ""] + [u + w for u in s.words] + [u[:-1] for u in s.words if u]
+        for v in probes:
+            assert s.holds_word(v) == ClopenSet((v,)).subset(s), (s, v)
+
+    def test_holds_word_answers_the_identities_by_value(self, monkeypatch):
+        # Work count: ∅ and Ω, the latter rebuilt as a set of its own, are
+        # answered before any bisect, as member answers them.
+        def no_bisect(ws, s):
+            raise AssertionError("bisected")
+
+        monkeypatch.setattr(words, "_has_prefix", no_bisect)
+        for w in ("", "0", "2202"):
+            assert not ClopenSet(()).holds_word(w)
+            assert WHOLE_SPACE.holds_word(w) and ClopenSet(("0", "2")).holds_word(w)
 
     @COMMON
     @given(
@@ -600,7 +632,7 @@ class TestClopenAlgebra:
 
     def test_repr_point(self):
         assert repr_point("020") == CantorPoint("02", "0")
-        assert repr_point("") == ZERO_POINT
+        assert repr_point("") == ZERO
 
 
 class TestParserFuzz:
