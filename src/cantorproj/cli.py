@@ -16,8 +16,9 @@ unreadable input (an unusable path, a certificate that does not parse),
 come from ``CANTORPROJ_<KNOB>`` variables, and flags win.  A negative size
 knob (every knob but the seed) and a ``--samples`` below 1 are usage errors.
 The six knobs are the fields of a :class:`RunConfig`, kept here so only
-``check`` loads the suites.  All JSON output is byte-deterministic for a
-fixed config.
+``check`` loads the suites.  Each command returns its exit code, JSON
+document and text lines, and ``_run`` alone writes them; all JSON output
+is byte-deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -26,16 +27,19 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .family import Family, FamilyError
-from .schema import CertificateFormatError
+from .schema import CertificateFormatError, dumps
 from .witness import (
+    BUDGET,
+    SAMPLES,
     SearchBudgetExceeded,
     falsify_restriction,
     verify_witness,
-    witness_dumps,
     witness_from_dict,
+    witness_to_dict,
 )
 from .words import PieceError, RectUnion, WordError, parse_rect_union
 
@@ -48,11 +52,12 @@ class RunConfig:
     n_max: int = 50
     i_max: int = 20
     truncation: int = 20
-    budget: int = 10_000
+    budget: int = BUDGET
     seed: int = 0
 
 
 INT_KNOBS = tuple(f.name for f in fields(RunConfig))
+Output = tuple[int, dict | None, Iterable[str] | None]  # exit code, document, lines
 
 KNOB_HELP = {
     "depth": "trace and cell depth",
@@ -111,37 +116,15 @@ def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> Output:
+    doc = Family().export(n_max=cfg.n_max, i_max=cfg.i_max)
+    return 0, doc, (f"n={p['n']} x={p['a']} y={p['b']}" for p in doc["dense_pairs"])
 
 
-def _emit_json(args: argparse.Namespace, doc: dict) -> None:
-    _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    fam = Family()
-    doc = fam.export(n_max=cfg.n_max, i_max=cfg.i_max)
-    if args.format == "text":
-        lines = [
-            f"n={p['n']} x={p['a']} y={p['b']}" for p in doc["dense_pairs"]
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, doc)
-    return 0
-
-
-def cmd_image(args: argparse.Namespace) -> int:
+def cmd_image(args: argparse.Namespace, cfg: RunConfig) -> Output:
     from .certify import CertificationError, decompose
     from .images import image_trace, project_union
 
-    cfg = _config(args)
     fam = Family()
     union = parse_rect_union(args.rect)
     img = project_union(fam, union)
@@ -149,7 +132,7 @@ def cmd_image(args: argparse.Namespace) -> int:
         dec = decompose(fam, img)
     except CertificationError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 1, None, None
     trace = image_trace(fam, img, cfg.depth)
     doc = {
         "rect": union.as_dict(),
@@ -157,89 +140,79 @@ def cmd_image(args: argparse.Namespace) -> int:
         "decomposition": dec.as_dict(),
         "trace": {"depth": cfg.depth, "words": trace},
     }
-    if args.format == "text":
-        lines = [f"piece hull={piece.hull}" for piece in img.pieces]
-        lines += [f"isolated {iso.seq}: {iso.point}" for iso in dec.isolated]
-        lines.append(f"trace[{cfg.depth}]: {', '.join(trace) or 'none'}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, doc)
-    return 0
+
+    def lines():  # built only if written: the trace line is as long as the trace
+        yield from (f"piece hull={piece.hull}" for piece in img.pieces)
+        yield from (f"isolated {iso.seq}: {iso.point}" for iso in dec.isolated)
+        yield f"trace[{cfg.depth}]: {', '.join(trace) or 'none'}"
+    return 0, doc, lines()
 
 
-def cmd_falsify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def cmd_falsify(args: argparse.Namespace, cfg: RunConfig) -> Output:
     samples = _samples(args)
     fam = Family()
     union = parse_rect_union(args.rect)
     if len(union.rects) != 1:
         raise UsageError("falsify expects a single rectangle")
     complement = parse_rect_union(args.piece) if args.piece else RectUnion(())
-    cert = falsify_restriction(
-        fam, complement, union.rects[0], budget=cfg.budget, samples=samples
-    )
+    cert = falsify_restriction(fam, complement, union.rects[0], budget=cfg.budget, samples=samples)
     ok, clause = verify_witness(fam, cert, samples=samples)
     if not ok:
-        _emit(args, f"self-verification failed at {clause}\n")
-        return 1
+        return 1, None, [f"self-verification failed at {clause}"]
     if args.verify_only:
-        _emit_json(args, {"ok": True, "n_coarse": cert.n_coarse, "n_fine": cert.n_fine})
-        return 0
-    if args.format == "text":
-        _emit(
-            args,
-            f"witness for {union.rects[0]}: coarse n={cert.n_coarse} "
-            f"base={cert.base_coarse}, fine n={cert.n_fine} base={cert.base_fine}, "
-            f"{len(cert.missing)} missing approximants\n",
-        )
-    else:
-        _emit(args, witness_dumps(cert))
-    return 0
+        return 0, {"ok": True, "n_coarse": cert.n_coarse, "n_fine": cert.n_fine}, None
+    return 0, witness_to_dict(cert), [
+        f"witness for {union.rects[0]}: coarse n={cert.n_coarse} base={cert.base_coarse}, "
+        f"fine n={cert.n_fine} base={cert.base_fine}, {len(cert.missing)} missing approximants"
+    ]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> Output:
     samples = _samples(args)
-    fam = Family()
     try:
         if args.file == "-":
-            raw = sys.stdin.read()
+            doc = json.load(sys.stdin)
         else:
             with open(args.file, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        doc = json.loads(raw)
+                doc = json.load(fh)
     except (UnicodeDecodeError, RecursionError) as err:
         raise CertificateFormatError(f"unreadable certificate: {err}") from err
     cert = witness_from_dict(doc)
     if samples is None:
         samples = len(cert.missing)
-    ok, clause = verify_witness(fam, cert, samples=samples)
-    doc = {"ok": ok, "clause": clause, "samples": samples}
-    if args.format == "text":
-        verdict = "ok" if ok else f"FAILED at {clause}"
-        _emit(args, f"witness {verdict}\n")
-    else:
-        _emit_json(args, doc)
-    return 0 if ok else 1
+    ok, clause = verify_witness(Family(), cert, samples=samples)
+    verdict = "ok" if ok else f"FAILED at {clause}"
+    return int(not ok), {"ok": ok, "clause": clause, "samples": samples}, [f"witness {verdict}"]
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> Output:
     from .suites import run_all
 
-    cfg = _config(args)
     try:
         report = run_all(cfg, fault=args.inject_fault)
     except ValueError as err:  # an unknown fault name; run_suite catches a suite's errors
         raise UsageError(str(err)) from err
-    if args.format == "text":
-        lines = [
-            f"{s['name']}: {'PASS' if s['passed'] else 'FAIL'}"
-            for s in report["suites"]
-        ]
-        lines.append("all suites passed" if report["all_pass"] else "FAILURES present")
-        _emit(args, "\n".join(lines) + "\n")
+    lines = [f"{s['name']}: {'PASS' if s['passed'] else 'FAIL'}" for s in report["suites"]]
+    lines.append("all suites passed" if report["all_pass"] else "FAILURES present")
+    return int(not report["all_pass"]), report, lines
+
+
+def _run(args: argparse.Namespace, output: Output) -> int:
+    """Write a command's output to stdout or ``--out``: the lines under
+    ``--format text`` or when there is no document, else ``dumps(doc)``."""
+    code, doc, lines = output
+    if lines is not None and (doc is None or args.format == "text"):
+        text = "\n".join(lines) + "\n"
+    elif doc is not None:
+        text = dumps(doc)
     else:
-        _emit_json(args, report)
-    return 0 if report["all_pass"] else 1
+        return code
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("falsify", help="find a non-openness witness")
     p.add_argument("rect", help="a single rectangle 'W x V'")
     p.add_argument("--piece", default=None, help="piece complement as a rect union")
-    p.add_argument("--samples", "-k", type=int, default=20)
+    p.add_argument("--samples", "-k", type=int, default=SAMPLES)
     p.add_argument("--verify-only", action="store_true", dest="verify_only")
     _add_knobs(p, "falsify")
     p.set_defaults(func=cmd_falsify)
@@ -291,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         # missing file and truncates nothing, so verify can overwrite its input.
         if args.out:
             open(args.out, "a", encoding="utf-8").close()
-        return args.func(args)
+        return _run(args, args.func(args, _config(args)))
     except SearchBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

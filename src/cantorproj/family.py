@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 
 from .words import CantorPoint, check_digits, flip
 
@@ -30,13 +29,6 @@ DEPTH_OFFSET = 2
 
 class FamilyError(ValueError):
     """Invalid index or word for the generated family."""
-
-
-def diag_pair(t: int) -> tuple[int, int]:
-    """Fixed diagonal enumeration of pairs of naturals."""
-    s = (isqrt(8 * t + 1) - 1) // 2
-    j = t - s * (s + 1) // 2
-    return s - j, j
 
 
 def lenlex_word(rank: int) -> str:
@@ -143,7 +135,7 @@ class DensePair:
 class _Column:
     """One coordinate of the dense pairs: its (word, pad) heads in pair order.
 
-    Pair t sits on diagonal s at position j (:func:`diag_pair`), with x rank
+    Pair t = s(s + 1)/2 + j sits on diagonal s at position j, with x rank
     s - j and y rank j.  Each rank keeps the pad it last took and each root
     the zero counts taken, so the two columns grow apart.
     """

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
-from .family import (
-    DENSE_CYCLE,
-    Family,
-    approximant_depth,
-    diag_pair,
-    lenlex_word,
-)
+from .family import DENSE_CYCLE, Family, approximant_depth, lenlex_word
 from .words import CantorPoint, ClopenSet, RectUnion, WordError, all_words, flip, repr_point
 
 # Depth of the cylinders whose canonical points the brute traces sample.
 # Every approximant word has at least 8 digits, so none of these points is
 # an approximant and no sample is removed from a piece's clopen parts.
 TRACE_DEPTH = 6
+
+
+def diag_pair(t: int) -> tuple[int, int]:
+    """Fixed diagonal enumeration of pairs of naturals."""
+    s = (isqrt(8 * t + 1) - 1) // 2
+    j = t - s * (s + 1) // 2
+    return s - j, j
 
 
 def removed_fibers(fam: Family, count: int) -> list[tuple[CantorPoint, str]]:
@@ -105,8 +107,8 @@ def decode_tag(fam: Family, p: CantorPoint) -> tuple[int, int] | None:
     while True:
         d = approximant_depth(n, i)
         if len(rest) == d + 2 and rest.endswith("2"):
-            x = fam.dense_pair(n).x
-            if rest[:d] == x.digits(d) and rest[d] == flip(x.digit(d)):
+            head = fam.dense_pair(n).x.digits(d + 1)
+            if rest[:d] == head[:d] and rest[d] == flip(head[d]):
                 return n, i
         if not rest.endswith("02"):
             return None

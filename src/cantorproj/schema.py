@@ -1,4 +1,4 @@
-"""Shared envelope for certificate files.
+"""Shared envelope for certificate files, and the bytes of every JSON document.
 
 Every certificate serializes as ``{type, schema_version, scheme_params,
 payload}``.  The scheme parameters (``family.scheme_params``, read from the
@@ -8,6 +8,8 @@ verifier can refuse certificates produced under a different family.
 
 from __future__ import annotations
 
+import json
+
 from .family import scheme_params
 
 SCHEMA_VERSION = 1
@@ -15,6 +17,11 @@ SCHEMA_VERSION = 1
 
 class CertificateFormatError(ValueError):
     """Envelope malformed or produced under an incompatible scheme."""
+
+
+def dumps(doc: dict) -> str:
+    """The bytes of every JSON document the package writes."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def wrap(payload: dict) -> dict:

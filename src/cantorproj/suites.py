@@ -15,7 +15,6 @@ returned keys; a suite that raises fails with the error as its whole detail.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Generator
 from dataclasses import asdict, replace
@@ -32,6 +31,7 @@ from .certify import (
 from .family import Family
 from .images import image_member, image_trace, project_union
 from .oracle import TRACE_DEPTH, brute_rect_trace, cantor_stage
+from .schema import dumps
 from .witness import WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
     WHOLE_SPACE,
@@ -210,7 +210,7 @@ def _suite_diam_law(fam, cfg, rng):
 def _suite_family_determinism(fam, cfg, rng):
     one = type(fam)().export(n_max=12, i_max=6)
     two = type(fam)().export(n_max=12, i_max=6)
-    same = json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+    same = dumps(one) == dumps(two)
     yield same or {"law": "export_bytes"}
 
 

@@ -15,11 +15,10 @@ of ``verify`` trusts no more than those modules and this one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .family import Family, stable_index
-from .schema import CertificateFormatError, unwrap, wrap
+from .schema import CertificateFormatError, dumps, unwrap, wrap
 from .words import (
     CantorPoint,
     ClopenSet,
@@ -29,6 +28,10 @@ from .words import (
     parse_point,
     repr_point,
 )
+
+# The search defaults: the dense-pair scan bound and the missing approximants kept.
+BUDGET = 10_000
+SAMPLES = 20
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -96,8 +99,8 @@ def falsify_restriction(
     fam: Family,
     piece_complement: RectUnion,
     rect: Rect,
-    budget: int = 10_000,
-    samples: int = 20,
+    budget: int = BUDGET,
+    samples: int = SAMPLES,
 ) -> WitnessCertificate:
     """Produce a non-openness witness for the piece at the given rectangle.
 
@@ -272,4 +275,4 @@ def witness_from_dict(doc: dict) -> WitnessCertificate:
 
 
 def witness_dumps(cert: WitnessCertificate) -> str:
-    return json.dumps(witness_to_dict(cert), sort_keys=True, indent=2) + "\n"
+    return dumps(witness_to_dict(cert))

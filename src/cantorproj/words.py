@@ -97,12 +97,6 @@ class CantorPoint:
         _set_prefix(self, prefix)
         _set_cycle(self, cycle)
 
-    def digit(self, k: int) -> str:
-        """The k-th digit, 0-indexed."""
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
-
     def digits(self, n: int) -> str:
         """The first n digits as a finite word."""
         if n <= len(self.prefix):

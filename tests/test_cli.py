@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cantorproj import cli
-from cantorproj.cli import build_parser, main
-from cantorproj.witness import witness_dumps, witness_from_dict
+from cantorproj import Family, RectUnion, cli, schema, witness
+from cantorproj.cli import RunConfig, build_parser, main
+from cantorproj.witness import witness_dumps, witness_from_dict, witness_to_dict
+from cantorproj.words import parse_rect
 
 ALL_KNOB_FLAGS = {"--depth", "--n-max", "--i-max", "--truncation", "--budget", "--seed"}
 COMMAND_FLAGS = {
@@ -121,6 +122,20 @@ class TestImage:
         code, out, err = run(capsys, "image", "0 x 00")
         assert code == 1 and out == ""
         assert err == "error: reconstruction differs\n"
+
+    def test_certification_failure_leaves_out_empty(self, tmp_path, capsys, monkeypatch):
+        from cantorproj import certify
+
+        def refuse(fam, img):
+            raise certify.CertificationError("reconstruction differs")
+
+        monkeypatch.setattr(certify, "decompose", refuse)
+        target = tmp_path / "img.json"
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, "image", "0 x 00", "--format", fmt, "--out", str(target))
+            assert code == 1 and out == ""
+            assert err == "error: reconstruction differs\n"
+            assert target.read_bytes() == b""
 
 
 class TestFalsifyVerify:
@@ -361,6 +376,18 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--inject-fault", "bogus")
         assert code == 2 and out == ""
         assert err == "error: unknown fault 'bogus'; known faults: approximant-digit\n"
+
+
+class TestDefaults:
+    def test_search_defaults_have_one_owner(self):
+        assert RunConfig().budget == witness.BUDGET
+        assert build_parser().parse_args(["falsify", "ε x ε"]).samples == witness.SAMPLES
+        fn = witness.falsify_restriction
+        assert fn.__defaults__ == (witness.BUDGET, witness.SAMPLES)
+
+    def test_witness_dumps_is_the_json_byte_format(self):
+        cert = witness.falsify_restriction(Family(), RectUnion(()), parse_rect("2 x 0"), samples=3)
+        assert witness_dumps(cert) == schema.dumps(witness_to_dict(cert))
 
 
 class TestUsage:

@@ -25,12 +25,17 @@ from cantorproj.family import (
     ceil_log3,
     dense_digits,
     dense_key,
-    diag_pair,
     lenlex_rank,
     lenlex_word,
     stable_index,
 )
-from cantorproj.oracle import decode_tag, first_fit_bases, removed_fibers, scanned_dense_pairs
+from cantorproj.oracle import (
+    decode_tag,
+    diag_pair,
+    first_fit_bases,
+    removed_fibers,
+    scanned_dense_pairs,
+)
 from cantorproj.suites import _FaultyFamily
 from cantorproj.words import distance, flip
 
@@ -167,7 +172,7 @@ class TestColumnOrder:
             else:
                 n, i = args
                 x, d = scanned[n][0], approximant_depth(n, i)
-                body = x.digits(d) + flip(x.digit(d))
+                body = x.digits(d) + flip(x.digits(d + 1)[d])
                 want = CantorPoint(body + approximant_tag(n, i), "0")
                 if op == "approximant":
                     assert fresh.approximant(n, i) == want
@@ -351,7 +356,7 @@ class TestApproximants:
         d = approximant_depth(1, 0)
         w = q.prefix
         assert w.startswith(x.digits(d))
-        assert w[d] == flip(x.digit(d))
+        assert w[d] == flip(x.digits(d + 1)[d])
         assert w.endswith("22")
         assert q.cycle == "0"
 
@@ -782,6 +787,42 @@ class TestCliGoldenBytes:
         )
         assert _sha256(self.run(capsys, "verify", str(cert))) == (
             "e6ca777c13e69fec1930557a56a7aea689db6425ceea1168faf50eb2d7dfdfec"
+        )
+
+    # The same runs under --format text: each command's lines are pinned too.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["construct", "--n-max", "8", "--i-max", "4"],
+             "e97df2ada84cd4a5f1398863a062efc6437a07592a1306f2ac577329dc10d1e2"),
+            (["image", "0,2 x 00; 22 x ε", "--depth", "3"],
+             "07cad3ecd8b1493903ae39819d703d788068724bb16017b0f33a1ede5c531673"),
+            (["falsify", "2 x 0", "--samples", "10"],
+             "1cc326897bd65b6b0dd30dc3634aefc83ba7be5c08d6dfd9968dca5388d90a1f"),
+            (["check", "--seed", "7"],
+             "da63dfe0a712cdfdc8e1328b4cdb913963e261acd08de32514606997f69bd90d"),
+            (["check", "--inject-fault", "approximant-digit"],
+             "14bd399ec557f2730f76adc3523f7ba360fd28791e5b02188182b679076b636b"),
+        ],
+        ids=["construct", "image-two-rects", "falsify", "check", "check-fault"],
+    )
+    def test_text_command_bytes(self, capsys, argv, digest):
+        assert _sha256(self.run(capsys, *argv, "--format", "text")) == digest
+
+    def test_text_verdict_bytes(self, tmp_path, capsys):
+        cert = tmp_path / "w.json"
+        assert self.run(capsys, "falsify", "2 x 0", "--samples", "10", "--out", str(cert)) == (
+            "exit=0\n"
+        )
+        assert _sha256(self.run(capsys, "verify", str(cert), "--format", "text")) == (
+            "ac3d0a36e761fd43288b1868884e4a786b004777cfa8f54f24ac412dd10fe9bb"
+        )
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "text"]], ids=["json", "text"])
+    def test_verify_only_is_json_in_either_format(self, capsys, fmt):
+        out = self.run(capsys, "falsify", "2 x 0", "--samples", "10", "--verify-only", *fmt)
+        assert _sha256(out) == (
+            "c93e5d04a5c4e2aafdaf1e4177290bcaeee0d9454ec2afa0c4fda8d9103b3e4d"
         )
 
 

@@ -38,12 +38,12 @@ from cantorproj import oracle
 from cantorproj.oracle import (
     TRACE_DEPTH,
     brute_rect_trace,
+    diag_pair,
     project_rect_truncated,
     truncated_member,
 )
 from cantorproj.suites import _FaultyFamily, _random_rect_union, probe_pool
 from cantorproj.words import parse_rect
-from cantorproj.family import diag_pair
 
 WHOLE = ClopenSet(("",))
 

@@ -105,6 +105,34 @@ def test_single_use_helpers_are_gone():
     assert [n for n in ("suite_size", "probes") if hasattr(cli.RunConfig, n)] == []
     assert cli.INT_KNOBS == tuple(f.name for f in fields(cli.RunConfig))
     assert len(cli.INT_KNOBS) == 6
+    # Tests read a digit off digits() and diagonal pairs off the oracle, and
+    # one writer writes every command's output.
+    assert not hasattr(words.CantorPoint, "digit")
+    assert not hasattr(family, "diag_pair") and hasattr(oracle, "diag_pair")
+    assert [n for n in ("_emit", "_emit_json") if hasattr(cli, n)] == []
+
+
+def test_one_json_byte_format():
+    # schema.dumps is the one call that spells the JSON layout.
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+                found.append((module, ast.unparse(node.func)))
+    assert found == [("schema", "json.dumps")]
+
+
+def test_cli_has_one_writer():
+    # _run alone reads --format and writes a command's output.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    readers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr in ("format", "stdout"):
+                    readers.add(fn.name)
+    assert readers == {"_run"}
 
 
 def test_package_code_never_names_the_bench_only_names():

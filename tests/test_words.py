@@ -314,7 +314,7 @@ class TestDistance:
         k = separation_depth(p, q)
         assert k == 1
         assert p.digits(k) == q.digits(k)
-        assert p.digit(k) != q.digit(k)
+        assert p.digits(k + 1) != q.digits(k + 1)
 
     @COMMON
     @given(points_st, points_st)
@@ -324,7 +324,7 @@ class TestDistance:
                 separation_depth(p, q)
         else:
             k = separation_depth(p, q)
-            assert p.digits(k) == q.digits(k) and p.digit(k) != q.digit(k)
+            assert p.digits(k) == q.digits(k) and p.digits(k + 1) != q.digits(k + 1)
 
     @COMMON
     @given(points_st, points_st)
@@ -333,7 +333,7 @@ class TestDistance:
         # digit loop; unequal points differ within their prefixes and a
         # common period.
         if p != q:
-            k = next(k for k in range(100) if p.digit(k) != q.digit(k))
+            k = next(k for k in range(100) if p.digits(k + 1) != q.digits(k + 1))
             assert separation_depth(p, q) == k
 
 
