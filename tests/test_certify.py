@@ -48,7 +48,7 @@ def img_of(fam, literal):
 
 
 class TestDecompose:
-    def test_deep_missing_scan_work_guard(self, monkeypatch):
+    def test_deep_missing_scan_work_guard(self, work):
         # Work counts, not wall clock: the missing scan of each isolated
         # point starts at the first approximant that can start with its
         # separator.  base_index('02020202') is 58,310, and reading that
@@ -56,23 +56,16 @@ class TestDecompose:
         # 8 pairs read are built.  Eager pair points and a scan from 0 built
         # 1,582 approximants and 118,204 points here, and building every
         # scanned pair built 58,311 pairs.
-        built = [0]
-        init = CantorPoint.__init__
-
-        def counting(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CantorPoint, "__init__", counting)
+        work.watch(CantorPoint, "__init__", "points")
         fresh = Family()
         dec = decompose(fresh, img_of(fresh, "ε x 02020202"))
         assert [d.missing_index for d in dec.isolated] == [
             0, 7, 9, 73, 76, 466, 472, 470
         ]
-        assert len(fresh._approx) == 15
-        assert built[0] == 23
-        assert len(fresh._pairs) == 8
-        assert len(fresh._x.heads) == len(fresh._y.heads) == 58311
+        assert work == {"points": 23}
+        assert work.sizes(fresh) == {
+            "x_heads": 58311, "y_heads": 58311, "pairs": 8, "approximants": 15, "recognitions": 15
+        }
 
     def test_whole_square_trivial(self, fam):
         dec = decompose(fam, img_of(fam, "ε x ε"))
@@ -287,7 +280,7 @@ class TestLC2:
         with pytest.raises(CertificationError, match="has a negative index"):
             _certify_decomposition(fam, img, bad, canonical(fam, img))
 
-    def test_far_entry_sequence_rejected_before_any_pair(self):
+    def test_far_entry_sequence_rejected_before_any_pair(self, work):
         # An entry's sequence must carry a removal of the image, a bound
         # known before any pair is read: seq=10**6 grows no x head.
         fresh = Family()
@@ -295,9 +288,9 @@ class TestLC2:
         dec = decompose(fresh, img)
         far = dataclasses.replace(dec.isolated[0], seq=10**6)
         bad = dataclasses.replace(dec, isolated=(far, *dec.isolated[1:]))
-        heads = len(fresh._x.heads)
+        before = work.sizes(fresh)
         assert not lc2_valid(fresh, img, bad)
-        assert len(fresh._x.heads) == heads
+        assert work.sizes(fresh) == before
         with pytest.raises(CertificationError, match="sequence 1000000 has no removal"):
             _certify_decomposition(fresh, img, bad, canonical(fresh, img))
 
@@ -402,7 +395,7 @@ class TestResolvableProbe:
             for f in windows:
                 assert resolvable_probe(fam, img, f)
 
-    def test_probe_skips_the_normalising_pass(self, fam, monkeypatch):
+    def test_probe_skips_the_normalising_pass(self, fam, work):
         # Work counts, not wall clock, over the 255 depth-3 windows.
         # intersect and complement build their normal forms directly:
         # sending each of the 765 intersections and the one complement
@@ -413,32 +406,17 @@ class TestResolvableProbe:
         # three images built 765 sets, three per window.
         windows = clopen_antichains(3)
         assert len(windows) == 255
-        calls = {"normalize": 0, "built": 0}
-        normalize, normal, init = words._normalize_words, ClopenSet._normal, ClopenSet.__init__
-
-        def counting_normalize(ws):
-            calls["normalize"] += 1
-            return normalize(ws)
-
-        def counting_normal(cls, ws):
-            calls["built"] += 1
-            return normal(ws)
-
-        def counting_init(self, *args, **kwargs):
-            calls["built"] += 1
-            init(self, *args, **kwargs)
-
         pins = {"ε x 0": 0, "0 x 00; 02 x 2; 2 x 0": 0, "0 x 00": 733}
         images = {literal: img_of(fam, literal) for literal in pins}
         for img in images.values():
             img.outside
-        monkeypatch.setattr(words, "_normalize_words", counting_normalize)
-        monkeypatch.setattr(ClopenSet, "_normal", classmethod(counting_normal))
-        monkeypatch.setattr(ClopenSet, "__init__", counting_init)
+        work.watch(words, "_normalize_words", "normalize")
+        work.watch(ClopenSet, "_normal", "built")
+        work.watch(ClopenSet, "__init__", "built")
         for literal, built in pins.items():
-            calls.update(normalize=0, built=0)
+            work.clear()
             assert all([resolvable_probe(fam, images[literal], f) for f in windows])
-            assert calls == {"normalize": 0, "built": built}, literal
+            assert (work["normalize"], work["built"]) == (0, built), literal
 
     def test_empty_window_rejected(self, fam):
         with pytest.raises(PieceError):

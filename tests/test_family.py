@@ -36,7 +36,6 @@ from cantorproj.oracle import (
     removed_fibers,
     scanned_dense_pairs,
 )
-from cantorproj.suites import _FaultyFamily
 from cantorproj.words import distance, flip
 
 COMMON = settings(max_examples=80)
@@ -45,11 +44,6 @@ COMMON = settings(max_examples=80)
 @pytest.fixture(scope="module")
 def scanned():
     return scanned_dense_pairs(2000)
-
-
-@pytest.fixture(scope="module")
-def faulty():
-    return _FaultyFamily()
 
 
 class TestHelpers:
@@ -258,27 +252,20 @@ class TestFreshnessKey:
         for n, (x, y) in enumerate(scanned):
             assert (fam.dense_pair(n).x, fam.dense_pair(n).y) == (x, y)
 
-    def test_builds_only_kept_points(self, monkeypatch):
+    def test_builds_only_kept_points(self, work):
         # Work count, not wall clock: pairs build no point until a
         # coordinate is read, then one point per coordinate, kept.
-        built = [0]
-        init = CantorPoint.__init__
-
-        def counting(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CantorPoint, "__init__", counting)
+        work.watch(CantorPoint, "__init__", "points")
         fresh = Family()
         fresh.dense_pair(2999)
-        assert built[0] == 0
+        assert work["points"] == 0
         pairs = [fresh.dense_pair(n) for n in range(3000)]
         for pair in pairs:
             pair.x, pair.y
-        assert built[0] == 6000
+        assert work["points"] == 6000
         for pair in pairs:
             pair.x, pair.y
-        assert built[0] == 6000
+        assert work["points"] == 6000
 
 
 class TestDenseDigits:
@@ -463,44 +450,37 @@ class TestRecognition:
         assert got == (30_000, 7)
         assert lines[0] <= 100
 
-    def test_forged_tag_point_rejected(self):
+    def test_forged_tag_point_rejected(self, work):
         # 400k "02" blocks where sequence n's count goes: no n fits the
         # rest, and the linear scan decides that without building a pair.
         fresh = Family()
         p = CantorPoint("2" + "02" * 400_000 + "22" + "22", "0")
         assert fresh.recognize(p) is None
-        assert not fresh._pairs
+        assert work.sizes(fresh)["pairs"] == 0
 
-    def test_forged_fitting_tag_reads_only_x_heads(self, monkeypatch):
+    def test_forged_fitting_tag_reads_only_x_heads(self, work):
         # Work count, not wall clock: a forged "02" run that fits sequence
         # 99,993 exactly is rejected on that sequence's x digits, read off
         # the x column, with no pair, no point and no y head built.  The
         # work is smaller than building each pair, but still grows with
         # the run.
         p = CantorPoint("2" + "02" * 100_000 + "22" + "22", "0")
-        built = [0]
-        init = CantorPoint.__init__
-
-        def counting(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CantorPoint, "__init__", counting)
+        work.watch(CantorPoint, "__init__", "points")
         fresh = Family()
         assert fresh.recognize(p) is None
-        assert not fresh._pairs
-        assert not fresh._y.heads
-        assert len(fresh._x.heads) == 99_994
-        assert built[0] == 0
+        assert work["points"] == 0
+        assert work.sizes(fresh) == {
+            "x_heads": 99_994, "y_heads": 0, "pairs": 0, "approximants": 0, "recognitions": 0
+        }
 
-    def test_memo_holds_only_tag_shaped_points(self):
+    def test_memo_holds_only_tag_shaped_points(self, work):
         # The memo keeps only decoded approximants, keyed by prefix, so after
         # a depth-12 trace it maps every prefix it holds back to the indices
         # of the point with that prefix and cycle "0".
         fresh = Family()
         img = project_union(fresh, parse_rect_union("0,2 x 00; 22 x ε"))
         image_trace(fresh, img, 12)
-        assert fresh._recog
+        assert work.sizes(fresh)["recognitions"] > 0
         assert all(fresh.approximant(*hit) == CantorPoint(prefix, "0")
                    for prefix, hit in fresh._recog.items())
 
@@ -543,7 +523,7 @@ class TestBaseEnumeration:
         with pytest.raises(FamilyError):
             fam.base_index("")
 
-    def test_walks_only_the_y_column(self):
+    def test_walks_only_the_y_column(self, work):
         # Work count, not wall clock: base_word(200) grows the y column to
         # the 201 heads the sweep reads, and builds no pair and no x head.
         # First fit at each forward step read 1,275 heads; a y-prefix scan
@@ -551,26 +531,26 @@ class TestBaseEnumeration:
         # coordinates of each scanned pair built 20,301 pairs.
         fresh = Family()
         assert fresh.base_word(200) == "022000000000"
-        assert not fresh._pairs
-        assert not fresh._x.heads
-        assert len(fresh._y.heads) == 201
+        assert work.sizes(fresh) == {
+            "x_heads": 0, "y_heads": 201, "pairs": 0, "approximants": 0, "recognitions": 0
+        }
 
     @pytest.mark.parametrize("n", [200, 1_600, 7_750])
-    def test_base_word_reads_one_y_head_per_index(self, n):
+    def test_base_word_reads_one_y_head_per_index(self, work, n):
         # The table on indices 0..n is a function of y heads 0..n.  First
         # fit at each forward step read 80,200 heads for n = 1,600 and
         # 1,875,016 for n = 7,750.
         fresh = Family()
         fresh.base_word(n)
-        assert len(fresh._y.heads) == n + 1
+        assert work.sizes(fresh)["y_heads"] == n + 1
         assert fresh.enumeration_steps() == n + 1
 
-    def test_backward_word_waits_for_no_first_fit(self):
+    def test_backward_word_waits_for_no_first_fit(self, work):
         # '0' * 800 is taken backward, at index 8,578: the sweep reaches it
         # reading one head per index (first fit at each step read 2,299,440).
         fresh = Family()
         assert fresh.base_index("0" * 800) == 8_578
-        assert len(fresh._y.heads) == 8_579
+        assert work.sizes(fresh)["y_heads"] == 8_579
         assert fresh.enumeration_steps() == 8_579
 
     def test_base_word_never_runs_first_fit(self, monkeypatch):
@@ -586,14 +566,14 @@ class TestBaseEnumeration:
     @pytest.mark.parametrize(
         "word, n, heads", [("2" * 10, 2_096_127, 2_046), ("02020202", 58_310, 340)]
     )
-    def test_base_index_first_fits_only_its_prefixes(self, word, n, heads):
+    def test_base_index_first_fits_only_its_prefixes(self, work, word, n, heads):
         # Work count: first fit runs on the word's waiting prefixes alone,
         # and the y column grows to the sweep plus their diagonals.  First
         # fit on every waiting word below its rank read 130,305 heads for
         # '2' * 10 and 3,570 for '02020202'.
         fresh = Family()
         assert fresh.base_index(word) == n
-        assert len(fresh._y.heads) == heads
+        assert work.sizes(fresh)["y_heads"] == heads
 
     # Taken positions (diagonal, y rank) near the start, so that prefix
     # ranks with a taken head or a pad to read come before the word's own
@@ -628,7 +608,7 @@ class TestBaseEnumeration:
                     n += 1
                 assert fresh._first_fit(w) == n
 
-    def test_pads_rise_along_each_y_rank(self):
+    def test_pads_rise_along_each_y_rank(self, work):
         # First fit bounds a y rank's pad on diagonal s by s - rank + 1 and
         # skips reading heads on that bound, which is sound only if every
         # rank's pad rises from one diagonal to the next.  The sweep reads
@@ -641,7 +621,7 @@ class TestBaseEnumeration:
             assert pad > last.get(rank, 0)
             last[rank] = pad
         # 80,200 heads on 400 ranks: 79,800 consecutive pads compared.
-        assert len(fresh._y.heads) == 80_200 and len(last) == 400
+        assert work.sizes(fresh)["y_heads"] == 80_200 and len(last) == 400
 
     @pytest.mark.parametrize("t, cycle_digits", [(0, 1), (0, 6), (5, 3), (14, 2), (27, 5)])
     def test_backward_step_reads_past_the_padded_head(self, t, cycle_digits):

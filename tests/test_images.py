@@ -42,7 +42,7 @@ from cantorproj.oracle import (
     project_rect_truncated,
     truncated_member,
 )
-from cantorproj.suites import _FaultyFamily, _random_rect_union, probe_pool
+from cantorproj.suites import _random_rect_union, probe_pool
 from cantorproj.words import parse_rect
 
 WHOLE = ClopenSet(("",))
@@ -160,13 +160,13 @@ class TestProjectUnion:
         assert not image_member(fam, img1, q)
         assert image_member(fam, img2, q)
 
-    def test_projection_builds_no_pair(self):
+    def test_projection_builds_no_pair(self, work):
         # Work count: each removed sequence's limit is tested against the x
         # factor on its x head's digits, so no pair or dense point is built.
         fresh = Family()
         img = project_union(fresh, parse_rect_union("0 x 00; 02 x 2; ε x 2"))
         assert removal_sequences(img) == (0, 1, 5)
-        assert not fresh._pairs
+        assert work.sizes(fresh)["pairs"] == 0
 
     def test_trace_matches_membership(self, fam):
         img = project_union(fam, parse_rect_union("0 x 00"))
@@ -178,7 +178,7 @@ class TestProjectUnion:
         )
         assert tuple(trace) == manual
 
-    def test_trace_work_guard(self, monkeypatch):
+    def test_trace_work_guard(self, work):
         # Work counts, not wall clock, from a fresh Family through projection
         # and a depth-12 point trace of 4,096 cylinders: one point per cylinder,
         # since projection tests the limit on its x head's digits and builds
@@ -189,92 +189,52 @@ class TestProjectUnion:
         # tag-shaped points, and memoises only the three approximants among
         # them: (0, 0), (0, 1) and (1, 0).  The hull is the whole space, which
         # answers membership by value, so no point reaches the bisect.
-        counts = {"decode": 0, "point": 0, "bisect": 0}
-        decode, init, has_prefix = Family._decode, CantorPoint.__init__, words._has_prefix
-
-        def counting_decode(self, p):
-            counts["decode"] += 1
-            return decode(self, p)
-
-        def counting_init(self, *args, **kwargs):
-            counts["point"] += 1
-            init(self, *args, **kwargs)
-
-        def counting_has_prefix(ws, lead):
-            counts["bisect"] += 1
-            return has_prefix(ws, lead)
-
-        monkeypatch.setattr(Family, "_decode", counting_decode)
-        monkeypatch.setattr(CantorPoint, "__init__", counting_init)
-        monkeypatch.setattr(words, "_has_prefix", counting_has_prefix)
+        work.watch(Family, "_decode", "decode")
+        work.watch(CantorPoint, "__init__", "point")
+        work.watch(words, "_has_prefix", "bisect")
         fresh = Family()
         img = project_union(fresh, parse_rect_union("ε x 2"))
         assert len(point_trace(fresh, img, 12)) == 4096
-        assert counts["point"] == 4096
-        assert counts["decode"] <= 2048
-        assert counts["bisect"] == 0
-        assert len(fresh._recog) <= 3
+        assert work["point"] == 4096
+        assert work["decode"] <= 2048
+        assert work["bisect"] == 0
+        assert work.sizes(fresh)["recognitions"] <= 3
 
-    def test_a_partial_hull_still_bisects(self, monkeypatch):
+    def test_a_partial_hull_still_bisects(self, work):
         # Work count: the whole-space identity does not widen to other hulls;
         # in the point trace each of the 64 depth-6 representatives is
         # bisected against "0".
-        counted = [0]
-        has_prefix = words._has_prefix
-
-        def counting(ws, lead):
-            counted[0] += 1
-            return has_prefix(ws, lead)
-
         fresh = Family()
         img = project_union(fresh, parse_rect_union("0 x 2"))
-        monkeypatch.setattr(words, "_has_prefix", counting)
+        work.watch(words, "_has_prefix", "bisect")
         assert len(point_trace(fresh, img, 6)) == 32
-        assert counted[0] == 64
+        assert work == {"bisect": 64}
 
     @pytest.mark.parametrize(
         "literal, kept, calls", [("ε x ε", 4096, 0), ("ε x 0", 4094, 4096)]
     )
-    def test_recognition_only_where_a_piece_removes(self, monkeypatch, literal, kept, calls):
+    def test_recognition_only_where_a_piece_removes(self, work, literal, kept, calls):
         # Work count, not wall clock: in the point trace a piece with no
         # removal records answers from its hull alone, so only "ε x 0"
         # recognizes each cylinder once (and drops the representatives of
         # two approximants).
-        counted = [0]
-        recognize = Family.recognize
-
-        def counting(self, p):
-            counted[0] += 1
-            return recognize(self, p)
-
-        monkeypatch.setattr(Family, "recognize", counting)
+        work.watch(Family, "recognize")
         fresh = Family()
         img = project_union(fresh, parse_rect_union(literal))
         assert len(point_trace(fresh, img, 12)) == kept
-        assert counted[0] == calls
+        assert work["recognize"] == calls
 
-    def test_structural_trace_builds_only_suspects(self, monkeypatch):
+    def test_structural_trace_builds_only_suspects(self, work):
         # Work counts, not wall clock: on "ε x 0" sequence 0 is the one
         # removed sequence, and only its approximants 0 and 1 have at most
         # 12 digits (8 and 11).  The trace builds and recognises those two
         # representatives and no other point; the cover gives the rest.
-        counts = {"point": 0, "recognize": 0}
-        init, recognize = CantorPoint.__init__, Family.recognize
-
-        def counting_init(self, *args, **kwargs):
-            counts["point"] += 1
-            init(self, *args, **kwargs)
-
-        def counting_recognize(self, p):
-            counts["recognize"] += 1
-            return recognize(self, p)
-
         fresh = Family()
         img = project_union(fresh, parse_rect_union("ε x 0"))
-        monkeypatch.setattr(CantorPoint, "__init__", counting_init)
-        monkeypatch.setattr(Family, "recognize", counting_recognize)
+        work.watch(CantorPoint, "__init__", "point")
+        work.watch(Family, "recognize")
         assert len(image_trace(fresh, img, 12)) == 4094
-        assert counts == {"point": 2, "recognize": 2}
+        assert work == {"point": 2, "recognize": 2}
 
     def test_hull_memo_outside_value(self, fam):
         literal = "002 x 00; 02 x 2; 2 x 0"
@@ -446,11 +406,6 @@ def _widened(union, rng):
     ))
 
 
-@pytest.fixture(scope="module")
-def faulty():
-    return _FaultyFamily()
-
-
 class TestStructuralTrace:
     @settings(max_examples=40)
     @given(st.integers(0, 2**32), st.integers(1, 4), st.sampled_from(("", "0", "00")),
@@ -508,27 +463,18 @@ class TestPieceMemberKernel:
                         str(r), q.removals, str(p))
 
     @pytest.mark.parametrize("literal, kept", [("ε x 0", 1023), ("ε x ε", 1024)])
-    def test_representatives_skip_digits_check_and_hash(self, monkeypatch, literal, kept):
+    def test_representatives_skip_digits_check_and_hash(self, work, literal, kept):
         # Work counts, not wall clock: a representative's prefix is its lead
         # for a depth-0 hull, its digits need no check, and the recognition
         # memo hashes its prefix, so none of these is called during a point
         # trace.
-        counts = {"digits": 0, "check": 0, "hash": 0}
-        digits, check, point_hash = CantorPoint.digits, words.check_digits, CantorPoint.__hash__
-
-        def counting(name, f):
-            def wrapped(*args):
-                counts[name] += 1
-                return f(*args)
-            return wrapped
-
         fresh = Family()
         img = project_union(fresh, parse_rect_union(literal))
-        monkeypatch.setattr(CantorPoint, "digits", counting("digits", digits))
-        monkeypatch.setattr(words, "check_digits", counting("check", check))
-        monkeypatch.setattr(CantorPoint, "__hash__", counting("hash", point_hash))
+        work.watch(CantorPoint, "digits")
+        work.watch(words, "check_digits")
+        work.watch(CantorPoint, "__hash__")
         assert len(point_trace(fresh, img, 10)) == kept
-        assert counts == {"digits": 0, "check": 0, "hash": 0}
+        assert work == {}
 
 
 class TestBruteTraceLookup:

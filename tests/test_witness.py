@@ -21,14 +21,17 @@ from cantorproj import (
     falsify_restriction,
     family,
     parse_rect_union,
+    repr_point,
     verify_witness,
     witness_from_dict,
     witness_to_dict,
 )
 from cantorproj.cli import main as cli_main
+from cantorproj.family import approximant_depth
 from cantorproj.schema import CertificateFormatError
 from cantorproj.suites import WITNESS_MUTATIONS, make_family, mutate_witness
 from cantorproj.witness import witness_dumps
+from cantorproj.words import flip
 
 WHOLE = ClopenSet(("",))
 TRIVIAL = RectUnion(())
@@ -136,7 +139,7 @@ BASIC_RECTS = basic_rects(4)
 
 
 class TestCompleteRange:
-    def test_every_basic_rectangle_to_depth_five(self):
+    def test_every_basic_rectangle_to_depth_five(self, work):
         # One family falsifies all 321 rectangles and a second, fresh one
         # verifies every certificate.  Work count, not wall clock: the
         # verifier sweeps the base table to the largest n_fine, 2,078, and
@@ -149,14 +152,14 @@ class TestCompleteRange:
         assert len(rects) == 321
         assert verdicts == [(True, None)] * 321
         assert max(cert.n_fine for cert in certs) == 2_078
-        assert len(checker._y.heads) == 2_079
+        assert work.sizes(checker)["y_heads"] == 2_079
         # Every byte of the 321 certificates, not only the two the CLI pins.
         dumps = "\n".join(map(witness_dumps, certs)).encode()
         assert hashlib.sha256(dumps).hexdigest() == (
             "7292e2db7d373845b3ddb3812404d448b33e44e4bb3dcde2d7ccd4d27f5f39e5"
         )
 
-    def test_every_basic_rectangle_to_depth_six(self):
+    def test_every_basic_rectangle_to_depth_six(self, work):
         # The same range to depth six, 769 rectangles.  The verifier sweeps
         # the base table to the largest n_fine, 8,254, and reads its 8,255
         # y heads.
@@ -167,7 +170,7 @@ class TestCompleteRange:
         assert len(rects) == 769
         assert verdicts == [(True, None)] * 769
         assert max(cert.n_fine for cert in certs) == 8_254
-        assert len(checker._y.heads) == 8_255
+        assert work.sizes(checker)["y_heads"] == 8_255
 
     def test_pairs_are_built_only_where_the_base_fits(self):
         # Work count: the coarse search tests each base word against the y
@@ -188,6 +191,36 @@ class TestCompleteRange:
         assert witness_dumps(shared) == witness_dumps(falsify_restriction(Family(), TRIVIAL, rect))
 
 
+def _sibling(word):
+    # The cylinder next to the word's: its last digit flipped.
+    return word[:-1] + flip(word[-1])
+
+
+def _evidence(cert, word):
+    return replace(cert, missing=tuple(replace(m, evidence=repr_point(word)) for m in cert.missing))
+
+
+def _forged_fine(cert):
+    # Evidence in the real fine base, outside a forged finer one: only the
+    # family's own base, which in_x reads, sees it.
+    forged = cert.witness_y.digits(len(cert.base_fine) + 1)
+    return _evidence(replace(cert, base_fine=forged), _sibling(forged))
+
+
+# Mutations that break the four clauses no catalogued mutation reaches
+# first.  They stay out of suites._MUTATIONS, whose list fixes the bytes of
+# ``check``.
+UNCATALOGUED = {
+    "witness_in_rect": lambda c: replace(
+        c, witness_y=repr_point(_sibling(c.base_fine[:len(c.base_coarse) + 1]))),
+    "[i=0] missing_in_x_factor": lambda c: replace(c, rect=Rect(
+        ClopenSet((c.witness_x.digits(approximant_depth(c.n_fine, c.missing[0].index) + 1),)),
+        c.rect.y_set)),
+    "[i=0] evidence_inside_coarse_base": lambda c: _evidence(c, _sibling(c.base_coarse)),
+    "[i=0] evidence_in_x": _forged_fine,
+}
+
+
 class TestMutations:
     def test_catalog_covers_ten_distinct_clauses(self):
         assert len(WITNESS_MUTATIONS) == 10
@@ -200,15 +233,33 @@ class TestMutations:
             "truncated-missing", "forged-approximant", "evidence-in-fine",
         ]
 
-    @pytest.mark.parametrize("literal", ["ε x ε", "2 x 0"])
+    @pytest.mark.parametrize("literal", ["ε x ε", "2 x 0", "0,2 x 00"])
     def test_each_mutation_pins_its_clause(self, fam, literal):
         cert = cert_for(fam, literal)
         k = len(cert.missing)
+        assert cert.missing[0].index == 0
         for kind, expected in WITNESS_MUTATIONS:
             mutated = mutate_witness(fam, cert, kind)
             ok, clause = verify_witness(fam, mutated, samples=k)
             assert not ok, kind
             assert clause == expected, (kind, clause)
+        for expected, mutate in UNCATALOGUED.items():
+            assert verify_witness(fam, mutate(cert), samples=k) == (False, expected)
+
+    @pytest.mark.parametrize("literal", ["ε x ε", "2 x 0", "0,2 x 00"])
+    def test_a_complement_covering_an_entry_meets_the_rect(self, fam, literal):
+        # evidence_in_piece is never the first clause to fail: the clauses
+        # before it put (point, evidence) in the rectangle, so a complement
+        # rectangle covering an entry meets the rectangle, however small.
+        cert = cert_for(fam, literal)
+        for entry in cert.missing:
+            depth = approximant_depth(cert.n_fine, entry.index) + 1
+            cover = RectUnion((Rect(ClopenSet((entry.point.digits(depth),)),
+                                    ClopenSet((entry.evidence.digits(depth),))),))
+            assert cover.covers(entry.point, entry.evidence)
+            forged = replace(cert, piece_complement=cover)
+            got = verify_witness(fam, forged, samples=len(cert.missing))
+            assert got == (False, "rect_inside_piece")
 
     def test_mutations_survive_serialization(self, fam):
         cert = cert_for(fam, "2 x 0")

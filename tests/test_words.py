@@ -291,21 +291,14 @@ class TestDistance:
         assert q.value() == exact_value_oracle(q)
         assert distance(p, q) == abs(exact_value_oracle(p) - exact_value_oracle(q))
 
-    def test_value_and_distance_build_one_fraction_each(self, monkeypatch):
+    def test_value_and_distance_build_one_fraction_each(self, work):
         # Work count: each reads the unreduced ratios and normalises once.
-        built = [0]
-        new = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            built[0] += 1
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        work.watch(Fraction, "__new__", "fractions")
         p, q = CantorPoint("02", "20"), CantorPoint("2", "002")
         v = p.value()
-        assert built == [1]
+        assert work == {"fractions": 1}
         d = distance(p, q)
-        assert built == [2]
+        assert work == {"fractions": 2}
         assert (v, d) == (Fraction(11, 36), abs(v - q.value()))
 
     def test_separation_depth_frozen(self):
