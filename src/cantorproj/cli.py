@@ -28,10 +28,12 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .family import Family, FamilyError
-from .schema import CertificateFormatError, dumps
+from .schema import CertificateFormatError, iterdumps
 from .witness import (
     BUDGET,
     SAMPLES,
@@ -58,6 +60,10 @@ class RunConfig:
 
 INT_KNOBS = tuple(f.name for f in fields(RunConfig))
 Output = tuple[int, dict | None, Iterable[str] | None]  # exit code, document, lines
+# Encoder chunks joined into one write: a chunk is about one list element,
+# so a write stays small however long the document, and few enough writes
+# that an in-memory sink does not keep one object per chunk.
+WRITE_BATCH = 1024
 
 KNOB_HELP = {
     "depth": "trace and cell depth",
@@ -199,19 +205,18 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> Output:
 
 def _run(args: argparse.Namespace, output: Output) -> int:
     """Write a command's output to stdout or ``--out``: the lines under
-    ``--format text`` or when there is no document, else ``dumps(doc)``."""
+    ``--format text`` or when there is no document, else the document as
+    ``iterdumps`` streams it, ``WRITE_BATCH`` chunks to a write."""
     code, doc, lines = output
     if lines is not None and (doc is None or args.format == "text"):
-        text = "\n".join(lines) + "\n"
+        chunks = iter(("\n".join(lines) + "\n",))
     elif doc is not None:
-        text = dumps(doc)
+        chunks = iterdumps(doc)
     else:
         return code
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        while batch := list(islice(chunks, WRITE_BATCH)):
+            fh.write("".join(batch))
     return code
 
 

@@ -9,10 +9,14 @@ verifier can refuse certificates produced under a different family.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 from .family import scheme_params
 
 SCHEMA_VERSION = 1
+# The one spelling of the JSON layout.  ``indent`` keeps it on the
+# pure-Python encoder, whose chunks ``iterencode`` hands out one at a time.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 class CertificateFormatError(ValueError):
@@ -21,7 +25,14 @@ class CertificateFormatError(ValueError):
 
 def dumps(doc: dict) -> str:
     """The bytes of every JSON document the package writes."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _ENCODER.encode(doc) + "\n"
+
+
+def iterdumps(doc: dict) -> Iterator[str]:
+    """The bytes of ``dumps(doc)`` in order, as the encoder makes them, so a
+    writer need not hold the whole document as text."""
+    yield from _ENCODER.iterencode(doc)
+    yield "\n"
 
 
 def wrap(payload: dict) -> dict:

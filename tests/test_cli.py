@@ -1,5 +1,8 @@
 """End-to-end command line behavior, including exit codes."""
 
+import ast
+import contextlib
+import hashlib
 import json
 import os
 import re
@@ -388,6 +391,66 @@ class TestDefaults:
     def test_witness_dumps_is_the_json_byte_format(self):
         cert = witness.falsify_restriction(Family(), RectUnion(()), parse_rect("2 x 0"), samples=3)
         assert witness_dumps(cert) == schema.dumps(witness_to_dict(cert))
+
+
+DEEP_IMAGE = ["image", "ε x 0202", "--depth", "16"]
+DEEP_IMAGE_MD5 = "2050eaf5df4a63988f8c3abf2165cadd"
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestWriter:
+    """``_run`` streams a document in batches of encoder chunks."""
+
+    def test_json_is_written_in_bounded_batches(self):
+        sink = _Recorder()
+        with contextlib.redirect_stdout(sink):
+            assert main(DEEP_IMAGE) == 0
+        text = "".join(sink.writes)
+        assert hashlib.md5(text.encode()).hexdigest() == DEEP_IMAGE_MD5
+        doc = json.loads(text)
+        assert text == schema.dumps(doc)
+        # Each write joins the next WRITE_BATCH chunks of the stream, so no
+        # write holds the document.
+        chunks, size = list(schema.iterdumps(doc)), cli.WRITE_BATCH
+        assert len(sink.writes) > 1
+        assert sink.writes == ["".join(chunks[i:i + size]) for i in range(0, len(chunks), size)]
+
+    def test_out_writes_the_stdout_bytes(self, tmp_path, capsys):
+        target = tmp_path / "img.json"
+        code, out, _ = run(capsys, *DEEP_IMAGE)
+        assert code == 0
+        assert run(capsys, *DEEP_IMAGE, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+        assert hashlib.md5(target.read_bytes()).hexdigest() == DEEP_IMAGE_MD5
+
+    def test_no_lines_write_one_newline(self, tmp_path, capsys):
+        argv = ["construct", "--n-max", "0", "--i-max", "0", "--format", "text"]
+        assert run(capsys, *argv) == (0, "\n", "")
+        target = tmp_path / "empty.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == b"\n"
+
+    def test_cli_never_names_dumps(self):
+        # The writer reads the stream alone.  An AST walk, not a patch of
+        # schema.dumps, since a by-name import would dodge the patch.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+        assert "iterdumps" in names
+        assert "dumps" not in names
 
 
 class TestUsage:

@@ -156,7 +156,21 @@ def _rank_table_drops_22(monkeypatch):
     )
 
 
-# One corruption per suite, and the first failure record it draws.
+def _value_shifted_by_one(monkeypatch):
+    # Every value leaves [0, 1], so the range record comes before any clash.
+    real = words.CantorPoint.value
+    monkeypatch.setattr(words.CantorPoint, "value", lambda p: real(p) + 1)
+
+
+def _decomposition_member_negated(monkeypatch):
+    # The exact recheck inside decompose still passes; only the suite's
+    # pointwise comparison with image_member sees the membership test lie.
+    real = suites.decomposition_member
+    monkeypatch.setattr(suites, "decomposition_member", lambda fam, dec, p: not real(fam, dec, p))
+
+
+# One corruption per suite, and the first failure record it draws; a suite
+# with a second kind of record has a second entry, under its own id.
 FAULT_TABLE = [
     ("core-normal-form-canonicity", _primitive_unreduced, {"p": "^(00)", "q": "^(0)"}),
     (
@@ -165,18 +179,35 @@ FAULT_TABLE = [
         {"law": "double_complement", "a": "ε", "b": "ε", "c": "202"},
     ),
     ("core-point-value-injective", _ratio_drops_cycle_term, {"point": "22^(20)", "m": 10}),
+    (
+        "core-point-value-injective",
+        _value_shifted_by_one,
+        {"point": "22^(20)", "value": "71/36"},
+    ),
     ("core-stage-cylinder-agreement", _cylinder_20_shifted, {"stage": 2}),
     ("core-diam-law", _diam_tripled, {"word": ""}),
     ("family-determinism", _pads_taken_across_families, {"law": "export_bytes"}),
     ("family-distinctness", _raw_freshness_key, {"axis": "x", "n": 2, "clash": 1}),
     ("family-enumeration-totality", _first_fit_one_index_late, {"n": 6, "law": "anchor_in_base"}),
     ("family-density", _rank_table_drops_22, {"word": "220"}),
+    (
+        "lab-decomposition-soundness",
+        _decomposition_member_negated,
+        {"trial": 0, "point": "222000^(2)"},
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "name, corrupt, first", FAULT_TABLE, ids=[name for name, _, _ in FAULT_TABLE]
-)
+def _fault_ids():
+    # A suite's first entry is named by the suite alone, so its id holds as
+    # entries are added; a further entry adds its corruption's name.
+    ids = []
+    for name, corrupt, _ in FAULT_TABLE:
+        ids.append(f"{name}{corrupt.__name__}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("name, corrupt, first", FAULT_TABLE, ids=_fault_ids())
 def test_a_corruption_fails_its_suite(monkeypatch, name, corrupt, first):
     assert run_suite(name, Family(), RunConfig())["passed"]
     corrupt(monkeypatch)

@@ -138,7 +138,22 @@ def basic_rects(total):
 BASIC_RECTS = basic_rects(4)
 
 
+def triangle(s):
+    return s * (s + 1) // 2
+
+
 class TestCompleteRange:
+    @staticmethod
+    def _worst_case(rects, certs, depth):
+        # The search's worst case over |W| + |V| <= D, in closed form: the
+        # largest n_coarse is T(2^(D+1) - 1) - 1 and the largest n_fine
+        # T(2^(D+1)) - 2, with T(s) = s(s+1)/2, and ε x 2^D reaches both.
+        s = 2 ** (depth + 1)
+        worst = certs[rects.index(Rect(WHOLE, ClopenSet(("2" * depth,))))]
+        assert max(cert.n_coarse for cert in certs) == worst.n_coarse == triangle(s - 1) - 1
+        assert max(cert.n_fine for cert in certs) == worst.n_fine == triangle(s) - 2
+        return worst.n_coarse, worst.n_fine
+
     def test_every_basic_rectangle_to_depth_five(self, work):
         # One family falsifies all 321 rectangles and a second, fresh one
         # verifies every certificate.  Work count, not wall clock: the
@@ -152,6 +167,7 @@ class TestCompleteRange:
         assert len(rects) == 321
         assert verdicts == [(True, None)] * 321
         assert max(cert.n_fine for cert in certs) == 2_078
+        assert self._worst_case(rects, certs, 5) == (2_015, 2_078)
         assert work.sizes(checker)["y_heads"] == 2_079
         # Every byte of the 321 certificates, not only the two the CLI pins.
         dumps = "\n".join(map(witness_dumps, certs)).encode()
@@ -170,6 +186,7 @@ class TestCompleteRange:
         assert len(rects) == 769
         assert verdicts == [(True, None)] * 769
         assert max(cert.n_fine for cert in certs) == 8_254
+        assert self._worst_case(rects, certs, 6) == (8_127, 8_254)
         assert work.sizes(checker)["y_heads"] == 8_255
 
     def test_pairs_are_built_only_where_the_base_fits(self):
@@ -207,7 +224,7 @@ def _forged_fine(cert):
     return _evidence(replace(cert, base_fine=forged), _sibling(forged))
 
 
-# Mutations that break the four clauses no catalogued mutation reaches
+# Mutations that break the five clauses no catalogued mutation reaches
 # first.  They stay out of suites._MUTATIONS, whose list fixes the bytes of
 # ``check``.
 UNCATALOGUED = {
@@ -218,7 +235,11 @@ UNCATALOGUED = {
         c.rect.y_set)),
     "[i=0] evidence_inside_coarse_base": lambda c: _evidence(c, _sibling(c.base_coarse)),
     "[i=0] evidence_in_x": _forged_fine,
+    "base_words_match": lambda c: replace(c, base_coarse=c.base_coarse[:-1]),
 }
+# Where an uncatalogued mutation fails an earlier clause first: on 0,2 x 00
+# the coarse base 00 cut to 0 leaves the y factor.
+FIRST_ELSEWHERE = {("base_words_match", "0,2 x 00"): "coarse_base_inside_y_factor"}
 
 
 class TestMutations:
@@ -243,7 +264,8 @@ class TestMutations:
             ok, clause = verify_witness(fam, mutated, samples=k)
             assert not ok, kind
             assert clause == expected, (kind, clause)
-        for expected, mutate in UNCATALOGUED.items():
+        for clause, mutate in UNCATALOGUED.items():
+            expected = FIRST_ELSEWHERE.get((clause, literal), clause)
             assert verify_witness(fam, mutate(cert), samples=k) == (False, expected)
 
     @pytest.mark.parametrize("literal", ["ε x ε", "2 x 0", "0,2 x 00"])
