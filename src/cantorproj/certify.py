@@ -197,11 +197,13 @@ def resolvable_probe(fam: Family, img: ImageSet, f: ClopenSet) -> bool:
 
     That intersection is the clopen core of the two parts of
     :func:`closure_split` plus countably many points, and a nonempty clopen
-    set is uncountable, so it exhausts F exactly when F sits inside the core.
-    The core is empty, since ``inter_hull`` lies inside the image hull and
-    ``diff_clopen`` outside it: every image is resolvable.
+    set is uncountable, so it exhausts F exactly when F sits inside the core,
+    that is inside both parts.  The two subset tests decide that without
+    building the core, the outside part first: it is empty when the hull is
+    the whole space.  The core is empty, since ``inter_hull`` lies inside the
+    image hull and ``diff_clopen`` outside it: every image is resolvable.
     """
     if f.is_empty():
         raise PieceError("resolvability probe needs a nonempty closed set")
     inter_hull, diff_clopen = closure_split(img, f)
-    return not f.subset(inter_hull.intersect(diff_clopen))
+    return not (f.subset(diff_clopen) and f.subset(inter_hull))

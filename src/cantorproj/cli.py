@@ -27,10 +27,10 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 
 from .family import Family, FamilyError
 from .schema import CertificateFormatError, iterdumps
@@ -59,10 +59,12 @@ class RunConfig:
 
 
 INT_KNOBS = tuple(f.name for f in fields(RunConfig))
-Output = tuple[int, dict | None, Iterable[str] | None]  # exit code, document, lines
-# Encoder chunks joined into one write: a chunk is about one list element,
-# so a write stays small however long the document, and few enough writes
-# that an in-memory sink does not keep one object per chunk.
+# Exit code, document, text lines; a line may come as an iterable of its pieces.
+Output = tuple[int, dict | None, Iterable[str | Iterable[str]] | None]
+# Chunks joined into one write: an encoder chunk is about one list element,
+# a text chunk one line or piece, so a write stays small however long the
+# output, and few enough writes that an in-memory sink does not keep one
+# object per chunk.
 WRITE_BATCH = 1024
 
 KNOB_HELP = {
@@ -147,10 +149,11 @@ def cmd_image(args: argparse.Namespace, cfg: RunConfig) -> Output:
         "trace": {"depth": cfg.depth, "words": trace},
     }
 
-    def lines():  # built only if written: the trace line is as long as the trace
+    def lines():  # built only if written; the trace line, as long as the trace, in pieces
         yield from (f"piece hull={piece.hull}" for piece in img.pieces)
         yield from (f"isolated {iso.seq}: {iso.point}" for iso in dec.isolated)
-        yield f"trace[{cfg.depth}]: {', '.join(trace) or 'none'}"
+        head = (trace[0] if trace else "") or "none"  # only a depth-0 trace has the word ""
+        yield chain((f"trace[{cfg.depth}]: ", head), (", " + w for w in islice(trace, 1, None)))
     return 0, doc, lines()
 
 
@@ -203,13 +206,25 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> Output:
     return int(not report["all_pass"]), report, lines
 
 
+def _text(lines: Iterable[str | Iterable[str]]) -> Iterator[str]:
+    """Each line, or its pieces, then a newline; no lines write one newline."""
+    empty = True
+    for line in lines:
+        empty = False
+        yield from (line,) if isinstance(line, str) else line
+        yield "\n"
+    if empty:
+        yield "\n"
+
+
 def _run(args: argparse.Namespace, output: Output) -> int:
     """Write a command's output to stdout or ``--out``: the lines under
-    ``--format text`` or when there is no document, else the document as
-    ``iterdumps`` streams it, ``WRITE_BATCH`` chunks to a write."""
+    ``--format text`` or when there is no document, as ``_text`` streams
+    them, else the document as ``iterdumps`` streams it, ``WRITE_BATCH``
+    chunks to a write."""
     code, doc, lines = output
     if lines is not None and (doc is None or args.format == "text"):
-        chunks = iter(("\n".join(lines) + "\n",))
+        chunks = _text(lines)
     elif doc is not None:
         chunks = iterdumps(doc)
     else:

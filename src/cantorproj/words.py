@@ -12,9 +12,8 @@ so the verifier kernel reads certificates without the projection code.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -191,7 +190,14 @@ def _has_prefix(words: tuple[str, ...], s: str) -> bool:
     return i > 0 and s.startswith(words[i - 1])
 
 
-@dataclass(frozen=True)
+def _extensions(words: tuple[str, ...], s: str) -> tuple[str, ...]:
+    # The words of a sorted prefix antichain that properly extend s: a run,
+    # since every string from s up to s + "3" starts with s, "3" sorting
+    # after both digits.
+    return words[bisect_right(words, s):bisect_left(words, s + "3")]
+
+
+@dataclass(frozen=True, slots=True)
 class ClopenSet:
     """A finite union of cylinders, kept as a sorted prefix antichain.
 
@@ -200,33 +206,40 @@ class ClopenSet:
     ``("",)`` the whole space.  Construction makes one pass over the sorted
     words, dropping extensions and merging sibling pairs; the sort merges
     the two sorted runs that ``union`` concatenates.  ``intersect`` and
-    ``complement`` yield normal forms themselves and skip that pass.
+    ``complement`` yield normal forms themselves and skip that pass, and an
+    intersection hands back an operand, or the shared ``EMPTY``, where it
+    can.  Sets are slotted; the depth has a slot of its own, outside ``==``,
+    ``hash`` and ``repr``, left unset until first read.
     """
 
     words: tuple[str, ...] = ()
+    _depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for w in self.words:
             check_digits(w)
-        object.__setattr__(self, "words", _normalize_words(self.words))
+        _set_words(self, _normalize_words(self.words))
 
     @classmethod
     def _normal(cls, words: tuple[str, ...]) -> "ClopenSet":
         # For words already checked and in normal form: no second pass.
         s = object.__new__(cls)
-        object.__setattr__(s, "words", words)
+        _set_words(s, words)
         return s
 
     def is_empty(self) -> bool:
         return not self.words
 
     # Computed on first use, not at construction: most sets are built as
-    # intermediate results and never asked, and a field set in
-    # __post_init__ would cost every construction.  cached_property stores
-    # into the instance __dict__, so the class must stay unslotted.
-    @cached_property
+    # intermediate results and never asked, and a slot filled in
+    # __post_init__ would cost every construction.
+    @property
     def depth(self) -> int:
-        return max(map(len, self.words), default=0)
+        try:
+            return self._depth
+        except AttributeError:
+            _set_depth(self, max(map(len, self.words), default=0))
+            return self._depth
 
     def member(self, p: CantorPoint) -> bool:
         # The identities first, by value, as in ``intersect``: only ∅ and
@@ -252,30 +265,27 @@ class ClopenSet:
         return ClopenSet(self.words + other.words)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        # The identities first: an empty operand or the whole space gives an
-        # operand back as it is.  Otherwise a merge walk: extensions sort
-        # directly after a word, so only the words the walk is on can relate.
-        # The kept words are a normal form.
+        """The meet, bisecting each word u of the shorter operand into the
+        longer: u is kept if a word of the longer is its prefix, else the
+        longer's words that extend u are.  The kept words are a normal form.
+        The shorter operand comes back itself when all of it is kept (so
+        ``a ∩ ∅`` and ``a ∩ Ω``), the longer when the shorter is Ω, and
+        ``EMPTY`` when nothing is kept."""
+        if len(self.words) > len(other.words):
+            self, other = other, self
         a, b = self.words, other.words
-        if not a or b == ("",):
-            return self
-        if not b or a == ("",):
+        if a == ("",):
             return other
-        out = []
-        i, j, m, n = 0, 0, len(a), len(b)
-        while i < m and j < n:
-            u, v = a[i], b[j]
-            if v.startswith(u):
-                out.append(v)
-                j += 1
-            elif u.startswith(v):
+        out, whole = [], True
+        for u in a:
+            if _has_prefix(b, u):
                 out.append(u)
-                i += 1
-            elif u < v:
-                i += 1
             else:
-                j += 1
-        return ClopenSet._normal(tuple(out))
+                whole = False
+                out += _extensions(b, u)
+        if whole:
+            return self
+        return ClopenSet._normal(tuple(out)) if out else EMPTY
 
     def complement(self) -> "ClopenSet":
         # The gaps are the other children w[:k]+d of the words' proper
@@ -298,11 +308,13 @@ class ClopenSet:
 
     def subset(self, other: "ClopenSet") -> bool:
         # Valid on normal forms: a covered cylinder has a prefix in the cover.
-        # Bisected here, not through ``holds_word``, to spare a frame per word.
+        # Bisected here, not through ``holds_word``, to spare a frame per
+        # word, and in a plain loop, to spare a generator per call.
         c = other.words
-        if not c:
-            return not self.words
-        return all(_has_prefix(c, a) for a in self.words)
+        for a in self.words:
+            if not _has_prefix(c, a):
+                return False
+        return True
 
     def diam(self) -> Fraction:
         """Diameter as a subset of [0, 1]; both extremes are Cantor points."""
@@ -328,7 +340,9 @@ class ClopenSet:
         return ",".join(w or "ε" for w in self.words)
 
 
+_set_words, _set_depth = ClopenSet.words.__set__, ClopenSet._depth.__set__
 WHOLE_SPACE = ClopenSet(("",))
+EMPTY = ClopenSet(())
 
 
 def parse_clopen(text: str) -> ClopenSet:

@@ -402,11 +402,13 @@ class TestResolvableProbe:
         # through the constructor's pass made 766 calls.  An image whose
         # hull is the whole space has an empty outside, and intersect hands
         # back an operand on both, so its probe builds no set.  A partial
-        # hull still walks.  When every intersection walked, each of the
-        # three images built 765 sets, three per window.
+        # hull builds the two parts of a window, less those an operand or
+        # EMPTY stands for, and no core: 442 sets, where a merge walk and a
+        # third intersection built 733.  When every intersection walked,
+        # each of the three images built 765 sets, three per window.
         windows = clopen_antichains(3)
         assert len(windows) == 255
-        pins = {"ε x 0": 0, "0 x 00; 02 x 2; 2 x 0": 0, "0 x 00": 733}
+        pins = {"ε x 0": 0, "0 x 00; 02 x 2; 2 x 0": 0, "0 x 00": 442}
         images = {literal: img_of(fam, literal) for literal in pins}
         for img in images.values():
             img.outside

@@ -395,6 +395,7 @@ class TestDefaults:
 
 DEEP_IMAGE = ["image", "ε x 0202", "--depth", "16"]
 DEEP_IMAGE_MD5 = "2050eaf5df4a63988f8c3abf2165cadd"
+DEEP_IMAGE_TEXT_MD5 = "e93bb62b07aa7a7f5247ec7c5ea1f536"
 
 
 class _Recorder:
@@ -406,7 +407,8 @@ class _Recorder:
 
 
 class TestWriter:
-    """``_run`` streams a document in batches of encoder chunks."""
+    """``_run`` streams a document in batches of encoder chunks, and text
+    in batches of lines and pieces of lines."""
 
     def test_json_is_written_in_bounded_batches(self):
         sink = _Recorder()
@@ -421,6 +423,26 @@ class TestWriter:
         chunks, size = list(schema.iterdumps(doc)), cli.WRITE_BATCH
         assert len(sink.writes) > 1
         assert sink.writes == ["".join(chunks[i:i + size]) for i in range(0, len(chunks), size)]
+
+    def test_text_is_written_in_bounded_batches(self):
+        # The lines stream as the document does, and the trace line, as
+        # long as the trace, comes as its words: a write joins at most
+        # WRITE_BATCH pieces of one 16-digit word and its separator each.
+        sink = _Recorder()
+        with contextlib.redirect_stdout(sink):
+            assert main([*DEEP_IMAGE, "--format", "text"]) == 0
+        text = "".join(sink.writes)
+        assert hashlib.md5(text.encode()).hexdigest() == DEEP_IMAGE_TEXT_MD5
+        trace_line = text.splitlines()[-1]
+        assert trace_line.startswith("trace[16]: ") and text.endswith("\n")
+        assert len(sink.writes) > 1
+        assert max(map(len, sink.writes)) <= cli.WRITE_BATCH * len(", " + "0" * 16)
+        assert len(trace_line) > 2 * cli.WRITE_BATCH * len(", " + "0" * 16)
+
+    def test_text_trace_of_the_empty_word_reads_none(self, capsys):
+        # As a joined line would read it: the depth-0 trace ["",] joins to "".
+        code, out, _ = run(capsys, "image", "0 x 00", "--depth", "0", "--format", "text")
+        assert code == 0 and out.endswith("\ntrace[0]: none\n")
 
     def test_out_writes_the_stdout_bytes(self, tmp_path, capsys):
         target = tmp_path / "img.json"

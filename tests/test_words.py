@@ -82,6 +82,55 @@ def nested_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     )
 
 
+def merge_walk(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The reference meet: one walk over two sorted antichains, keeping the
+    longer of each related pair, since extensions sort directly after a word."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        u, v = a[i], b[j]
+        if v.startswith(u):
+            out.append(v)
+            j += 1
+        elif u.startswith(v):
+            out.append(u)
+            i += 1
+        elif u < v:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def assert_meet(x: ClopenSet, y: ClopenSet) -> None:
+    """The meet spells the merge walk's words, and is an operand exactly in
+    the identity cases: the shorter operand (x on a tie) when all of it is
+    kept, which covers an empty operand and a meet with Ω as the longer, and
+    the longer when the shorter is Ω.  An empty meet otherwise is the shared
+    EMPTY."""
+    meet = x.intersect(y)
+    assert meet.words == merge_walk(x.words, y.words), (x, y)
+    short, long = (y, x) if len(x.words) > len(y.words) else (x, y)
+    if short.words == ("",):
+        assert meet is long, (x, y)
+    elif meet.words == short.words:
+        assert meet is short, (x, y)
+    else:
+        assert meet is not x and meet is not y, (x, y)
+        assert meet is words.EMPTY or meet.words, (x, y)
+
+
+# Sets of depth up to 8, and pairs whose second set cuts short or extends
+# words of the first, so that the two relate.
+deep_st = st.one_of(
+    st.lists(st.text(alphabet="02", max_size=8), max_size=12).map(lambda ws: ClopenSet(tuple(ws))),
+    st.sampled_from((ClopenSet(()), WHOLE_SPACE)),
+)
+related_st = deep_st.flatmap(lambda a: st.tuples(st.just(a), st.lists(
+    st.tuples(st.sampled_from(a.words or ("",)), st.integers(0, 8), st.text("02", max_size=4)),
+    max_size=8,
+).map(lambda picks: ClopenSet(tuple((w[:k] + t)[:8] for w, k, t in picks)))))
+
+
 def assert_normal_form(out: tuple[str, ...]) -> None:
     """Sorted, a prefix antichain with no sibling pair, and kept by the pass."""
     assert ClopenSet(out).words == out
@@ -504,10 +553,20 @@ class TestClopenAlgebra:
             assert hull.member(q) and scan_member(hull, q), q
 
     def test_depth_is_lazy_and_kept(self):
-        s = ClopenSet(("00", "020", "2"))
-        assert "depth" not in vars(s)
-        assert s.depth == 3 and vars(s)["depth"] == 3
-        assert s == ClopenSet(("2", "00", "020")) and "depth" not in repr(s)
+        # The depth slot stays unset until the first read, on a constructed
+        # set and on a meet alike, and keeps its value after; ==, hash and
+        # repr neither read nor show it.
+        s, t = ClopenSet(("00", "020", "2")), ClopenSet(("2", "00", "020"))
+        meet = s.intersect(ClopenSet(("0",)))
+        for x in (s, t, meet):
+            with pytest.raises(AttributeError):
+                x._depth
+        assert s.depth == 3 and s._depth == 3
+        assert meet.depth == 3 and meet._depth == 3
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+        assert "depth" not in repr(s) and not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            t._depth
 
     @COMMON
     @given(clopen_st, clopen_st)
@@ -572,6 +631,22 @@ class TestClopenAlgebra:
         assert a.subset(b) == (cover_a <= cover_b)
         assert a.intersect(b) == nested_intersect(a, b)
 
+    def test_meet_is_the_merge_walk_on_depth_3(self):
+        # Every pair of the 255 depth-3 sets, the empty set and the whole
+        # space, in both orders.
+        sets = clopen_antichains(3) + [ClopenSet(()), WHOLE_SPACE]
+        for x in sets:
+            for y in sets:
+                assert_meet(x, y)
+
+    @COMMON
+    @given(st.one_of(st.tuples(deep_st, deep_st), related_st))
+    def test_meet_is_the_merge_walk_on_drawn_sets(self, pair):
+        x, y = pair
+        assert x.depth <= 8 and y.depth <= 8
+        assert_meet(x, y)
+        assert_meet(y, x)
+
     @COMMON
     @given(sets_st, sets_st)
     def test_results_keep_the_normal_form(self, a, b):
@@ -583,7 +658,7 @@ class TestClopenAlgebra:
     def test_identities_match_the_cover_oracle(self):
         # Every set of depth at most 3, and the empty set, against the empty
         # set and the whole space in both orders.  On these intersect hands
-        # back one of its operands, with no walk and no new set.
+        # back one of its operands and builds no new set.
         empty, whole = ClopenSet(()), ClopenSet(("",))
         cells = frozenset(all_words(3))
         for a in clopen_antichains(3) + [empty]:
