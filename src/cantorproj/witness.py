@@ -159,7 +159,7 @@ def verify_witness(
     fine = ClopenSet((cert.base_fine,))
 
     def clauses():
-        yield "n_fine_gt_n_coarse", cert.n_fine > cert.n_coarse
+        yield "n_fine_gt_n_coarse", 0 <= cert.n_coarse < cert.n_fine
         yield "coarse_base_inside_y_factor", coarse.subset(cert.rect.y_set)
         yield "diameter_gap", 2 * fine.diam() < coarse.diam()
         yield "bases_nested", fine.subset(coarse)

@@ -39,14 +39,7 @@ from cantorproj.certify import (
 )
 from cantorproj.cli import main as cli_main
 from cantorproj.images import ImagePiece, ImageSet, canonical, removal_sequences
-from cantorproj.oracle import (
-    TRACE_DEPTH,
-    brute_rect_trace,
-    brute_split_traces,
-    brute_union_trace,
-    representatives,
-    scanned_missing_index,
-)
+from cantorproj.oracle import TRACE_DEPTH, brute_rect_trace, representatives
 from cantorproj.suites import (
     WITNESS_MUTATIONS,
     _random_point,
@@ -55,6 +48,8 @@ from cantorproj.suites import (
     mutate_witness,
 )
 from cantorproj.words import distance, flip
+
+from reference import brute_split_traces, brute_union_trace, scanned_missing_index
 
 SEED = 20250823
 RECT_SUITE_SHA256 = "ac121d694db113a25d6dd6084edb8ed4f9220bbf1cfe33f003142875b2eac627"

@@ -36,9 +36,11 @@ from cantorproj.certify import (
 )
 from cantorproj.family import stable_index
 from cantorproj.images import TailSet, canonical, piece_member, removal_sequences, settled_index
-from cantorproj.oracle import TRACE_DEPTH, brute_union_trace
+from cantorproj.oracle import TRACE_DEPTH
 from cantorproj.suites import _random_rect_union, clopen_antichains
 from cantorproj.words import flip
+
+from reference import brute_union_trace
 
 WHOLE = ClopenSet(("",))
 

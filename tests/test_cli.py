@@ -190,6 +190,18 @@ class TestFalsifyVerify:
         assert code == 1
         assert json.loads(out)["clause"] == "n_fine_gt_n_coarse"
 
+    def test_negative_coarse_index_fails_its_clause(self, tmp_path, capsys):
+        # Rejected at the first clause, exit 1, not by base_word's format
+        # error at the last one.
+        cert_file = tmp_path / "w.json"
+        run(capsys, "falsify", "2 x 0", "--samples", "2", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc["payload"]["n_coarse"] = -1
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"clause": "n_fine_gt_n_coarse", "ok": False, "samples": 2}
+
     @pytest.mark.parametrize(
         "edit, clause",
         [

@@ -29,14 +29,10 @@ from cantorproj.family import (
     lenlex_word,
     stable_index,
 )
-from cantorproj.oracle import (
-    decode_tag,
-    diag_pair,
-    first_fit_bases,
-    removed_fibers,
-    scanned_dense_pairs,
-)
+from cantorproj.oracle import diag_pair, removed_fibers
 from cantorproj.words import distance, flip
+
+from reference import decode_tag, first_fit_bases, scanned_dense_pairs
 
 COMMON = settings(max_examples=80)
 

@@ -35,15 +35,11 @@ from cantorproj.images import (
     settled_index,
 )
 from cantorproj import oracle
-from cantorproj.oracle import (
-    TRACE_DEPTH,
-    brute_rect_trace,
-    diag_pair,
-    project_rect_truncated,
-    truncated_member,
-)
+from cantorproj.oracle import TRACE_DEPTH, brute_rect_trace, diag_pair
 from cantorproj.suites import _random_rect_union, probe_pool
 from cantorproj.words import parse_rect
+
+from reference import project_rect_truncated, truncated_member
 
 WHOLE = ClopenSet(("",))
 

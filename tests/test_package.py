@@ -9,9 +9,18 @@ from pathlib import Path
 import cantorproj
 from cantorproj import certify, cli, family, oracle, schema, suites, words
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import reference
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+BENCH = ROOT / "bench"
 PACKAGE = Path(cantorproj.__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+# Package names that only bench/ files read, kept until the benchmark's next
+# change stops reading them: a second name for decompose, and the codec's
+# text form of one certificate.
+BENCH_ONLY = {"lc2_certificate", "witness_dumps"}
 
 # Module-level copies of ClopenSet and CantorPoint methods, and a wrapper
 # around a base word: each concept has one path, so none of these exists.
@@ -26,6 +35,10 @@ REMOVED = (
     "subset",
     "union",
 )
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
 def test_all_is_bound_unique_and_sorted():
@@ -110,6 +123,14 @@ def test_single_use_helpers_are_gone():
     assert not hasattr(words.CantorPoint, "digit")
     assert not hasattr(family, "diag_pair") and hasattr(oracle, "diag_pair")
     assert [n for n in ("_emit", "_emit_json") if hasattr(cli, n)] == []
+    # No command reads the plain scans, the slicing decoder or the truncated
+    # traces; they are the tests' reference, beside the tests.
+    tests_only = ("first_fit_bases", "scanned_dense_pairs", "decode_tag",
+                  "scanned_missing_index", "normal_point", "scan_member", "clopen_cover",
+                  "brute_union_trace", "brute_split_traces", "project_rect_truncated",
+                  "truncated_member")
+    assert [n for n in tests_only if hasattr(oracle, n)] == []
+    assert [n for n in tests_only if not hasattr(reference, n)] == []
 
 
 def test_one_json_byte_format():
@@ -117,7 +138,7 @@ def test_one_json_byte_format():
     # dumps and iterdumps both read it.
     found = []
     for module in MODULES:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        tree = _tree(module)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
                 found.append((module, ast.unparse(node.func)))
@@ -126,7 +147,7 @@ def test_one_json_byte_format():
 
 def test_cli_has_one_writer():
     # _run alone reads --format and writes a command's output.
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    tree = _tree("cli")
     readers = set()
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
@@ -136,28 +157,68 @@ def test_cli_has_one_writer():
     assert readers == {"_run"}
 
 
-def test_package_code_never_names_the_bench_only_names():
-    # certify.py keeps lc2_certificate, a second name for decompose, for the
-    # benchmark alone; no other module may call, import or re-export it.
-    bench_only = {"lc2_certificate"}
-    found = []
+def _definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _names(node: ast.AST, strings: bool) -> list[str]:
+    """The names one node spells; with ``strings``, also the words of a string."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.split()  # the root's export table lists names in strings
+    return []
+
+
+def test_every_package_function_has_a_reader():
+    # No dead helpers: a module-level def or class is named by a package
+    # module outside its own body, or by the root's export table, or else by
+    # a bench file; tests are not readers.  Python itself calls the root's
+    # dunder hooks.  Exactly the bench-only names have bench/ alone.
+    readers: dict[str, list[tuple[str, int]]] = {}
     for module in MODULES:
-        if module == "certify":
-            continue
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.alias):
-                names = [node.name, node.asname]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = node.value.split()  # the root's export table lists names in strings
-            else:
+        for node in ast.walk(_tree(module)):
+            for name in _names(node, strings=module == "__init__"):
+                readers.setdefault(name, []).append((module, node.lineno))
+    bench = {
+        name
+        for path in BENCH.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _names(node, strings=False)
+    }
+    unread, bench_only = [], set()
+    for module in MODULES:
+        for d in _definitions(_tree(module)):
+            if d.name.startswith("__") or any(
+                other != module or not d.lineno <= line <= d.end_lineno
+                for other, line in readers.get(d.name, ())
+            ):
                 continue
-            found += [(module, node.lineno, name) for name in bench_only.intersection(names)]
+            if d.name in bench:
+                bench_only.add(d.name)
+            else:
+                unread.append((module, d.name))
+    assert unread == []
+    assert bench_only == BENCH_ONLY
+
+
+def test_package_code_never_names_the_bench_only_names():
+    # Each bench-only name stays in its defining module; no other module may
+    # call, import or re-export it.
+    found, owners = [], set()
+    for module in MODULES:
+        tree = _tree(module)
+        own = BENCH_ONLY.intersection(d.name for d in _definitions(tree))
+        owners |= own
+        for node in ast.walk(tree):
+            names = BENCH_ONLY.difference(own).intersection(_names(node, strings=True))
+            found += [(module, node.lineno, name) for name in names]
     assert found == []
+    assert owners == BENCH_ONLY
 
 
 def _private(name: str) -> bool:
@@ -171,7 +232,7 @@ def test_no_module_reads_another_module_s_private_names():
     # that family shares is public, though not exported from the root.
     found = []
     for module in MODULES:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        tree = _tree(module)
         own = {"self", "cls"} | {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -186,8 +247,9 @@ def test_no_module_reads_another_module_s_private_names():
 
 
 def _imports(module: str) -> list[ast.Import | ast.ImportFrom]:
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return [
+        node for node in ast.walk(_tree(module)) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
 
 
 def _package_imports(module: str) -> dict[str, list[str]]:
@@ -235,7 +297,7 @@ def test_names_are_imported_from_their_owner():
 def test_cli_imports_each_command_s_machinery_inside_it():
     # At module level cli.py takes only the verifier kernel, so a verify
     # run loads no projection, certification, suite or oracle code.
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    tree = _tree("cli")
     top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
     assert top.isdisjoint({"certify", "images", "suites", "oracle"})
 
@@ -247,7 +309,24 @@ def test_verifier_kernel_trusts_words_family_schema_only():
 
 
 def test_oracle_imports_no_exact_machinery():
+    # The oracle, and the tests' reference beside it, re-derive answers
+    # from words and family alone.
     assert _closure("oracle") == {"words", "family", "oracle"}
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, node.module
+            modules = [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        taken |= {m for m in modules if m.split(".")[0] == "cantorproj"}
+    assert taken <= {"cantorproj.words", "cantorproj.family", "cantorproj.oracle"}
+    assert set().union(*(_closure(m.split(".")[1]) for m in taken)) == {
+        "words", "family", "oracle"
+    }
 
 
 def test_no_floats():
@@ -256,7 +335,7 @@ def test_no_floats():
     allowed = {"isqrt", "lcm", "gcd"}
     found = []
     for module in MODULES:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        tree = _tree(module)
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
                 found.append((module, node.lineno, repr(node.value)))

@@ -236,6 +236,8 @@ UNCATALOGUED = {
     "[i=0] evidence_inside_coarse_base": lambda c: _evidence(c, _sibling(c.base_coarse)),
     "[i=0] evidence_in_x": _forged_fine,
     "base_words_match": lambda c: replace(c, base_coarse=c.base_coarse[:-1]),
+    # A negative coarse index is named here, before base_word could reject it.
+    "n_fine_gt_n_coarse": lambda c: replace(c, n_coarse=-1),
 }
 # Where an uncatalogued mutation fails an earlier clause first: on 0,2 x 00
 # the coarse base 00 cut to 0 leaves the y factor.

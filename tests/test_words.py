@@ -20,13 +20,7 @@ from cantorproj import (
     project_union,
     repr_point,
 )
-from cantorproj.oracle import (
-    cantor_stage,
-    clopen_cover,
-    normal_point,
-    representatives,
-    scan_member,
-)
+from cantorproj.oracle import cantor_stage, representatives
 from cantorproj.suites import clopen_antichains, probe_pool
 from cantorproj import words
 from cantorproj.words import (
@@ -35,6 +29,8 @@ from cantorproj.words import (
     flip,
     separation_depth,
 )
+
+from reference import clopen_cover, normal_point, scan_member
 
 ZERO = CantorPoint("", "0")
 
