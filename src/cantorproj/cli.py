@@ -12,11 +12,11 @@ Exit codes: 0 success, 1 a verification or suite failed, 2 usage error or
 unreadable input (an unusable path, a certificate that does not parse),
 3 search budget exhausted.  A command takes only the integer knobs it reads:
 ``construct`` takes ``--n-max`` and ``--i-max``, ``image`` ``--depth``,
-``falsify`` ``--budget``, ``check`` all six and ``verify`` none; defaults
-come from ``CANTORPROJ_<KNOB>`` variables, and flags win.  A negative size
-knob (every knob but the seed) and a ``--samples`` below 1 are usage errors.
-The six knobs are the fields of a :class:`RunConfig`, kept here so only
-``check`` loads the suites.  Each command returns its exit code, JSON
+``falsify`` ``--budget``, ``check`` all six and ``verify`` none.  A negative
+size knob (every knob but the seed) and a ``--samples`` below 1 are usage
+errors.  The six knobs are the fields of a :class:`RunConfig`, kept here so
+only ``check`` loads the suites; an unset knob takes its default, so a run's
+config is its argv alone.  Each command returns its exit code, JSON
 document and text lines, and ``_run`` alone writes them; all JSON output
 is byte-deterministic for a fixed config.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
@@ -44,8 +43,6 @@ from .witness import (
     witness_to_dict,
 )
 from .words import PieceError, RectUnion, WordError, parse_rect_union
-
-ENV_PREFIX = "CANTORPROJ_"
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,7 @@ KNOB_HELP = {
     "truncation": "fibers kept by brute oracles",
     "budget": "dense-pair scan bound",
 }
-# The integer knobs each command reads, as flags and as CANTORPROJ_*
-# variables; a command accepts no other.
+# The integer knobs each command takes as flags; a command accepts no other.
 COMMAND_KNOBS = {
     "construct": ("n_max", "i_max"),
     "image": ("depth",),
@@ -87,21 +83,10 @@ class UsageError(Exception):
     pass
 
 
-def _env_default(knob: str) -> int | None:
-    raw = os.environ.get(ENV_PREFIX + knob.upper())
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_PREFIX}{knob.upper()} must be an integer, got {raw!r}")
-
-
 def _config(args: argparse.Namespace) -> RunConfig:
     picked = {}
     for knob in COMMAND_KNOBS[args.command]:
-        flag = getattr(args, knob)
-        value = flag if flag is not None else _env_default(knob)
+        value = getattr(args, knob)
         if value is None:
             continue
         if knob != "seed" and value < 0:
@@ -163,7 +148,7 @@ def cmd_falsify(args: argparse.Namespace, cfg: RunConfig) -> Output:
     union = parse_rect_union(args.rect)
     if len(union.rects) != 1:
         raise UsageError("falsify expects a single rectangle")
-    complement = parse_rect_union(args.piece) if args.piece else RectUnion(())
+    complement = parse_rect_union(args.piece) if args.piece is not None else RectUnion(())
     cert = falsify_restriction(fam, complement, union.rects[0], budget=cfg.budget, samples=samples)
     ok, clause = verify_witness(fam, cert, samples=samples)
     if not ok:

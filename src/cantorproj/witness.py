@@ -25,6 +25,7 @@ from .words import (
     PieceError,
     Rect,
     RectUnion,
+    check_digits,
     parse_point,
     repr_point,
 )
@@ -266,8 +267,8 @@ def witness_from_dict(doc: dict) -> WitnessCertificate:
         ),
         witness_x=_field(payload, "witness", lambda w: parse_point(w["x"])),
         witness_y=_field(payload, "witness", lambda w: parse_point(w["y"])),
-        base_coarse=_field(payload, "bases", lambda b: _typed(b["coarse"], str)),
-        base_fine=_field(payload, "bases", lambda b: _typed(b["fine"], str)),
+        base_coarse=_field(payload, "bases", lambda b: check_digits(_typed(b["coarse"], str))),
+        base_fine=_field(payload, "bases", lambda b: check_digits(_typed(b["fine"], str))),
         missing=_field(
             payload, "missing", lambda ms: tuple(map(_missing_from_dict, _typed(ms, list)))
         ),

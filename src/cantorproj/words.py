@@ -24,10 +24,11 @@ class WordError(ValueError):
     """Malformed digit word or an illegal set operation."""
 
 
-def check_digits(word: str) -> None:
-    """Raise ``WordError`` unless every character is a digit 0 or 2."""
+def check_digits(word: str) -> str:
+    """Return ``word`` if every character is a digit 0 or 2, else raise ``WordError``."""
     if word.strip(ALPHABET):
         raise WordError(f"digits must come from {{0, 2}}: {word!r}")
+    return word
 
 
 def flip(digit: str) -> str:

@@ -1,12 +1,10 @@
 import inspect
-import os
 from collections import Counter
 
 import pytest
 from hypothesis import settings
 
 from cantorproj import Family
-from cantorproj.cli import ENV_PREFIX
 from cantorproj.suites import _FaultyFamily
 
 # One profile for every property test: no per-example deadline, which a
@@ -14,15 +12,6 @@ from cantorproj.suites import _FaultyFamily
 # the same examples.  Each test keeps its own max_examples.
 settings.register_profile("cantorproj", deadline=None, derandomize=True)
 settings.load_profile("cantorproj")
-
-
-@pytest.fixture(autouse=True)
-def _hermetic_env(monkeypatch):
-    # An exported CANTORPROJ_* knob would change the bytes the golden tests
-    # pin and the runs a benchmark subprocess makes; a test that needs one
-    # sets it with monkeypatch.setenv.
-    for name in [name for name in os.environ if name.startswith(ENV_PREFIX)]:
-        monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="session")

@@ -44,12 +44,12 @@ def _flag(knob):
     return "--" + knob.replace("_", "-")
 
 
-def _reader_ids(spell):
-    # A knob's first reader is named by the knob alone, a repeat by its
-    # command too, so every knob keeps one case under its plain name.
+def _reader_ids():
+    # A knob's first reader is named by its flag alone, a repeat by its
+    # command too, so every knob keeps one case under its plain flag.
     ids, seen = [], set()
     for argv, knob in SIZE_KNOB_READERS:
-        ids.append(spell(knob) if knob not in seen else f"{argv[0]} {spell(knob)}")
+        ids.append(_flag(knob) if knob not in seen else f"{argv[0]} {_flag(knob)}")
         seen.add(knob)
     return ids
 
@@ -168,6 +168,30 @@ class TestFalsifyVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_piece_roundtrip(self, tmp_path, capsys):
+        cert_file = tmp_path / "w.json"
+        code, _, _ = run(
+            capsys, "falsify", "0 x 0", "--piece", "2 x ε", "--samples", "3",
+            "--out", str(cert_file),
+        )
+        assert code == 0
+        doc = json.loads(cert_file.read_text())
+        assert doc["payload"]["piece_complement"] == [{"x": ["2"], "y": [""]}]
+        code, out, _ = run(capsys, "verify", str(cert_file))
+        assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_rect_outside_the_piece(self, capsys):
+        code, out, err = run(capsys, "falsify", "0 x 0", "--piece", "0 x ε")
+        assert code == 2 and out == ""
+        assert "rectangle leaves the piece" in err
+
+    @pytest.mark.parametrize("piece", ["", " "], ids=["empty", "blank"])
+    def test_empty_piece_literal(self, capsys, piece):
+        # Only a missing --piece means the whole space; '' is an empty literal.
+        code, out, err = run(capsys, "falsify", "0 x 0", "--piece", piece)
+        assert code == 2 and out == ""
+        assert "empty rectangle union literal" in err
+
     def test_self_verification_failure_exits_one(self, capsys, monkeypatch):
         def refuse(fam, cert, samples):
             return False, "base_words_match"
@@ -227,8 +251,9 @@ class TestFalsifyVerify:
             (lambda p: p.pop("rect"), "rect"),
             (lambda p: p.update(missing=5), "missing"),
             (lambda p: p["missing"][1].pop("point"), "missing"),
+            (lambda p: p["bases"].update(coarse="1"), "bases"),
         ],
-        ids=["no-rect", "missing-not-a-list", "entry-without-point"],
+        ids=["no-rect", "missing-not-a-list", "entry-without-point", "base-not-digits"],
     )
     def test_malformed_payload_is_format_error(self, tmp_path, capsys, edit, field):
         cert_file = tmp_path / "w.json"
@@ -494,27 +519,9 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "construct", "--bogus")[0] == 2
 
-    def test_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTORPROJ_DEPTH", "1")
-        code, out, _ = run(capsys, "image", "ε x ε")
-        assert code == 0
-        assert json.loads(out)["trace"]["depth"] == 1
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTORPROJ_DEPTH", "1")
-        code, out, _ = run(capsys, "image", "ε x ε", "--depth", "2")
-        assert json.loads(out)["trace"]["depth"] == 2
-
-    @pytest.mark.parametrize("argv, knob", SIZE_KNOB_READERS, ids=_reader_ids(_flag))
+    @pytest.mark.parametrize("argv, knob", SIZE_KNOB_READERS, ids=_reader_ids())
     def test_negative_size_flag(self, capsys, argv, knob):
         code, out, err = run(capsys, *argv, _flag(knob), "-3")
-        assert code == 2 and out == ""
-        assert "natural number" in err
-
-    @pytest.mark.parametrize("argv, knob", SIZE_KNOB_READERS, ids=_reader_ids(str.upper))
-    def test_negative_size_env(self, capsys, monkeypatch, argv, knob):
-        monkeypatch.setenv("CANTORPROJ_" + knob.upper(), "-1")
-        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "natural number" in err
 
@@ -532,24 +539,12 @@ class TestUsage:
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err
 
-    def test_env_of_another_command_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTORPROJ_BUDGET", "-1")
-        code, out, _ = run(capsys, "construct", "--n-max", "1")
-        assert code == 0
-        assert len(json.loads(out)["dense_pairs"]) == 1
-
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_help_lists_own_knobs(self, capsys, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
         assert shown & ALL_KNOB_FLAGS == COMMAND_FLAGS[command]
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTORPROJ_DEPTH", "three")
-        code, _, err = run(capsys, "image", "ε x ε")
-        assert code == 2
-        assert "CANTORPROJ_DEPTH" in err
 
 
 def test_python_dash_m_entry_point():

@@ -717,6 +717,16 @@ class TestCliGoldenBytes:
     def test_command_bytes(self, capsys, argv, digest):
         assert _sha256(self.run(capsys, *argv)) == digest
 
+    # A run's config is its argv: an exported knob, well formed or not,
+    # moves no byte and no exit code.
+    @pytest.mark.parametrize("value", ["abc", "1"], ids=["malformed", "valid"])
+    def test_environment_is_ignored(self, capsys, monkeypatch, value):
+        for knob in ("DEPTH", "N_MAX", "I_MAX", "TRUNCATION", "BUDGET", "SEED"):
+            monkeypatch.setenv(f"CANTORPROJ_{knob}", value)
+        assert _sha256(self.run(capsys, "check", "--seed", "7")) == (
+            "7c86661d231a64ea382b586113d82ff466c7695c98bb09f854a92e378301a04b"
+        )
+
     # The rest of the md5 list that CHANGES.md checks on every change.
     @pytest.mark.parametrize(
         "argv, digest",

@@ -333,6 +333,14 @@ class TestSerialization:
         with pytest.raises(CertificateFormatError, match="'witness'"):
             witness_from_dict(doc)
 
+    @pytest.mark.parametrize("base, word", [("coarse", "1"), ("fine", "0a")])
+    def test_malformed_base_word_is_format_error(self, fam, base, word):
+        # A base word is checked for its digits here, not by the verifier.
+        doc = witness_to_dict(cert_for(fam, "0 x 2"))
+        doc["payload"]["bases"][base] = word
+        with pytest.raises(CertificateFormatError, match="'bases'"):
+            witness_from_dict(doc)
+
     def test_envelope_rejects_wrong_kind(self, fam):
         doc = witness_to_dict(cert_for(fam, "0 x 2"))
         doc["type"] = "lc2"
