@@ -23,7 +23,6 @@ _OWNERS = {
     "witness": "SearchBudgetExceeded WitnessCertificate falsify_restriction "
     "verify_witness witness_from_dict witness_to_dict",
     "schema": "CertificateFormatError",
-    "cli": "RunConfig",
     "suites": "run_all",
 }
 _EXPORTS = {name: module for module, names in _OWNERS.items() for name in names.split()}

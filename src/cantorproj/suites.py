@@ -1,23 +1,23 @@
 """Named self-check suites behind the ``check`` subcommand.
 
 Every suite draws its randomness from a private generator seeded by the run
-seed and the suite name, so a report is a pure function of its config and
-two runs produce identical bytes.
+seed and the suite name, so a report is a pure function of its seed and
+fault, and two runs produce identical bytes.  No flag sets a suite's size.
 
-A suite is a generator function of ``(fam, cfg, rng)``, ``cfg`` a
-``cli.RunConfig``.  Each value it yields is one check: ``True`` if it passed,
-or its failure record, so ``yield ok or {...}`` builds a record only when the
-check fails.  A check that breaks two laws reports the first.  The generator
-may return a dict of extra detail keys.  :func:`run_suite` owns the report: it
-counts the checks, keeps the first five failure records and merges in the
-returned keys; a suite that raises fails with the error as its whole detail.
+A suite is a generator function of ``(fam, rng)``.  Each value it yields is
+one check: ``True`` if it passed, or its failure record, so ``yield ok or
+{...}`` builds a record only when the check fails.  A check that breaks two
+laws reports the first.  The generator may return a dict of extra detail
+keys.  :func:`run_suite` owns the report: it counts the checks, keeps the
+first five failure records and merges in the returned keys; a suite that
+raises fails with the error as its whole detail.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Generator
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .certify import (
@@ -32,7 +32,7 @@ from .family import Family
 from .images import image_member, image_trace, project_union
 from .oracle import TRACE_DEPTH, brute_rect_trace, cantor_stage
 from .schema import dumps
-from .witness import WitnessCertificate, falsify_restriction, verify_witness
+from .witness import BUDGET, WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
     WHOLE_SPACE,
     CantorPoint,
@@ -47,8 +47,13 @@ from .words import (
 
 
 FAULTS = ("approximant-digit",)
-# The decomposition suite's fixed trial count and probe pool size; no flag
-# sets them, and ``run_all`` reports them beside the run config.
+# The suites' fixed sizes: random word depth, the dense pairs and approximants
+# the family suites walk, the brute oracle's fibers, and the decomposition
+# suite's trials and probes.  ``run_all`` echoes them, and ``BUDGET``, in config.
+DEPTH = 3
+N_MAX = 50
+I_MAX = 20
+TRUNCATION = 20
 SUITE_SIZE = 60
 PROBES = 120
 
@@ -123,7 +128,7 @@ def clopen_antichains(depth: int) -> list[ClopenSet]:
 # -- suites ----------------------------------------------------------------
 
 
-def _suite_normal_form(fam, cfg, rng):
+def _suite_normal_form(fam, rng):
     for _ in range(200):
         p = _random_point(rng)
         k = rng.randint(1, 2)
@@ -138,12 +143,12 @@ def _suite_normal_form(fam, cfg, rng):
         yield ((p == q) == same_digits == same_value) or {"p": str(p), "q": str(q)}
 
 
-def _suite_boolean_laws(fam, cfg, rng):
+def _suite_boolean_laws(fam, rng):
     empty = ClopenSet(())
     for _ in range(120):
-        a = _random_clopen(rng, cfg.depth)
-        b = _random_clopen(rng, cfg.depth)
-        c = _random_clopen(rng, cfg.depth)
+        a = _random_clopen(rng, DEPTH)
+        b = _random_clopen(rng, DEPTH)
+        c = _random_clopen(rng, DEPTH)
         laws = {
             "de_morgan": a.union(b).complement() == a.complement().intersect(b.complement()),
             "double_complement": a.complement().complement() == a,
@@ -160,7 +165,7 @@ def _suite_boolean_laws(fam, cfg, rng):
             yield ok or {"law": name, "a": str(a), "b": str(b), "c": str(c)}
 
 
-def _suite_value_injective(fam, cfg, rng):
+def _suite_value_injective(fam, rng):
     seen: dict[Fraction, CantorPoint] = {}
     for _ in range(300):
         p = _random_point(rng)
@@ -183,20 +188,20 @@ def _cylinder_ends(word: str) -> tuple[Fraction, Fraction]:
     return CantorPoint(word, "0").value(), CantorPoint(word, "2").value()
 
 
-def _suite_stage_agreement(fam, cfg, rng):
-    for n in range(cfg.depth + 3):
+def _suite_stage_agreement(fam, rng):
+    for n in range(DEPTH + 3):
         cells = sorted(map(_cylinder_ends, all_words(n)))
         yield sorted(cantor_stage(n)) == cells or {"stage": n}
         for lo, hi in cells:
             yield hi - lo == Fraction(1, 3**n) or {"stage": n, "interval": f"[{lo}, {hi}]"}
     for _ in range(60):
-        w = _random_word(rng, cfg.depth + 3)
+        w = _random_word(rng, DEPTH + 3)
         p = _random_point(rng)
         lo, hi = _cylinder_ends(w)
         yield lo <= p.value() <= hi or not p.starts_with(w) or {"word": w, "point": str(p)}
 
 
-def _suite_diam_law(fam, cfg, rng):
+def _suite_diam_law(fam, rng):
     for d in range(5):
         for w in all_words(d):
             yield ClopenSet((w,)).diam() == Fraction(1, 3 ** len(w)) or {"word": w}
@@ -207,34 +212,34 @@ def _suite_diam_law(fam, cfg, rng):
         yield gap == (len(ext) >= len(w) + 1) or {"outer": w, "inner": ext}
 
 
-def _suite_family_determinism(fam, cfg, rng):
+def _suite_family_determinism(fam, rng):
     one = type(fam)().export(n_max=12, i_max=6)
     two = type(fam)().export(n_max=12, i_max=6)
     same = dumps(one) == dumps(two)
     yield same or {"law": "export_bytes"}
 
 
-def _suite_distinctness(fam, cfg, rng):
+def _suite_distinctness(fam, rng):
     xs = {}
     ys = {}
-    for n in range(cfg.n_max + 1):
+    for n in range(N_MAX + 1):
         pair = fam.dense_pair(n)
         for label, point, seen in (("x", pair.x, xs), ("y", pair.y, ys)):
             yield point not in seen or {"axis": label, "n": n, "clash": seen[point]}
             seen[point] = n
     approx = {}
-    for n in range(min(cfg.n_max, 30) + 1):
-        for i in range(min(cfg.i_max, 10) + 1):
+    for n in range(min(N_MAX, 30) + 1):
+        for i in range(min(I_MAX, 10) + 1):
             q = fam.approximant(n, i)
             yield (q not in approx and q not in xs) or {"n": n, "i": i}
             approx[q] = (n, i)
 
 
-def _suite_convergence(fam, cfg, rng):
-    for n in range(cfg.n_max + 1):
+def _suite_convergence(fam, rng):
+    for n in range(N_MAX + 1):
         x, bound = fam.dense_pair(n).x, Fraction(1, n + 1)
         last = None
-        for i in range(cfg.i_max + 1):
+        for i in range(I_MAX + 1):
             d = distance(fam.approximant(n, i), x)
             if not 0 < d < bound:
                 yield {"n": n, "i": i, "distance": str(d)}
@@ -245,7 +250,7 @@ def _suite_convergence(fam, cfg, rng):
             last = d
 
 
-def _suite_enumeration(fam, cfg, rng):
+def _suite_enumeration(fam, rng):
     for d in range(1, 5):
         for w in all_words(d):
             n = fam.base_index(w)
@@ -258,9 +263,9 @@ def _suite_enumeration(fam, cfg, rng):
     return {"steps": fam.enumeration_steps()}
 
 
-def _suite_density(fam, cfg, rng):
+def _suite_density(fam, rng):
     cover = {}
-    for w in all_words(cfg.depth):
+    for w in all_words(DEPTH):
         hits = (n for n in range(4000) if fam.dense_pair(n).x.starts_with(w))
         hit = next(hits, None)
         yield hit is not None or {"word": w}
@@ -269,7 +274,7 @@ def _suite_density(fam, cfg, rng):
     return {"cover_index": max(cover.values()) if cover else None}
 
 
-def _suite_oracle_equivalence(fam, cfg, rng):
+def _suite_oracle_equivalence(fam, rng):
     sets = sorted(clopen_antichains(2), key=lambda c: c.words)
     pairs = [(a, b) for a in sets for b in sets]
     picks = rng.sample(range(len(pairs)), min(40, len(pairs)))
@@ -279,14 +284,14 @@ def _suite_oracle_equivalence(fam, cfg, rng):
     for w_set, v_set in jobs:
         img = project_union(fam, RectUnion((Rect(w_set, v_set),)))
         exact = image_trace(fam, img, TRACE_DEPTH)
-        brute = brute_rect_trace(fam, w_set, v_set, cfg.truncation)
+        brute = brute_rect_trace(fam, w_set, v_set, TRUNCATION)
         yield exact == brute or {"w": str(w_set), "v": str(v_set)}
 
 
-def _suite_decomposition(fam, cfg, rng):
+def _suite_decomposition(fam, rng):
     pool = probe_pool(fam, rng, PROBES)
     for t in range(SUITE_SIZE):
-        union = _random_rect_union(rng, cfg.depth)
+        union = _random_rect_union(rng, DEPTH)
         img = project_union(fam, union)
         try:
             dec = decompose(fam, img)
@@ -300,21 +305,21 @@ def _suite_decomposition(fam, cfg, rng):
                 break
 
 
-def _suite_lc2(fam, cfg, rng):
+def _suite_lc2(fam, rng):
     for t in range(20):
-        img = project_union(fam, _random_rect_union(rng, cfg.depth))
+        img = project_union(fam, _random_rect_union(rng, DEPTH))
         yield lc2_valid(fam, img, decompose(fam, img)) or {"trial": t}
 
 
-def _suite_resolvability(fam, cfg, rng):
+def _suite_resolvability(fam, rng):
     fs = clopen_antichains(2)
     for t in range(12):
-        img = project_union(fam, _random_rect_union(rng, cfg.depth))
+        img = project_union(fam, _random_rect_union(rng, DEPTH))
         for f in fs:
             yield resolvable_probe(fam, img, f) or {"trial": t, "f": str(f)}
 
 
-def _suite_witness(fam, cfg, rng):
+def _suite_witness(fam, rng):
     rects = [
         Rect(WHOLE_SPACE, WHOLE_SPACE),
         Rect(ClopenSet(("0",)), ClopenSet(("0",))),
@@ -324,7 +329,7 @@ def _suite_witness(fam, cfg, rng):
         Rect(ClopenSet(("02",)), ClopenSet(("22",))),
     ]
     for rect in rects:
-        cert = falsify_restriction(fam, RectUnion(()), rect, budget=cfg.budget, samples=10)
+        cert = falsify_restriction(fam, RectUnion(()), rect, budget=BUDGET, samples=10)
         ok, clause = verify_witness(fam, cert, samples=10)
         yield ok or {"rect": str(rect), "clause": clause}
         coarse = ClopenSet((cert.base_coarse,))
@@ -367,12 +372,12 @@ def mutate_witness(fam: Family, cert: WitnessCertificate, kind: str) -> WitnessC
     return _MUTATIONS[kind][1](fam, cert)
 
 
-def _suite_witness_mutations(fam, cfg, rng):
+def _suite_witness_mutations(fam, rng):
     for rect in (
         Rect(WHOLE_SPACE, WHOLE_SPACE),
         Rect(ClopenSet(("2",)), ClopenSet(("0",))),
     ):
-        cert = falsify_restriction(fam, RectUnion(()), rect, budget=cfg.budget, samples=10)
+        cert = falsify_restriction(fam, RectUnion(()), rect, budget=BUDGET, samples=10)
         for kind, expected in WITNESS_MUTATIONS:
             mutated = mutate_witness(fam, cert, kind)
             ok, clause = verify_witness(fam, mutated, samples=len(cert.missing))
@@ -418,23 +423,25 @@ def _tally(outcomes: Generator) -> tuple[bool, dict]:
             failures.append(outcome)
 
 
-def run_suite(name: str, fam: Family, cfg) -> dict:
+def run_suite(name: str, fam: Family, seed: int) -> dict:
     table = dict(SUITES)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}")
-    rng = random.Random(f"{cfg.seed}:{name}")
+    rng = random.Random(f"{seed}:{name}")
     try:
-        passed, detail = _tally(table[name](fam, cfg, rng))
+        passed, detail = _tally(table[name](fam, rng))
     except Exception as err:  # a crashed suite is a failed suite, not a crash
         passed, detail = False, {"error": f"{type(err).__name__}: {err}"}
     return {"name": name, "passed": passed, "detail": detail}
 
 
-def run_all(cfg, fault: str | None = None) -> dict:
+def run_all(seed: int = 0, fault: str | None = None) -> dict:
     fam = make_family(fault)
-    results = [run_suite(name, fam, cfg) for name, _ in SUITES]
+    results = [run_suite(name, fam, seed) for name, _ in SUITES]
+    config = {"depth": DEPTH, "n_max": N_MAX, "i_max": I_MAX, "truncation": TRUNCATION,
+              "budget": BUDGET, "seed": seed, "suite_size": SUITE_SIZE, "probes": PROBES}
     return {
-        "config": {**asdict(cfg), "suite_size": SUITE_SIZE, "probes": PROBES},
+        "config": config,
         "fault": fault,
         "suites": results,
         "all_pass": all(r["passed"] for r in results),

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from cantorproj import Family, RectUnion, cli, schema, witness
-from cantorproj.cli import RunConfig, build_parser, main
+from cantorproj import Family, RectUnion, cli, schema, suites, witness
+from cantorproj.cli import build_parser, main
 from cantorproj.witness import witness_dumps, witness_from_dict, witness_to_dict
 from cantorproj.words import parse_rect
 
@@ -23,20 +23,16 @@ COMMAND_FLAGS = {
     "image": {"--depth"},
     "falsify": {"--budget"},
     "verify": set(),
-    "check": ALL_KNOB_FLAGS,
+    "check": {"--seed"},
 }
-# Each command line with a size knob it reads; every size knob appears, and
-# ``check`` reads all five.
+# Size flags that check does not take: its sizes are suites constants.
+CHECK_SIZE_FLAGS = ["--depth", "--n-max", "--i-max", "--truncation", "--budget"]
+# Each command line with the size knob it reads; every size knob appears once.
 SIZE_KNOB_READERS = [
     (["construct"], "n_max"),
     (["construct"], "i_max"),
     (["image", "ε x ε"], "depth"),
     (["falsify", "ε x ε"], "budget"),
-    (["check"], "truncation"),
-    (["check"], "depth"),
-    (["check"], "n_max"),
-    (["check"], "i_max"),
-    (["check"], "budget"),
 ]
 
 
@@ -44,14 +40,12 @@ def _flag(knob):
     return "--" + knob.replace("_", "-")
 
 
-def _reader_ids():
-    # A knob's first reader is named by its flag alone, a repeat by its
-    # command too, so every knob keeps one case under its plain flag.
-    ids, seen = [], set()
-    for argv, knob in SIZE_KNOB_READERS:
-        ids.append(_flag(knob) if knob not in seen else f"{argv[0]} {_flag(knob)}")
-        seen.add(knob)
-    return ids
+# A bad value of each size knob and of --samples, named by its command and flag.
+BAD_VALUES = [
+    *([*argv, _flag(knob), "-3"] for argv, knob in SIZE_KNOB_READERS),
+    ["falsify", "2 x 0", "--samples", "0"],
+    ["verify", "w.json", "--samples", "0"],
+]
 
 
 def run(capsys, *argv):
@@ -162,11 +156,6 @@ class TestFalsifyVerify:
         assert code == 0
         raw = cert_file.read_text(encoding="utf-8")
         assert raw == witness_dumps(witness_from_dict(json.loads(raw)))
-
-    def test_verify_only(self, capsys):
-        code, out, _ = run(capsys, "falsify", "0 x 0", "--samples", "3", "--verify-only")
-        assert code == 0
-        assert json.loads(out)["ok"] is True
 
     def test_piece_roundtrip(self, tmp_path, capsys):
         cert_file = tmp_path / "w.json"
@@ -420,7 +409,8 @@ class TestCheck:
 
 class TestDefaults:
     def test_search_defaults_have_one_owner(self):
-        assert RunConfig().budget == witness.BUDGET
+        assert suites.BUDGET is witness.BUDGET
+        assert build_parser().parse_args(["falsify", "ε x ε"]).budget == witness.BUDGET
         assert build_parser().parse_args(["falsify", "ε x ε"]).samples == witness.SAMPLES
         fn = witness.falsify_restriction
         assert fn.__defaults__ == (witness.BUDGET, witness.SAMPLES)
@@ -519,11 +509,21 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "construct", "--bogus")[0] == 2
 
-    @pytest.mark.parametrize("argv, knob", SIZE_KNOB_READERS, ids=_reader_ids())
+    @pytest.mark.parametrize(
+        "argv, knob", SIZE_KNOB_READERS, ids=[_flag(knob) for _, knob in SIZE_KNOB_READERS]
+    )
     def test_negative_size_flag(self, capsys, argv, knob):
         code, out, err = run(capsys, *argv, _flag(knob), "-3")
         assert code == 2 and out == ""
         assert "natural number" in err
+
+    @pytest.mark.parametrize("argv", BAD_VALUES, ids=[f"{a[0]} {a[-2]}" for a in BAD_VALUES])
+    def test_bad_value_leaves_no_out(self, tmp_path, capsys, argv):
+        # A bad value fails at parse time, before the --out target is made.
+        target = tmp_path / "new.json"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert not target.exists()
 
     def test_negative_seed_allowed(self, capsys):
         code, _, _ = run(capsys, "check", "--seed", "-3")
@@ -531,8 +531,9 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["construct", "--depth", "3"], ["verify", "--budget", "5", "w.json"]],
-        ids=["construct--depth", "verify--budget"],
+        [["construct", "--depth", "3"], ["verify", "--budget", "5", "w.json"],
+         *(["check", flag, "3"] for flag in CHECK_SIZE_FLAGS)],
+        ids=["construct--depth", "verify--budget", *(f"check{f}" for f in CHECK_SIZE_FLAGS)],
     )
     def test_knob_of_another_command_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -605,8 +606,8 @@ def test_verify_loads_only_its_kernel(tmp_path, capsys):
     ids=["construct", "falsify"],
 )
 def test_construct_and_falsify_load_only_the_kernel(tmp_path, args):
-    # Their knobs make a cli.RunConfig, so neither loads the suites nor,
-    # through them, the projection, certification or oracle code.
+    # Their flags are read off argparse's namespace, so neither loads the
+    # suites nor, through them, the projection, certification or oracle code.
     out = tmp_path / "out.json"
     assert _loaded_by(*args, "--out", str(out)) == KERNEL_RUN
     assert json.loads(out.read_text())

@@ -804,13 +804,6 @@ class TestCliGoldenBytes:
             "ac3d0a36e761fd43288b1868884e4a786b004777cfa8f54f24ac412dd10fe9bb"
         )
 
-    @pytest.mark.parametrize("fmt", [[], ["--format", "text"]], ids=["json", "text"])
-    def test_verify_only_is_json_in_either_format(self, capsys, fmt):
-        out = self.run(capsys, "falsify", "2 x 0", "--samples", "10", "--verify-only", *fmt)
-        assert _sha256(out) == (
-            "c93e5d04a5c4e2aafdaf1e4177290bcaeee0d9454ec2afa0c4fda8d9103b3e4d"
-        )
-
 
 class TestPuncturedSpace:
     def test_membership_rule(self, fam):

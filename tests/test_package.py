@@ -2,7 +2,6 @@
 
 import ast
 import re
-from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
@@ -22,10 +21,12 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 # text form of one certificate.
 BENCH_ONLY = {"lc2_certificate", "witness_dumps"}
 
-# Module-level copies of ClopenSet and CantorPoint methods, and a wrapper
-# around a base word: each concept has one path, so none of these exists.
+# Module-level copies of ClopenSet and CantorPoint methods, a wrapper
+# around a base word, and the shared run config that each command's own
+# flags replace: each concept has one path, so none of these exists.
 REMOVED = (
     "Cylinder",
+    "RunConfig",
     "complement",
     "diam",
     "intersect",
@@ -72,11 +73,9 @@ def test_all_has_no_removed_name():
 
 
 def test_single_use_helpers_are_gone():
-    # Suites draw from clopen_antichains, certificates have one kind, and
-    # RunConfig converts through dataclasses.asdict.
+    # Suites draw from clopen_antichains, and certificates have one kind.
     assert not hasattr(suites, "small_clopens")
     assert not hasattr(schema, "CERTIFICATE_KINDS")
-    assert not hasattr(cli.RunConfig, "as_dict")
     # The oracle owns the removed columns, image_member the open-part test,
     # family the scheme pin and _normalize_words the whole normal form.
     assert not hasattr(family, "Fiber")
@@ -114,10 +113,10 @@ def test_single_use_helpers_are_gone():
     # repr_point("").
     assert not hasattr(family.Family, "fiber_witness")
     assert not hasattr(words, "ZERO_POINT")
-    # RunConfig is the six flag knobs; the suites own their fixed sizes.
-    assert [n for n in ("suite_size", "probes") if hasattr(cli.RunConfig, n)] == []
-    assert cli.INT_KNOBS == tuple(f.name for f in fields(cli.RunConfig))
-    assert len(cli.INT_KNOBS) == 6
+    # Each command declares its own flags, and the suites own their fixed
+    # sizes, so no shared run config or knob table exists.
+    config = ("RunConfig", "INT_KNOBS", "COMMAND_KNOBS", "KNOB_HELP", "_config", "_samples")
+    assert [n for n in config if hasattr(cli, n)] == []
     # Tests read a digit off digits() and diagonal pairs off the oracle, and
     # one writer writes every command's output.
     assert not hasattr(words.CantorPoint, "digit")

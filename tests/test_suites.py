@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from cantorproj import Family, Rect, RectUnion, certify, family, suites, words
-from cantorproj.cli import RunConfig
 from cantorproj.suites import (
     FAULTS,
     SUITES,
@@ -44,28 +43,32 @@ def test_suite_names_are_stable():
 
 
 def test_report_shape_and_determinism():
-    cfg = RunConfig(seed=7)
-    one = run_all(cfg)
-    two = run_all(cfg)
+    one = run_all(7)
+    two = run_all(7)
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
     assert one["all_pass"] is True
-    assert one["config"]["seed"] == 7
+    # The fixed sizes are named in the report, so a changed one shows as a
+    # named diff, not only as a digest miss.
+    assert one["config"] == {
+        "budget": 10000, "depth": 3, "i_max": 20, "n_max": 50,
+        "probes": 120, "seed": 7, "suite_size": 60, "truncation": 20,
+    }
     assert {s["name"] for s in one["suites"]} == {name for name, _ in SUITES}
 
 
 def test_single_suite_run(fam):
-    result = run_suite("core-diam-law", fam, RunConfig())
+    result = run_suite("core-diam-law", fam, 0)
     assert result["passed"]
     assert result["detail"]["checks"] > 0
 
 
 def test_unknown_suite_rejected(fam):
     with pytest.raises(ValueError):
-        run_suite("no-such-suite", fam, RunConfig())
+        run_suite("no-such-suite", fam, 0)
 
 
 def test_fault_injection_breaks_convergence():
-    report = run_all(RunConfig(), fault="approximant-digit")
+    report = run_all(fault="approximant-digit")
     assert report["all_pass"] is False
     by_name = {s["name"]: s for s in report["suites"]}
     assert not by_name["family-approximant-convergence"]["passed"]
@@ -77,7 +80,7 @@ def test_fault_verdicts_apart_from_wording():
     # Which check catches the corrupted generator first may change its error
     # strings; which suites fail, and how many checks the counted ones ran,
     # may not.
-    report = run_all(RunConfig(), fault="approximant-digit")
+    report = run_all(fault="approximant-digit")
     failed = {s["name"]: s["detail"] for s in report["suites"] if not s["passed"]}
     assert sorted(failed) == [
         "family-approximant-convergence",
@@ -209,9 +212,9 @@ def _fault_ids():
 
 @pytest.mark.parametrize("name, corrupt, first", FAULT_TABLE, ids=_fault_ids())
 def test_a_corruption_fails_its_suite(monkeypatch, name, corrupt, first):
-    assert run_suite(name, Family(), RunConfig())["passed"]
+    assert run_suite(name, Family(), 0)["passed"]
     corrupt(monkeypatch)
-    result = run_suite(name, Family(), RunConfig())
+    result = run_suite(name, Family(), 0)
     assert result["passed"] is False
     assert result["detail"]["failures"][0] == first
 
@@ -220,7 +223,7 @@ def test_resolvability_suite_catches_a_wrong_closure_split(fam, monkeypatch):
     # The core is empty only while the split is right: with both clopen parts
     # the whole window, the core is F and no window is resolvable.
     monkeypatch.setattr(certify, "closure_split", lambda img, f: (f, f))
-    result = run_suite("lab-resolvability", fam, RunConfig())
+    result = run_suite("lab-resolvability", fam, 0)
     assert result["passed"] is False
     assert result["detail"]["checks"] == 180
 
@@ -241,28 +244,28 @@ def test_every_suite_is_a_generator_function():
     assert [name for name, suite in SUITES if not inspect.isgeneratorfunction(suite)] == []
 
 
-def _fake_suite(fam, cfg, rng):
+def _fake_suite(fam, rng):
     # Seven failures among passes: run_suite counts all, keeps five.
     for k in range(11):
         yield k % 3 == 0 or {"k": k}
     return {"steps": 3}
 
 
-def _crashing_suite(fam, cfg, rng):
+def _crashing_suite(fam, rng):
     yield True
     raise ArithmeticError("boom")
 
 
 def test_run_suite_owns_the_report(fam, monkeypatch):
     monkeypatch.setattr(suites, "SUITES", [("fake", _fake_suite), ("crash", _crashing_suite)])
-    result = run_suite("fake", fam, RunConfig())
+    result = run_suite("fake", fam, 0)
     assert result["passed"] is False
     assert result["detail"] == {
         "checks": 11,
         "failures": [{"k": 1}, {"k": 2}, {"k": 4}, {"k": 5}, {"k": 7}],
         "steps": 3,
     }
-    crashed = run_suite("crash", fam, RunConfig())
+    crashed = run_suite("crash", fam, 0)
     assert crashed["passed"] is False
     assert crashed["detail"] == {"error": "ArithmeticError: boom"}
 
