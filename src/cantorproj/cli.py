@@ -12,11 +12,14 @@ Exit codes: 0 success, 1 a verification or suite failed, 2 usage error or
 unreadable input (an unusable path, a certificate that does not parse),
 3 search budget exhausted.  Each subcommand declares its own flags:
 ``construct`` takes ``--n-max`` and ``--i-max``, ``image`` ``--depth``,
-``falsify`` ``--budget``, ``check`` ``--seed`` and ``verify`` none.  A
+``falsify`` ``--budget`` and ``--samples``, ``check`` ``--seed`` and
+``verify`` none: it checks every entry of the certificate it reads.  A
 negative size and a ``--samples`` below 1 fail at parse time, before any
 ``--out`` target is made; a run's config is its argv alone.  Each command
 returns its exit code, JSON document and text lines, and ``_run`` alone
-writes them; all JSON output is byte-deterministic for a fixed argv.
+writes them.  A failure with no verdict or report to give writes its
+reason to stderr and no document, so nothing goes to stdout or ``--out``.
+All JSON output is byte-deterministic for a fixed argv.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .words import PieceError, RectUnion, WordError, parse_rect_union
 
 
 # Exit code, document, text lines; a line may come as an iterable of its pieces.
+# No document, from a command that told stderr why it failed, writes nothing.
 Output = tuple[int, dict | None, Iterable[str | Iterable[str]] | None]
 # Chunks joined into one write: an encoder chunk is about one list element,
 # a text chunk one line or piece, so a write stays small however long the
@@ -119,7 +123,8 @@ def cmd_falsify(args: argparse.Namespace) -> Output:
     )
     ok, clause = verify_witness(fam, cert, samples=args.samples)
     if not ok:
-        return 1, None, [f"self-verification failed at {clause}"]
+        print(f"error: self-verification failed at {clause}", file=sys.stderr)
+        return 1, None, None
     return 0, witness_to_dict(cert), [
         f"witness for {union.rects[0]}: coarse n={cert.n_coarse} base={cert.base_coarse}, "
         f"fine n={cert.n_fine} base={cert.base_fine}, {len(cert.missing)} missing approximants"
@@ -136,7 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     except (UnicodeDecodeError, RecursionError) as err:
         raise CertificateFormatError(f"unreadable certificate: {err}") from err
     cert = witness_from_dict(doc)
-    samples = len(cert.missing) if args.samples is None else args.samples
+    samples = len(cert.missing)
     ok, clause = verify_witness(Family(), cert, samples=samples)
     verdict = "ok" if ok else f"FAILED at {clause}"
     return int(not ok), {"ok": ok, "clause": clause, "samples": samples}, [f"witness {verdict}"]
@@ -166,17 +171,14 @@ def _text(lines: Iterable[str | Iterable[str]]) -> Iterator[str]:
 
 
 def _run(args: argparse.Namespace, output: Output) -> int:
-    """Write a command's output to stdout or ``--out``: the lines under
-    ``--format text`` or when there is no document, as ``_text`` streams
-    them, else the document as ``iterdumps`` streams it, ``WRITE_BATCH``
+    """Write a command's output to stdout or ``--out``: nothing without a
+    document, else the lines under ``--format text`` as ``_text`` streams
+    them or the document as ``iterdumps`` streams it, ``WRITE_BATCH``
     chunks to a write."""
     code, doc, lines = output
-    if lines is not None and (doc is None or args.format == "text"):
-        chunks = _text(lines)
-    elif doc is not None:
-        chunks = iterdumps(doc)
-    else:
+    if doc is None:
         return code
+    chunks = _text(lines) if args.format == "text" else iterdumps(doc)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         while batch := list(islice(chunks, WRITE_BATCH)):
             fh.write("".join(batch))
@@ -212,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="recheck a witness certificate")
     p.add_argument("file", help="certificate path, or - for stdin")
-    p.add_argument("--samples", "-k", type=positive, default=None)
     _add_output(p)
     p.set_defaults(func=cmd_verify)
 
@@ -251,7 +252,3 @@ def main(argv: list[str] | None = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

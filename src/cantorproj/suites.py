@@ -228,8 +228,8 @@ def _suite_distinctness(fam, rng):
             yield point not in seen or {"axis": label, "n": n, "clash": seen[point]}
             seen[point] = n
     approx = {}
-    for n in range(min(N_MAX, 30) + 1):
-        for i in range(min(I_MAX, 10) + 1):
+    for n in range(30 + 1):
+        for i in range(10 + 1):
             q = fam.approximant(n, i)
             yield (q not in approx and q not in xs) or {"n": n, "i": i}
             approx[q] = (n, i)

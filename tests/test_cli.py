@@ -40,11 +40,11 @@ def _flag(knob):
     return "--" + knob.replace("_", "-")
 
 
-# A bad value of each size knob and of --samples, named by its command and flag.
+# A bad value of each size knob and of falsify's --samples, named by its
+# command and flag.
 BAD_VALUES = [
     *([*argv, _flag(knob), "-3"] for argv, knob in SIZE_KNOB_READERS),
     ["falsify", "2 x 0", "--samples", "0"],
-    ["verify", "w.json", "--samples", "0"],
 ]
 
 
@@ -181,14 +181,19 @@ class TestFalsifyVerify:
         assert code == 2 and out == ""
         assert "empty rectangle union literal" in err
 
-    def test_self_verification_failure_exits_one(self, capsys, monkeypatch):
+    def test_self_verification_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # The reason goes to stderr; neither stdout nor --out gets a line
+        # in place of the certificate.
         def refuse(fam, cert, samples):
             return False, "base_words_match"
 
         monkeypatch.setattr(cli, "verify_witness", refuse)
-        code, out, _ = run(capsys, "falsify", "2 x 0", "--samples", "2")
-        assert code == 1
-        assert out == "self-verification failed at base_words_match\n"
+        target = tmp_path / "w.json"
+        for out_args in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "falsify", "2 x 0", "--samples", "2", *out_args)
+            assert (code, out) == (1, "")
+            assert "base_words_match" in err
+        assert target.read_bytes() == b""
 
     def test_tampered_certificate_fails(self, tmp_path, capsys):
         cert_file = tmp_path / "w.json"
@@ -221,8 +226,9 @@ class TestFalsifyVerify:
             (lambda m: [], "missing_count"),
             (lambda m: m[:1] * 3, "missing_indices_increasing"),
             (lambda m: [{**m[0], "i": "0"}] + m[1:], "missing_indices_increasing"),
+            (lambda m: m[:-1] + [{**m[-1], "point": m[0]["point"]}], "[i=1] missing_identity"),
         ],
-        ids=["empty", "repeated", "string-index"],
+        ids=["empty", "repeated", "string-index", "last-point-forged"],
     )
     def test_evidence_shape_rejected(self, tmp_path, capsys, edit, clause):
         cert_file = tmp_path / "w.json"
@@ -322,14 +328,6 @@ class TestFalsifyVerify:
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_falsify_samples_below_one(self, capsys, value):
         code, out, err = run(capsys, "falsify", "2 x 0", "--samples", value)
-        assert code == 2 and out == ""
-        assert "samples must be at least 1" in err
-
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_verify_samples_below_one(self, tmp_path, capsys, value):
-        cert_file = tmp_path / "w.json"
-        run(capsys, "falsify", "2 x 0", "--samples", "4", "--out", str(cert_file))
-        code, out, err = run(capsys, "verify", str(cert_file), "--samples", value)
         assert code == 2 and out == ""
         assert "samples must be at least 1" in err
 
@@ -532,8 +530,10 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [["construct", "--depth", "3"], ["verify", "--budget", "5", "w.json"],
+         ["verify", "w.json", "--samples", "1"],
          *(["check", flag, "3"] for flag in CHECK_SIZE_FLAGS)],
-        ids=["construct--depth", "verify--budget", *(f"check{f}" for f in CHECK_SIZE_FLAGS)],
+        ids=["construct--depth", "verify--budget", "verify--samples",
+             *(f"check{f}" for f in CHECK_SIZE_FLAGS)],
     )
     def test_knob_of_another_command_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
