@@ -151,10 +151,10 @@ def verify_witness(
 ) -> tuple[bool, str | None]:
     """Recheck every clause; on failure name the first clause violated.
 
-    Geometry is checked against the base words stored in the certificate;
-    the final clause ties those words back to the generated family, so a
-    certificate from any conforming producer is accepted and any tampering
-    is pinned to the clause it breaks.
+    Each entry of ``cert.missing`` is checked; ``samples`` is the least
+    number it must hold.  Geometry is read off the stored base words and
+    the final clause ties them to the generated family, so a conforming
+    producer's certificate passes and tampering is pinned to its clause.
     """
     coarse = ClopenSet((cert.base_coarse,))
     fine = ClopenSet((cert.base_fine,))
@@ -175,12 +175,11 @@ def verify_witness(
         # or absent entries would count evidence that is not there.  Indices
         # read from a file may be of any JSON type; only integers compare.
         yield "missing_count", 0 < samples <= len(cert.missing)
-        checked = cert.missing[:samples]
-        indices = [entry.index for entry in checked]
+        indices = [entry.index for entry in cert.missing]
         yield "missing_indices_increasing", all(
             type(i) is int for i in indices
         ) and all(a < b for a, b in zip(indices, indices[1:]))
-        for entry in checked:
+        for entry in cert.missing:
             tag = f"[i={entry.index}] "
             # Identity with the fine sequence is the exclusion certificate:
             # the removed column of that approximant is the fine base itself,

@@ -42,6 +42,14 @@ def scanned():
     return scanned_dense_pairs(2000)
 
 
+@pytest.fixture(scope="module")
+def bases_201():
+    # 201 steps hold every index up to 200 and every word up to rank 201;
+    # TestGoldenBytes pins the base words on to index 1,599.  One build,
+    # on a fresh family, serves every test that reads it.
+    return first_fit_bases(Family(), 201)
+
+
 class TestHelpers:
     def test_diag_pair_frozen(self):
         seen = [diag_pair(t) for t in range(6)]
@@ -180,12 +188,6 @@ class TestColumnOrder:
 class TestSweepOrder:
     """The sweep's answers and step count do not depend on the call order."""
 
-    @pytest.fixture(scope="class")
-    def table(self):
-        # 201 steps hold every index up to 200 and every word up to rank 201;
-        # TestGoldenBytes pins the base words on to index 1,599.
-        return first_fit_bases(Family(), 201)
-
     CALLS = st.lists(
         st.one_of(
             st.tuples(st.just("base_word"), st.integers(0, 300)),
@@ -206,16 +208,16 @@ class TestSweepOrder:
 
     @settings(max_examples=40)
     @given(CALLS)
-    def test_reversed_calls_agree(self, table, calls):
+    def test_reversed_calls_agree(self, bases_201, calls):
         drawn, reverse = Family(), Family()
         answers = self.answer(drawn, calls)
         assert self.answer(reverse, calls[::-1]) == answers
         # Step min(rank - 1, index) of the back and forth knows each pair.
         steps = max(min(lenlex_rank(w) - 1, n) for _, (w, n) in answers.values()) + 1
-        index_of = {w: n for n, w in table.items()}
+        index_of = {w: n for n, w in bases_201.items()}
         for fam in (drawn, reverse):
             assert fam.enumeration_steps() == steps
-            assert all(table[n] == w for n, w in fam._idx2word.items() if n in table)
+            assert all(bases_201[n] == w for n, w in fam._idx2word.items() if n in bases_201)
             assert all(index_of[w] == n for w, n in fam._word2idx.items() if w in index_of)
 
 
@@ -506,12 +508,11 @@ class TestBaseEnumeration:
         words = [fam.base_word(n) for n in range(10_000)]
         assert len(set(words)) == 10_000
 
-    def test_matches_first_fit_oracle(self, fam):
+    def test_matches_first_fit_oracle(self, fam, bases_201):
         # The table after 201 steps holds every index n <= 200 (the range
         # ``check`` uses) and every word assigned on the way, both ways.
-        table = first_fit_bases(fam, 201)
-        assert set(range(201)) <= set(table)
-        for n, w in table.items():
+        assert set(range(201)) <= set(bases_201)
+        for n, w in bases_201.items():
             assert fam.base_word(n) == w
             assert fam.base_index(w) == n
 

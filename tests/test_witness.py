@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorproj import (
+    CantorPoint,
     ClopenSet,
     Family,
     PieceError,
@@ -40,6 +41,13 @@ TRIVIAL = RectUnion(())
 def cert_for(fam, literal, samples=8):
     union = parse_rect_union(literal)
     return falsify_restriction(fam, TRIVIAL, union.rects[0], samples=samples)
+
+
+def forge(entry):
+    # The entry with its point's last prefix digit flipped: a point the
+    # family does not recognise as that approximant.
+    p = entry.point
+    return replace(entry, point=CantorPoint(p.prefix[:-1] + flip(p.prefix[-1]), p.cycle))
 
 
 class TestFalsify:
@@ -313,11 +321,29 @@ class TestEvidenceShape:
         got = verify_witness(fam, cert, samples=len(cert.missing))
         assert got == (False, "missing_indices_increasing")
 
-    def test_only_checked_entries_count(self, fam):
-        # Entries past ``samples`` are not evidence and are not inspected.
+    def test_every_entry_is_evidence(self, fam):
+        # ``samples`` is the count the certificate must hold, not a cut:
+        # entries past it are checked like the rest.
+        cert = cert_for(fam, "2 x 0", samples=3)
+        repeated = replace(cert, missing=cert.missing[:2] + cert.missing[:1])
+        assert verify_witness(fam, repeated, samples=2) == (
+            False,
+            "missing_indices_increasing",
+        )
+        forged = replace(cert, missing=cert.missing[:2] + (forge(cert.missing[2]),))
+        assert verify_witness(fam, forged, samples=2) == (False, "[i=2] missing_identity")
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_forged_entry_rejected_at_any_position(self, fam, data):
         cert = cert_for(fam, "2 x 0")
-        cert = replace(cert, missing=cert.missing[:2] + cert.missing[:1])
-        assert verify_witness(fam, cert, samples=2) == (True, None)
+        k = len(cert.missing)
+        pos = data.draw(st.integers(0, k - 1), label="position")
+        samples = data.draw(st.integers(1, k), label="samples")
+        missing = list(cert.missing)
+        missing[pos] = forge(missing[pos])
+        got = verify_witness(fam, replace(cert, missing=tuple(missing)), samples)
+        assert got == (False, f"[i={missing[pos].index}] missing_identity")
 
 
 class TestSerialization:
