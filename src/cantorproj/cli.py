@@ -16,9 +16,10 @@ unreadable input (an unusable path, a certificate that does not parse),
 ``verify`` none: it checks every entry of the certificate it reads.  A
 negative size and a ``--samples`` below 1 fail at parse time, before any
 ``--out`` target is made; a run's config is its argv alone.  Each command
-returns its exit code, JSON document and text lines, and ``_run`` alone
-writes them.  A failure with no verdict or report to give writes its
-reason to stderr and no document, so nothing goes to stdout or ``--out``.
+returns its exit code, JSON document and text as a stream of chunks, and
+``_run`` alone writes the one ``--format`` names.  A failure with no verdict
+or report to give writes its reason to stderr and no document, so nothing
+goes to stdout or ``--out``.
 All JSON output is byte-deterministic for a fixed argv.
 """
 
@@ -27,9 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import islice
 
 from .family import Family, FamilyError
 from .schema import CertificateFormatError, iterdumps
@@ -45,13 +46,14 @@ from .witness import (
 from .words import PieceError, RectUnion, WordError, parse_rect_union
 
 
-# Exit code, document, text lines; a line may come as an iterable of its pieces.
-# No document, from a command that told stderr why it failed, writes nothing.
-Output = tuple[int, dict | None, Iterable[str | Iterable[str]] | None]
+# Exit code, document, and the text as chunks whose join is the text, newlines
+# included, as ``iterdumps`` hands out the document.  No document, from a
+# command that told stderr why it failed, writes nothing.
+Output = tuple[int, dict | None, Iterable[str] | None]
 # Chunks joined into one write: an encoder chunk is about one list element,
-# a text chunk one line or piece, so a write stays small however long the
-# output, and few enough writes that an in-memory sink does not keep one
-# object per chunk.
+# a text chunk one line or one trace word, so a write stays small however
+# long the output, and few enough writes that an in-memory sink does not
+# keep one object per chunk.
 WRITE_BATCH = 1024
 
 
@@ -81,7 +83,8 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 def cmd_construct(args: argparse.Namespace) -> Output:
     doc = Family().export(n_max=args.n_max, i_max=args.i_max)
-    return 0, doc, (f"n={p['n']} x={p['a']} y={p['b']}" for p in doc["dense_pairs"])
+    pairs = doc["dense_pairs"]
+    return 0, doc, (f"n={p['n']} x={p['a']} y={p['b']}\n" for p in pairs) if pairs else ["\n"]
 
 
 def cmd_image(args: argparse.Namespace) -> Output:
@@ -104,12 +107,14 @@ def cmd_image(args: argparse.Namespace) -> Output:
         "trace": {"depth": args.depth, "words": trace},
     }
 
-    def lines():  # built only if written; the trace line, as long as the trace, in pieces
-        yield from (f"piece hull={piece.hull}" for piece in img.pieces)
-        yield from (f"isolated {iso.seq}: {iso.point}" for iso in dec.isolated)
+    def text():  # built only if written; the trace line, as long as the trace, in pieces
+        yield from (f"piece hull={piece.hull}\n" for piece in img.pieces)
+        yield from (f"isolated {iso.seq}: {iso.point}\n" for iso in dec.isolated)
         head = (trace[0] if trace else "") or "none"  # only a depth-0 trace has the word ""
-        yield chain((f"trace[{args.depth}]: ", head), (", " + w for w in islice(trace, 1, None)))
-    return 0, doc, lines()
+        yield f"trace[{args.depth}]: {head}"
+        yield from (", " + w for w in islice(trace, 1, None))
+        yield "\n"
+    return 0, doc, text()
 
 
 def cmd_falsify(args: argparse.Namespace) -> Output:
@@ -127,7 +132,7 @@ def cmd_falsify(args: argparse.Namespace) -> Output:
         return 1, None, None
     return 0, witness_to_dict(cert), [
         f"witness for {union.rects[0]}: coarse n={cert.n_coarse} base={cert.base_coarse}, "
-        f"fine n={cert.n_fine} base={cert.base_fine}, {len(cert.missing)} missing approximants"
+        f"fine n={cert.n_fine} base={cert.base_fine}, {len(cert.missing)} missing approximants\n"
     ]
 
 
@@ -144,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     samples = len(cert.missing)
     ok, clause = verify_witness(Family(), cert, samples=samples)
     verdict = "ok" if ok else f"FAILED at {clause}"
-    return int(not ok), {"ok": ok, "clause": clause, "samples": samples}, [f"witness {verdict}"]
+    return int(not ok), {"ok": ok, "clause": clause, "samples": samples}, [f"witness {verdict}\n"]
 
 
 def cmd_check(args: argparse.Namespace) -> Output:
@@ -154,31 +159,20 @@ def cmd_check(args: argparse.Namespace) -> Output:
         report = run_all(args.seed, fault=args.inject_fault)
     except ValueError as err:  # an unknown fault name; run_suite catches a suite's errors
         raise UsageError(str(err)) from err
-    lines = [f"{s['name']}: {'PASS' if s['passed'] else 'FAIL'}" for s in report["suites"]]
-    lines.append("all suites passed" if report["all_pass"] else "FAILURES present")
-    return int(not report["all_pass"]), report, lines
-
-
-def _text(lines: Iterable[str | Iterable[str]]) -> Iterator[str]:
-    """Each line, or its pieces, then a newline; no lines write one newline."""
-    empty = True
-    for line in lines:
-        empty = False
-        yield from (line,) if isinstance(line, str) else line
-        yield "\n"
-    if empty:
-        yield "\n"
+    text = [f"{s['name']}: {'PASS' if s['passed'] else 'FAIL'}\n" for s in report["suites"]]
+    text.append("all suites passed\n" if report["all_pass"] else "FAILURES present\n")
+    return int(not report["all_pass"]), report, text
 
 
 def _run(args: argparse.Namespace, output: Output) -> int:
     """Write a command's output to stdout or ``--out``: nothing without a
-    document, else the lines under ``--format text`` as ``_text`` streams
-    them or the document as ``iterdumps`` streams it, ``WRITE_BATCH``
-    chunks to a write."""
-    code, doc, lines = output
+    document, else the text's chunks under ``--format text`` or the
+    document's as ``iterdumps`` streams it, ``WRITE_BATCH`` chunks to a
+    write.  The stream is an iterator, so each batch reads on from the last."""
+    code, doc, text = output
     if doc is None:
         return code
-    chunks = _text(lines) if args.format == "text" else iterdumps(doc)
+    chunks = iter(text) if args.format == "text" else iterdumps(doc)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         while batch := list(islice(chunks, WRITE_BATCH)):
             fh.write("".join(batch))

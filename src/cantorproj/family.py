@@ -21,6 +21,7 @@ from functools import cached_property
 from .words import CantorPoint, check_digits, flip
 
 DENSE_CYCLE = "20"
+SCHEMA_VERSION = 1  # the envelope of export and of every certificate
 
 # Extra agreement depth of an approximant beyond its index.  Two units keep
 # the distance bound strictly below 1/(n+1) even when n+1 is a power of 3.
@@ -151,7 +152,9 @@ class _Column:
         self._s, self._j = -1, 0
 
     def head(self, n: int) -> tuple[str, int]:
-        if n >= len(self.heads):
+        if not 0 <= n < len(self.heads):
+            if n < 0:
+                raise FamilyError("pair index must be a natural number")
             self.grow(n + 1)
         return self.heads[n]
 
@@ -250,8 +253,6 @@ class Family:
     def dense_pair(self, n: int) -> DensePair:
         pair = self._pairs.get(n)
         if pair is None:
-            if n < 0:
-                raise FamilyError("pair index must be a natural number")
             pair = self._pairs[n] = DensePair(self._x.head(n), self._y.head(n))
         return pair
 
@@ -451,7 +452,7 @@ class Family:
         ]
         table = [{"n": n, "word": self.base_word(n)} for n in range(n_max)]
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "scheme_params": scheme_params(),
             "dense_pairs": pairs,
             "approximants": approx,

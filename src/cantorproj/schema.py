@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 
-from .family import scheme_params
+from .family import SCHEMA_VERSION, scheme_params
 
-SCHEMA_VERSION = 1
 # The one spelling of the JSON layout.  ``indent`` keeps it on the
 # pure-Python encoder, whose chunks ``iterencode`` hands out one at a time.
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
@@ -23,14 +22,9 @@ class CertificateFormatError(ValueError):
     """Envelope malformed or produced under an incompatible scheme."""
 
 
-def dumps(doc: dict) -> str:
-    """The bytes of every JSON document the package writes."""
-    return _ENCODER.encode(doc) + "\n"
-
-
 def iterdumps(doc: dict) -> Iterator[str]:
-    """The bytes of ``dumps(doc)`` in order, as the encoder makes them, so a
-    writer need not hold the whole document as text."""
+    """The bytes of every JSON document the package writes, in order, as the
+    encoder makes them, so a writer need not hold the whole document as text."""
     yield from _ENCODER.iterencode(doc)
     yield "\n"
 

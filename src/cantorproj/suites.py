@@ -31,7 +31,7 @@ from .certify import (
 from .family import Family
 from .images import image_member, image_trace, project_union
 from .oracle import TRACE_DEPTH, brute_rect_trace, cantor_stage
-from .schema import dumps
+from .schema import iterdumps
 from .witness import BUDGET, WitnessCertificate, falsify_restriction, verify_witness
 from .words import (
     WHOLE_SPACE,
@@ -215,7 +215,7 @@ def _suite_diam_law(fam, rng):
 def _suite_family_determinism(fam, rng):
     one = type(fam)().export(n_max=12, i_max=6)
     two = type(fam)().export(n_max=12, i_max=6)
-    same = dumps(one) == dumps(two)
+    same = "".join(iterdumps(one)) == "".join(iterdumps(two))
     yield same or {"law": "export_bytes"}
 
 
@@ -277,7 +277,7 @@ def _suite_density(fam, rng):
 def _suite_oracle_equivalence(fam, rng):
     sets = sorted(clopen_antichains(2), key=lambda c: c.words)
     pairs = [(a, b) for a in sets for b in sets]
-    picks = rng.sample(range(len(pairs)), min(40, len(pairs)))
+    picks = rng.sample(range(len(pairs)), 40)
     depth1 = [c for c in sets if c.depth <= 1]
     jobs = [(a, b) for a in depth1 for b in depth1]
     jobs += [pairs[i] for i in picks]

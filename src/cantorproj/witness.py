@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .family import Family, stable_index
-from .schema import CertificateFormatError, dumps, unwrap, wrap
+from .schema import CertificateFormatError, iterdumps, unwrap, wrap
 from .words import (
     CantorPoint,
     ClopenSet,
@@ -275,4 +275,4 @@ def witness_from_dict(doc: dict) -> WitnessCertificate:
 
 
 def witness_dumps(cert: WitnessCertificate) -> str:
-    return dumps(witness_to_dict(cert))
+    return "".join(iterdumps(witness_to_dict(cert)))

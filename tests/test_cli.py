@@ -415,7 +415,7 @@ class TestDefaults:
 
     def test_witness_dumps_is_the_json_byte_format(self):
         cert = witness.falsify_restriction(Family(), RectUnion(()), parse_rect("2 x 0"), samples=3)
-        assert witness_dumps(cert) == schema.dumps(witness_to_dict(cert))
+        assert witness_dumps(cert) == "".join(schema.iterdumps(witness_to_dict(cert)))
 
 
 DEEP_IMAGE = ["image", "ε x 0202", "--depth", "16"]
@@ -424,16 +424,26 @@ DEEP_IMAGE_TEXT_MD5 = "e93bb62b07aa7a7f5247ec7c5ea1f536"
 
 
 class _Recorder:
-    def __init__(self):
+    def __init__(self, limit=None):
         self.writes = []
+        self.limit = limit
 
     def write(self, text):
+        if self.limit is not None and len(self.writes) == self.limit:
+            raise AssertionError(f"more than {self.limit} writes")
         self.writes.append(text)
 
 
+def _batches(chunks):
+    size = cli.WRITE_BATCH
+    return ["".join(chunks[i:i + size]) for i in range(0, len(chunks), size)]
+
+
 class TestWriter:
-    """``_run`` streams a document in batches of encoder chunks, and text
-    in batches of lines and pieces of lines."""
+    """``_run`` streams either output the same way: each write joins the
+    next ``WRITE_BATCH`` chunks of one stream, the encoder's chunks of the
+    document or the chunks of text a command hands it, whose join is the
+    text, newlines included."""
 
     def test_json_is_written_in_bounded_batches(self):
         sink = _Recorder()
@@ -442,27 +452,40 @@ class TestWriter:
         text = "".join(sink.writes)
         assert hashlib.md5(text.encode()).hexdigest() == DEEP_IMAGE_MD5
         doc = json.loads(text)
-        assert text == schema.dumps(doc)
         # Each write joins the next WRITE_BATCH chunks of the stream, so no
         # write holds the document.
-        chunks, size = list(schema.iterdumps(doc)), cli.WRITE_BATCH
+        chunks = list(schema.iterdumps(doc))
+        assert text == "".join(chunks)
         assert len(sink.writes) > 1
-        assert sink.writes == ["".join(chunks[i:i + size]) for i in range(0, len(chunks), size)]
+        assert sink.writes == _batches(chunks)
 
     def test_text_is_written_in_bounded_batches(self):
-        # The lines stream as the document does, and the trace line, as
-        # long as the trace, comes as its words: a write joins at most
-        # WRITE_BATCH pieces of one 16-digit word and its separator each.
+        # The text streams as the document does, and the trace line, as
+        # long as the trace, comes as its words, so it spans many writes.
+        argv = [*DEEP_IMAGE, "--format", "text"]
         sink = _Recorder()
         with contextlib.redirect_stdout(sink):
-            assert main([*DEEP_IMAGE, "--format", "text"]) == 0
+            assert main(argv) == 0
         text = "".join(sink.writes)
         assert hashlib.md5(text.encode()).hexdigest() == DEEP_IMAGE_TEXT_MD5
-        trace_line = text.splitlines()[-1]
-        assert trace_line.startswith("trace[16]: ") and text.endswith("\n")
+        _, _, stream = cli.cmd_image(build_parser().parse_args(argv))
+        chunks = list(stream)
         assert len(sink.writes) > 1
-        assert max(map(len, sink.writes)) <= cli.WRITE_BATCH * len(", " + "0" * 16)
+        assert sink.writes == _batches(chunks)
+        trace_line = text.splitlines()[-1]
+        assert trace_line.startswith("trace[16]: ") and chunks[-1] == "\n"
         assert len(trace_line) > 2 * cli.WRITE_BATCH * len(", " + "0" * 16)
+
+    def test_listed_text_is_written_once(self, monkeypatch):
+        # A command may hand its text as a list; the writer reads it on
+        # from batch to batch, not from its head again.  The recorder stops
+        # a writer that starts over instead of letting it write forever.
+        monkeypatch.setattr(cli, "WRITE_BATCH", 2)
+        args = build_parser().parse_args(["verify", "-", "--format", "text"])
+        sink = _Recorder(limit=5)
+        with contextlib.redirect_stdout(sink):
+            assert cli._run(args, (0, {}, ["a", "b\n", "c", "d\n", "e\n"])) == 0
+        assert sink.writes == ["ab\n", "cd\n", "e\n"]
 
     def test_text_trace_of_the_empty_word_reads_none(self, capsys):
         # As a joined line would read it: the depth-0 trace ["",] joins to "".

@@ -132,6 +132,16 @@ class TestDensePairs:
         with pytest.raises(FamilyError):
             fam.dense_pair(-1)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_negative_index_reads_no_digits(self, warm):
+        # x_digits reads a column head as dense_pair does, and refuses the
+        # same index; a warm column's list would read -1 as its last head.
+        fam = Family()
+        if warm:
+            fam.dense_pair(5)
+        with pytest.raises(FamilyError, match="pair index must be a natural number"):
+            fam.x_digits(-1, 4)
+
 
 class TestColumnOrder:
     """The two columns grow at different times; no order may change a result."""

@@ -134,7 +134,7 @@ def test_single_use_helpers_are_gone():
 
 def test_one_json_byte_format():
     # schema's one encoder is the one call that spells the JSON layout;
-    # dumps and iterdumps both read it.
+    # iterdumps reads it, for every command and for witness_dumps.
     found = []
     for module in MODULES:
         tree = _tree(module)
